@@ -186,7 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("config-check", help="check commutation of a configuration file")
     p.add_argument("file")
     p.add_argument("--global-degree", type=int, default=None, help="also verify up to this total degree")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1, help="accepted for compatibility; the checks run one after another"
+    )
     p.add_argument("--seed", type=int, default=2025)
     common(p, mode=False)
     p.set_defaults(handler=_cmd_config_check)

@@ -12,33 +12,45 @@ For a single derivation symbol d and a leader pi:
                   + sum over free mu of (dp_pi/dx_mu) * f at d.mu)
                / (dp_pi / dx_pi),
 
-and longer words w extend this through the derivation R_d acting on
-rational functions of the jet variables.  A configuration commutes at a
-tuple alpha when all its word/leader factorizations produce functions that
-agree on the locus; agreement is decided by clearing denominators and
-pseudo-reducing against the relations, and disagreement is confirmed, when
-possible, by exhibiting a rational point of the locus where the two
-functions differ.
+and longer words w extend this through the derivation R_d that sends each
+x_mu to f at d.mu.
 
-Denominators of the computed functions are built only from separants and
-initials of the relations, so they are nonzero almost everywhere on the
-locus.
+Every f is kept as a polynomial numerator N over a product of powers of a
+fixed factor base b_1, ..., b_m: the non-constant separants of the leaders
+and the non-constant denominators of the coefficient tables (constant ones
+fold into the coefficients, so a configuration with constant separants
+computes plain polynomials).  With B^e = prod_j b_j^e_j,
+
+    R_d(N / B^e) = R_d(N) / B^e - sum_j e_j * N * R_d(b_j) / (b_j * B^e),
+
+where R_d on a polynomial is the coefficient part plus the sum of
+(dN/dx_mu) * f at d.mu, brought over the elementwise largest exponent
+vector of its terms.  So the exponents grow linearly with the word length
+and no gcd is ever taken: this is the bookkeeping of the product of
+initials and separants in Ritt-Kolchin reduction.  Values leave this
+module as `RatFun`s.
+
+A configuration commutes at a tuple alpha when all its word/leader
+factorizations produce functions that agree on the locus.  Agreement is
+decided by bringing two values over a common B^e and pseudo-reducing the
+numerator difference against the relations; disagreement is confirmed,
+when possible, by exhibiting a rational point of the locus where the two
+functions differ.  Every denominator is a product of base factors, so it
+is nonzero almost everywhere on the locus.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from math import gcd
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .algebra import JetVar, Poly, RatFun, _to_ratfun, pseudo_remainder
-from .derivation import DerSpec, coeff_derivative
-from .errors import ConfigurationError, PoleError, SeparantZeroError
+from .derivation import DerSpec
+from .errors import ConfigurationError, PoleError
 from .jet import DiffModel
 from .monoid import COMMUTATIVE, FREE, MonoidElem, antichain_minimal, theta_ball
 
@@ -143,6 +155,13 @@ class RealizeReport:
         return out
 
 
+class _Frac(NamedTuple):
+    """num / prod_j base[j] ** exps[j] over a configuration's factor base."""
+
+    num: Poly
+    exps: tuple[int, ...]
+
+
 class Configuration:
     """Anti-chain of minimal leaders with one defining relation per leader."""
 
@@ -178,9 +197,31 @@ class Configuration:
             for i, table in enumerate(self.etas)
         )
 
-        self._lock = threading.RLock()
-        self._word_cache: dict[tuple[tuple[int, ...], MonoidElem], RatFun] = {}
-        self._theta_cache: dict[MonoidElem, RatFun] = {}
+        # the factor base: non-constant separants, then non-constant eta denominators
+        factors: list[Poly] = []
+
+        def slot(poly: Poly) -> Optional[int]:
+            if poly.is_constant:
+                return None
+            if poly not in factors:
+                factors.append(poly)
+            return factors.index(poly)
+
+        self._sep_slots = {pi: slot(self.separant(pi)) for pi in self.leaders}
+        eta_values = [{c: _to_ratfun(v) for c, v in spec.eta.items()} for spec in self.derspecs]
+        eta_slots = [{c: slot(v.den) for c, v in table.items()} for table in eta_values]
+        self._factors = tuple(factors)
+        self._zero = (0,) * len(factors)
+        # eta_i(c) as a fraction; a constant denominator is 1 after RatFun normalisation
+        self._eta_images = tuple(
+            {c: _Frac(v.num, self._bump(self._zero, slots[c])) for c, v in table.items() if not v.is_zero}
+            for table, slots in zip(eta_values, eta_slots)
+        )
+
+        self._powers: dict[tuple[int, ...], Poly] = {}
+        self._r_factor_cache: dict[tuple[int, int], _Frac] = {}
+        self._word_cache: dict[tuple[tuple[int, ...], MonoidElem], _Frac] = {}
+        self._theta_cache: dict[MonoidElem, tuple[_Frac, Union[tuple, str]]] = {}
 
     # ------------------------------------------------------------------
 
@@ -236,6 +277,44 @@ class Configuration:
         return self.relations[pi].partial(self.jet_var(pi))
 
     # ------------------------------------------------------------------
+    # fractions over the factor base
+
+    @staticmethod
+    def _bump(exps: tuple[int, ...], j: Optional[int]) -> tuple[int, ...]:
+        """exps with one more power of factor j (unchanged for j None)."""
+        if j is None:
+            return exps
+        return exps[:j] + (exps[j] + 1,) + exps[j + 1:]
+
+    def _power(self, exps: tuple[int, ...]) -> Poly:
+        """prod_j base[j] ** exps[j], cached per exponent vector."""
+        out = self._powers.get(exps)
+        if out is None:
+            out = Poly.const(1)
+            for factor, e in zip(self._factors, exps):
+                if e:
+                    out = out * factor ** e
+            self._powers[exps] = out
+        return out
+
+    def _lift(self, f: _Frac, exps: tuple[int, ...]) -> Poly:
+        """The numerator of f over B^exps, for exps >= f.exps elementwise."""
+        extra = tuple(a - b for a, b in zip(exps, f.exps))
+        return f.num * self._power(extra) if any(extra) else f.num
+
+    def _sum(self, fracs: list[_Frac]) -> _Frac:
+        """The sum, over the elementwise largest exponent vector of the nonzero terms."""
+        fracs = [f for f in fracs if not f.num.is_zero]
+        top = tuple(map(max, zip(self._zero, *(f.exps for f in fracs))))
+        num = Poly.zero()
+        for f in fracs:
+            num = num + self._lift(f, top)
+        return _Frac(num, top)
+
+    def _as_ratfun(self, f: _Frac) -> RatFun:
+        return RatFun(f.num, self._power(f.exps))
+
+    # ------------------------------------------------------------------
     # the recursion for f
 
     def f_at(self, alpha: MonoidElem) -> GFun:
@@ -246,82 +325,110 @@ class Configuration:
         word of the quotient with non-increasing generator indices.
         """
         value, witness = self._f_theta(alpha)
-        return GFun(value, witness)
+        return GFun(self._as_ratfun(value), witness)
 
     def compute_f(self, word: MonoidElem, pi: MonoidElem) -> GFun:
         if word.kind != FREE or word.k != self.k:
             raise ConfigurationError(f"{word} is not a word over k={self.k} generators")
         if pi not in self.relations:
             raise ConfigurationError(f"{pi} is not a leader")
-        return GFun(self._f_word(word.data, pi), (word, pi))
+        return GFun(self._as_ratfun(self._f_word(word.data, pi)), (word, pi))
 
-    def _f_theta(self, alpha: MonoidElem):
-        if self.is_free(alpha):
-            return RatFun.variable(self.jet_var(alpha)), "free variable"
-        if alpha in self.relations:
-            return RatFun.variable(self.jet_var(alpha)), (MonoidElem.identity(FREE, self.k), alpha)
-        pi = min((p for p in self.leaders if p.preceq(alpha)), key=lambda p: p.sort_key)
-        word = alpha.minus(pi).canonical_word()
-        with self._lock:
-            if alpha not in self._theta_cache:
-                self._theta_cache[alpha] = self._f_word(word.data, pi)
-            value = self._theta_cache[alpha]
-        return value, (word, pi)
+    def _f_theta(self, alpha: MonoidElem) -> tuple[_Frac, Union[tuple, str]]:
+        if alpha not in self._theta_cache:
+            if self.is_free(alpha):
+                out = self._variable(alpha), "free variable"
+            elif alpha in self.relations:
+                out = self._variable(alpha), (MonoidElem.identity(FREE, self.k), alpha)
+            else:
+                pi = min((p for p in self.leaders if p.preceq(alpha)), key=lambda p: p.sort_key)
+                word = alpha.minus(pi).canonical_word()
+                out = self._f_word(word.data, pi), (word, pi)
+            self._theta_cache[alpha] = out
+        return self._theta_cache[alpha]
 
-    def _f_word(self, letters: tuple[int, ...], pi: MonoidElem) -> RatFun:
-        with self._lock:
-            key = (letters, pi)
-            if key in self._word_cache:
-                return self._word_cache[key]
+    def _variable(self, mu: MonoidElem) -> _Frac:
+        return _Frac(Poly.variable(self.jet_var(mu)), self._zero)
+
+    def _f_word(self, letters: tuple[int, ...], pi: MonoidElem) -> _Frac:
+        key = (letters, pi)
+        value = self._word_cache.get(key)
+        if value is None:
             if not letters:
-                value = RatFun.variable(self.jet_var(pi))
+                value = self._variable(pi)
             elif len(letters) == 1:
                 value = self._single_letter(letters[0], pi)
             else:
-                inner = self._f_word(letters[1:], pi)
-                value = self._r_apply(letters[0], inner)
+                value = self._r_frac(letters[0], self._f_word(letters[1:], pi))
             self._word_cache[key] = value
-            return value
+        return value
 
-    def _single_letter(self, i: int, pi: MonoidElem) -> RatFun:
-        p = self.relations[pi]
-        sep = self.separant(pi)
-        if sep.is_zero:
-            raise SeparantZeroError(f"relation for {pi} has vanishing separant")
-        gen = MonoidElem.generator(COMMUTATIVE, self.k, i)
-        num = _to_ratfun(coeff_derivative(p, self.derspecs[i - 1].eta))
-        for v in sorted(p.variables(), key=lambda v: v.sort_key):
-            if v.index is None or v.index == pi:
-                continue
-            shifted, _ = self._f_theta(gen.compose(v.index))
-            num = num + p.partial(v) * shifted
-        return -num / _to_ratfun(sep)
+    def _single_letter(self, i: int, pi: MonoidElem) -> _Frac:
+        """f_{d_i,pi}: solve R_i(p_pi) = 0 for the image of x_pi."""
+        rest = self._r_poly(i, self.relations[pi], skip=self.jet_var(pi))
+        j = self._sep_slots[pi]
+        if j is None:
+            return _Frac(rest.num * (-1 / self.separant(pi).constant_value()), rest.exps)
+        return _Frac(-rest.num, self._bump(rest.exps, j))
 
-    def _f_delta_mu(self, i: int, mu: MonoidElem) -> RatFun:
+    def _f_delta_mu(self, i: int, mu: MonoidElem) -> _Frac:
         if mu in self.relations:
             return self._f_word((i,), mu)
         gen = MonoidElem.generator(COMMUTATIVE, self.k, i)
         value, _ = self._f_theta(gen.compose(mu))
         return value
 
-    def _r_apply(self, i: int, h: RatFun) -> RatFun:
-        out = _to_ratfun(coeff_derivative(h, self.derspecs[i - 1].eta))
-        for v in sorted(h.variables(), key=lambda v: v.sort_key):
-            if v.index is None:
+    def _r_poly(self, i: int, q: Poly, skip: Optional[JetVar] = None) -> _Frac:
+        """R_i on a polynomial: the eta part plus dq/dx_mu * f at d_i.mu.
+
+        Plain variables without a coefficient table entry are constants;
+        the variable `skip` is left out.
+        """
+        eta = self._eta_images[i - 1]
+        terms = []
+        for v in sorted(q.variables(), key=lambda v: v.sort_key):
+            if v == skip:
                 continue
-            out = out + h.partial(v) * self._f_delta_mu(i, v.index)
-        return out
+            image = eta.get(v) if v.index is None else self._f_delta_mu(i, v.index)
+            if image is not None:
+                terms.append(_Frac(q.partial(v) * image.num, image.exps))
+        return self._sum(terms)
+
+    def _r_factor(self, i: int, j: int) -> _Frac:
+        """R_i(base[j]) over base[j] * B^e, ready to be scaled by e_j * N."""
+        key = (i, j)
+        if key not in self._r_factor_cache:
+            r = self._r_poly(i, self._factors[j])
+            self._r_factor_cache[key] = _Frac(r.num, self._bump(r.exps, j))
+        return self._r_factor_cache[key]
+
+    def _r_frac(self, i: int, f: _Frac) -> _Frac:
+        """R_i(N / B^e) = R_i(N) / B^e - sum_j e_j * N * R_i(b_j) / (b_j * B^e)."""
+        terms = [self._r_poly(i, f.num)]
+        for j, e in enumerate(f.exps):
+            if e:
+                r = self._r_factor(i, j)
+                terms.append(_Frac(-e * f.num * r.num, r.exps))
+        out = self._sum(terms)
+        return _Frac(out.num, tuple(a + b for a, b in zip(out.exps, f.exps)))
+
+    def _r_ratfun(self, i: int, h: RatFun) -> RatFun:
+        """R_i(n / d) = (R_i(n) * d - n * R_i(d)) / d^2."""
+        num = self._r_poly(i, h.num)
+        den = self._r_poly(i, h.den)
+        out = self._sum([_Frac(num.num * h.den, num.exps), _Frac(-h.num * den.num, den.exps)])
+        return RatFun(out.num, self._power(out.exps) * h.den * h.den)
 
     def r_apply(self, i: int, h: Value) -> RatFun:
         """The derivation extending d_i that sends each x_mu to f at d_i.mu."""
         if not 1 <= i <= self.k:
             raise ConfigurationError(f"no derivation d{i} with k={self.k}")
-        return self._r_apply(i, _to_ratfun(h))
+        return self._r_ratfun(i, _to_ratfun(h))
 
     def r_apply_word(self, word: MonoidElem, h: Value) -> RatFun:
         out = _to_ratfun(h)
         for letter in reversed(word.data):
-            out = self._r_apply(letter, out)
+            out = self._r_ratfun(letter, out)
         return out
 
     # ------------------------------------------------------------------
@@ -339,15 +446,9 @@ class Configuration:
         """All (word, leader) pairs whose composite is alpha, deterministically ordered."""
         out = []
         for pi in self.leaders:
-            if not pi.preceq(alpha):
-                continue
-            rest = alpha.minus(pi)
-            seen = set()
-            for perm in itertools.permutations(rest.canonical_word().data):
-                if perm in seen:
-                    continue
-                seen.add(perm)
-                out.append((MonoidElem.word(self.k, perm), pi))
+            if pi.preceq(alpha):
+                for perm in _multiset_permutations(alpha.minus(pi).canonical_word().data):
+                    out.append((MonoidElem.word(self.k, perm), pi))
         out.sort(key=lambda wp: (wp[1].sort_key, wp[0].sort_key))
         return out
 
@@ -367,12 +468,13 @@ class Configuration:
         base_value = self._f_word(base_word.data, base_pi)
         for word, pi in reps[1:]:
             value = self._f_word(word.data, pi)
-            diff = value - base_value
-            reduced = self.reduce_mod(diff.num)
-            if reduced.is_zero:
+            top = tuple(map(max, value.exps, base_value.exps))
+            if self.reduce_mod(self._lift(value, top) - self._lift(base_value, top)).is_zero:
                 continue
+            f1, f2 = self._as_ratfun(value), self._as_ratfun(base_value)
+            reduced = self.reduce_mod((f1 - f2).num)
             witness = Witness(word, pi, base_word, base_pi)
-            point = self._confirm_witness(value, base_value, rng or random.Random(0), retries)
+            point = self._confirm_witness(f1, f2, rng or random.Random(0), retries)
             status = "violation" if point is not None else "violation-unconfirmed"
             return CommutationCheck(
                 alpha,
@@ -385,8 +487,6 @@ class Configuration:
 
     def _confirm_witness(self, f1: RatFun, f2: RatFun, rng: random.Random, retries: int):
         needed = f1.variables() | f2.variables()
-        for p in self.relations.values():
-            needed |= p.variables()
         for _ in range(retries):
             point = self.sample_point(rng, needed)
             if point is None:
@@ -403,9 +503,13 @@ class Configuration:
     def sample_point(self, rng: random.Random, needed: set[JetVar]):
         """A rational point of the locus: random free values, solved leaders.
 
-        Returns None when some relation has no rational root with nonzero
-        separant at the drawn free values.
+        Values are drawn for the needed variables and for every variable of
+        the relations.  Returns None when some relation has no rational root
+        with nonzero separant at the drawn free values.
         """
+        needed = set(needed)
+        for p in self.relations.values():
+            needed |= p.variables()
         point: dict[JetVar, Fraction] = {}
         for v in sorted(needed, key=lambda v: v.sort_key):
             if v.index is None or (self.is_free(v.index)):
@@ -413,11 +517,7 @@ class Configuration:
         for pi in sorted(self.leaders, key=lambda e: e.sort_key):
             p = self.relations[pi]
             xpi = self.jet_var(pi)
-            lower = {v: point[v] for v in p.variables() if v != xpi and v in point}
-            missing = {v for v in p.variables() if v != xpi and v not in point}
-            for v in missing:
-                point[v] = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-                lower[v] = point[v]
+            lower = {v: point[v] for v in p.variables() if v != xpi}
             univ = p.substitute(lower)
             root = _rational_root(_to_ratfun(univ).to_poly(), xpi)
             if root is None:
@@ -436,7 +536,7 @@ class Configuration:
         return [a for a in theta_ball(self.k, theta.degree) if a <= theta]
 
     def check_local(self, rng: Optional[random.Random] = None, jobs: int = 1) -> CommutationReport:
-        return self._run_checks("local", self.local_alphas(), rng, jobs)
+        return self._run_checks("local", self.local_alphas(), rng)
 
     def verify_global(
         self,
@@ -444,16 +544,21 @@ class Configuration:
         rng: Optional[random.Random] = None,
         jobs: int = 1,
     ) -> CommutationReport:
-        return self._run_checks("global", theta_ball(self.k, degree_bound), rng, jobs)
+        """Check every tuple of total degree at most `degree_bound`.
 
-    def _run_checks(self, kind, alphas, rng, jobs) -> CommutationReport:
+        The checks run one after another; `jobs` is accepted for
+        compatibility and does not change the result.
+        """
+        if degree_bound < 0:
+            raise ConfigurationError(f"negative degree bound {degree_bound}")
+        return self._run_checks("global", theta_ball(self.k, degree_bound), rng)
+
+    def _run_checks(self, kind, alphas, rng) -> CommutationReport:
         seed = rng.randrange(2 ** 31) if rng is not None else 2025
-        tasks = [(alpha, random.Random(seed + 7919 * i)) for i, alpha in enumerate(alphas)]
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                checks = list(pool.map(lambda t: self.check_commutation_at(t[0], t[1]), tasks))
-        else:
-            checks = [self.check_commutation_at(alpha, r) for alpha, r in tasks]
+        checks = [
+            self.check_commutation_at(alpha, random.Random(seed + 7919 * i))
+            for i, alpha in enumerate(alphas)
+        ]
         return CommutationReport(kind, tuple(checks))
 
     # ------------------------------------------------------------------
@@ -502,7 +607,7 @@ class Configuration:
 
         checked = 0
         for mu in theta_ball(self.k, depth):
-            g, _ = self._f_theta(mu)
+            g = self.f_at(mu).value
             expected = g.evaluate(binding_for(g))
             got = literal(mu)
             checked += 1
@@ -518,6 +623,28 @@ class Configuration:
         return RealizeReport(True, depth, checked)
 
 
+def _multiset_permutations(items: Sequence[int]):
+    """The distinct orderings of items, in lexicographic order.
+
+    Knuth, TAOCP 7.2.1.2, Algorithm L: step from each arrangement to its
+    lexicographic successor, so every distinct ordering appears once.
+    """
+    a = sorted(items)
+    n = len(a)
+    while True:
+        yield tuple(a)
+        j = n - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        m = n - 1
+        while a[j] >= a[m]:
+            m -= 1
+        a[j], a[m] = a[m], a[j]
+        a[j + 1:] = a[:j:-1]
+
+
 def _rational_root(p: Poly, main: JetVar) -> Optional[Fraction]:
     """A rational root of a univariate polynomial, or None."""
     coeffs_by_deg = {e: c.constant_value() for e, c in p.as_univariate(main).items()}
@@ -529,7 +656,7 @@ def _rational_root(p: Poly, main: JetVar) -> Optional[Fraction]:
     # clear denominators, then try divisor-quotient candidates
     denom_lcm = 1
     for c in coeffs_by_deg.values():
-        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
+        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
     ints = {e: int(c * denom_lcm) for e, c in coeffs_by_deg.items()}
     a0 = ints.get(0, 0)
     an = ints[degree]
@@ -556,9 +683,3 @@ def _rational_root(p: Poly, main: JetVar) -> Optional[Fraction]:
                 if sum(c * cand ** e for e, c in ints.items()) == 0:
                     return cand
     return None
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

@@ -58,6 +58,14 @@ def test_config_check_violation_with_global(capsys):
     assert not glob["commutes"]
 
 
+def test_config_check_rejects_negative_global_degree(capsys):
+    code, out, err = run(
+        capsys, "config-check", os.path.join(CORPUS, "commuting.cfg"), "--global-degree", "-3"
+    )
+    assert code == 1
+    assert out == ""
+    assert "negative degree bound -3" in err
+
 def test_config_g(capsys):
     code, out, _ = run(capsys, "config-g", os.path.join(CORPUS, "commuting.cfg"), "d1 d2")
     assert code == 0

@@ -1,14 +1,18 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import rand_poly
-from diffalg.algebra import JetVar, Poly, RatFun, var
-from diffalg.config import Configuration
+from diffalg.algebra import JetVar, Poly, RatFun, _to_ratfun, var
+from diffalg.config import Configuration, _multiset_permutations
+from diffalg.derivation import coeff_derivative
 from diffalg.errors import ConfigurationError
 from diffalg.jet import DiffModel
 from diffalg.monoid import COMMUTATIVE, FREE, MonoidElem, theta_ball
+from diffalg.parsing import parse_config
 
 U = JetVar("u")
 u = var("u")
@@ -233,3 +237,134 @@ def test_parallel_checks_match_serial():
     serial = cfg.verify_global(4, random.Random(8), jobs=1)
     parallel = cfg.verify_global(4, random.Random(8), jobs=4)
     assert [c.to_dict() for c in serial.checks] == [c.to_dict() for c in parallel.checks]
+
+
+def test_verify_global_rejects_negative_degree():
+    cfg = pair_config(xj(0, 0), 2 * xj(0, 0))
+    with pytest.raises(ConfigurationError):
+        cfg.verify_global(-3)
+
+
+def test_multiset_permutations_match_brute_force():
+    for n in range(8):
+        for letters in itertools.product((1, 2), repeat=n):
+            got = list(_multiset_permutations(letters))
+            assert got == sorted(set(itertools.permutations(letters)))
+            ones = letters.count(1)
+            assert len(got) == math.factorial(n) // (math.factorial(ones) * math.factorial(n - ones))
+
+
+def test_factorizations_match_brute_force():
+    cfg = pair_config(xj(0, 0), 2 * xj(0, 0))
+    for alpha in theta_ball(2, 7):
+        want = []
+        for pi in cfg.leaders:
+            if pi.preceq(alpha):
+                perms = set(itertools.permutations(alpha.minus(pi).canonical_word().data))
+                want += [(MonoidElem.word(2, perm), pi) for perm in perms]
+        want.sort(key=lambda wp: (wp[1].sort_key, wp[0].sort_key))
+        assert cfg.factorizations(alpha) == want
+
+
+# ----------------------------------------------------------------------
+# f over the separant factor base
+
+
+class QuotientRuleReference:
+    """f by the quotient rule on RatFun values, with no factor base."""
+
+    def __init__(self, cfg: Configuration):
+        self.cfg = cfg
+        self.cache = {}
+
+    def theta(self, alpha):
+        cfg = self.cfg
+        if cfg.is_free(alpha) or alpha in cfg.relations:
+            return RatFun.variable(cfg.jet_var(alpha))
+        pi = min((p for p in cfg.leaders if p.preceq(alpha)), key=lambda p: p.sort_key)
+        return self.word(alpha.minus(pi).canonical_word().data, pi)
+
+    def delta(self, i, mu):
+        if mu in self.cfg.relations:
+            return self.word((i,), mu)
+        return self.theta(MonoidElem.generator(COMMUTATIVE, self.cfg.k, i).compose(mu))
+
+    def r(self, i, h: RatFun) -> RatFun:
+        out = _to_ratfun(coeff_derivative(h, self.cfg.derspecs[i - 1].eta))
+        for v in h.variables():
+            if v.index is not None:
+                out = out + h.partial(v) * self.delta(i, v.index)
+        return out
+
+    def word(self, letters, pi) -> RatFun:
+        key = (letters, pi)
+        if key not in self.cache:
+            cfg = self.cfg
+            if not letters:
+                value = RatFun.variable(cfg.jet_var(pi))
+            elif len(letters) == 1:
+                p = cfg.relations[pi]
+                num = _to_ratfun(coeff_derivative(p, cfg.derspecs[letters[0] - 1].eta))
+                for v in p.variables():
+                    if v.index is not None and v.index != pi:
+                        num = num + p.partial(v) * self.delta(letters[0], v.index)
+                value = -num / RatFun(cfg.separant(pi))
+            else:
+                value = self.r(letters[0], self.word(letters[1:], pi))
+            self.cache[key] = value
+        return self.cache[key]
+
+
+SINGLE_SEPARANT = """
+k = 2
+P: d1
+p[d1] = x[d1]^2 + x[0]*x[d1] - 1
+eta: none
+"""
+
+RATIONAL_ETA = """
+k = 2
+P: d1, d2
+p[d1] = x[d1]^2 - x[0] - c
+p[d2] = x[d2] - x[0]
+eta[d1]: c -> 1/(c+1)
+eta[d2]: c -> 0
+"""
+
+
+def test_f_denominator_grows_linearly_with_the_word():
+    cfg = parse_config(SINGLE_SEPARANT)
+    pi = theta(1, 0)
+    for n in range(1, 9):
+        value = cfg.compute_f(word(*[1] * n), pi).value
+        assert value.den.total_degree() <= 2 * n
+
+
+def test_f_matches_quotient_rule_reference():
+    cfg = parse_config(SINGLE_SEPARANT)
+    ref = QuotientRuleReference(cfg)
+    for n in range(1, 5):
+        letters = (1,) * n
+        assert cfg.compute_f(MonoidElem.word(2, letters), theta(1, 0)).value == ref.word(letters, theta(1, 0))
+
+    cfg = parse_config(RATIONAL_ETA)
+    ref = QuotientRuleReference(cfg)
+    for n in range(1, 4):
+        for letters in itertools.product((1, 2), repeat=n):
+            for pi in cfg.leaders:
+                got = cfg.compute_f(MonoidElem.word(2, letters), pi).value
+                assert got == ref.word(letters, pi), (letters, pi)
+
+
+def test_rational_eta_iteration_identity_and_violations():
+    cfg = parse_config(RATIONAL_ETA)
+    for w in [word(1), word(2), word(2, 1), word(1, 2)]:
+        for v in [MonoidElem.identity(FREE, 2), word(1), word(2)]:
+            for pi in cfg.leaders:
+                lhs = cfg.r_apply_word(w, cfg.compute_f(v, pi).value)
+                rhs = cfg.compute_f(w.compose(v), pi).value
+                assert lhs == rhs
+    report = cfg.verify_global(3, random.Random(5))
+    bad = [str(c.alpha) for c in report.checks if not c.commutes]
+    assert bad == ["d1 d2", "d1^2 d2", "d1 d2^2"]
+    assert all(c.status == "violation" and c.point is not None for c in report.checks if not c.commutes)
