@@ -74,10 +74,10 @@ def _load_config(path: str) -> Configuration:
 def _cmd_config_check(args) -> int:
     cfg = _load_config(args.file)
     rng = random.Random(args.seed)
-    local = cfg.check_local(rng, jobs=args.jobs)
+    local = cfg.check_local(rng)
     reports = [local]
     if args.global_degree is not None:
-        reports.append(cfg.verify_global(args.global_degree, rng, jobs=args.jobs))
+        reports.append(cfg.verify_global(args.global_degree, rng))
     payload = {"reports": [r.to_dict() for r in reports]}
     lines = []
     for report in reports:

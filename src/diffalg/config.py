@@ -51,7 +51,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence, Union
 from .algebra import JetVar, Poly, RatFun, _to_ratfun, pseudo_remainder
 from .derivation import DerSpec
 from .errors import ConfigurationError, PoleError
-from .jet import DiffModel
+from .jet import DiffModel, jet_binding
 from .monoid import COMMUTATIVE, FREE, MonoidElem, antichain_minimal, theta_ball
 
 Value = Union[Poly, RatFun]
@@ -535,20 +535,11 @@ class Configuration:
         theta = self.theta
         return [a for a in theta_ball(self.k, theta.degree) if a <= theta]
 
-    def check_local(self, rng: Optional[random.Random] = None, jobs: int = 1) -> CommutationReport:
+    def check_local(self, rng: Optional[random.Random] = None) -> CommutationReport:
         return self._run_checks("local", self.local_alphas(), rng)
 
-    def verify_global(
-        self,
-        degree_bound: int,
-        rng: Optional[random.Random] = None,
-        jobs: int = 1,
-    ) -> CommutationReport:
-        """Check every tuple of total degree at most `degree_bound`.
-
-        The checks run one after another; `jobs` is accepted for
-        compatibility and does not change the result.
-        """
+    def verify_global(self, degree_bound: int, rng: Optional[random.Random] = None) -> CommutationReport:
+        """Check every tuple of total degree at most `degree_bound`, one after another."""
         if degree_bound < 0:
             raise ConfigurationError(f"negative degree bound {degree_bound}")
         return self._run_checks("global", theta_ball(self.k, degree_bound), rng)
@@ -584,16 +575,11 @@ class Configuration:
                         f"model derivation d{i} disagrees with the coefficient table on {p}"
                     )
 
-        def literal(mu: MonoidElem) -> RatFun:
-            return model.apply_word(mu.canonical_word(), b)
-
         def binding_for(value: RatFun) -> dict:
-            out = {}
-            for v in value.variables():
-                if v.index is None:
-                    out[v] = RatFun.variable(v)
-                else:
-                    out[v] = literal(v.index)
+            # parameters stand for themselves, even one named like the jet base
+            jets = [v for v in value.variables() if v.index is not None]
+            out = {v: RatFun.variable(v) for v in value.variables() if v.index is None}
+            out.update(jet_binding(model, {self.base: b}, jets))
             return out
 
         for pi in self.leaders:
@@ -609,7 +595,7 @@ class Configuration:
         for mu in theta_ball(self.k, depth):
             g = self.f_at(mu).value
             expected = g.evaluate(binding_for(g))
-            got = literal(mu)
+            got = model.apply_word(mu, b)
             checked += 1
             if not model.equal(expected, got):
                 return RealizeReport(

@@ -1,4 +1,4 @@
-"""Derivation calculus: twisted lifts, derivation application, towers.
+"""Derivation calculus: the one derivation rule, twisted lifts, towers.
 
 A `DerSpec` packages a derivation acting on expressions: a coefficient
 table `eta` (how the derivation acts on parameters) and an image table
@@ -6,14 +6,26 @@ table `eta` (how the derivation acts on parameters) and an image table
 `eta`'s domain are the parameters; every other variable of an expression
 is treated as a main variable.
 
-The twisted lift of p sends each main variable x to a fresh partner
-variable y_x and applies `eta` to the coefficients:
+`apply_derivation` is the one place where the calculus layers write out
+how a derivation extends from the coefficients to polynomials,
 
-    lift(p) = p_eta + sum_x (dp/dx) * y_x,
+    d(q) = q^eta + sum_v (dq/dv) * images[v],
 
-so that substituting y_x -> D(x) recovers the action of any derivation D
-extending eta.  Setting all partners to zero gives the coefficient-only
-part p_eta.
+where q^eta = sum_c (dq/dc) * eta[c] over the parameters c
+(`coeff_derivative`).  It sums the parameter terms first and then the main
+variables, each group in `sort_key` order, so its output does not depend
+on set or dict iteration order.  The other constructions are this rule
+with a particular image table:
+
+* the twisted lift sends each main variable x to a fresh partner y_x,
+
+      lift(p) = p^eta + sum_x (dp/dx) * y_x,
+
+  so that substituting y_x -> D(x) recovers the action of any derivation
+  D extending eta; setting all partners to zero gives p^eta;
+* `implicit_delta` maps the solved-for variable to zero and divides by
+  minus its separant;
+* the jet shift in `jet.py` maps each jet variable to its bumped index.
 
 `Tower` models iterated algebraic extensions of a transcendental base
 field Q(params): each stage adjoins a generator with a defining polynomial
@@ -32,7 +44,6 @@ raise `NonInvertibleError` instead of splitting the tower.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .algebra import JetVar, Poly, RatFun, _to_ratfun, pseudo_remainder
@@ -108,11 +119,8 @@ def twisted_lift(p: Value, spec: DerSpec) -> LiftResult:
     for v in mains:
         if partner_var(v) in p.variables():
             raise EngineError(f"reserved partner name {partner_var(v)} already occurs in {p}")
-    coeff_only = coeff_derivative(p, spec.eta)
-    lift = coeff_only
-    for v in mains:
-        lift = lift + p.partial(v) * Poly.variable(partner_var(v))
-    return LiftResult(lift, coeff_only)
+    partners = DerSpec(spec.name, spec.eta, {v: Poly.variable(partner_var(v)) for v in mains})
+    return LiftResult(apply_derivation(p, partners), coeff_derivative(p, spec.eta))
 
 
 def apply_derivation(q: Value, spec: DerSpec) -> Value:
@@ -135,11 +143,7 @@ def implicit_delta(p: Poly, main: JetVar, spec: DerSpec) -> RatFun:
     separant = p.partial(main)
     if separant.is_zero:
         raise SeparantZeroError(f"constraint does not depend on {main}")
-    total = coeff_derivative(p, spec.eta)
-    for v in sorted(p.variables() - spec.parameters - {main}, key=lambda v: v.sort_key):
-        if v not in spec.images:
-            raise UncoveredVariableError(f"no derivative value for {v}")
-        total = total + p.partial(v) * spec.images[v]
+    total = apply_derivation(p, DerSpec(spec.name, spec.eta, {**spec.images, main: Poly.zero()}))
     return _to_ratfun(-total) / _to_ratfun(separant)
 
 
@@ -355,14 +359,6 @@ def _usub(tower: Tower, a: Mapping[int, RatFun], b: Mapping[int, RatFun]) -> dic
     return {e: c for e, c in out.items() if not tower.is_zero(c)}
 
 
-def _gcd_degree(tower: Tower, a: dict[int, RatFun], b: dict[int, RatFun]) -> int:
-    r0, r1 = dict(a), dict(b)
-    while _udeg(tower, r1) >= 0:
-        _, rem = _udivmod(tower, r0, r1)
-        r0, r1 = r1, rem
-    return _udeg(tower, r0)
-
-
 def extend_to_algebraic(tower: Tower, minpoly: Poly, gen: Union[JetVar, str]) -> Tower:
     """Adjoin an algebraic generator and the derivative value it forces.
 
@@ -384,20 +380,14 @@ def extend_to_algebraic(tower: Tower, minpoly: Poly, gen: Union[JetVar, str]) ->
     if tower.is_zero(lead):
         raise SeparantZeroError(f"leading coefficient {lead} vanishes in the tower")
 
-    separant = minpoly.partial(gen)
-    gcd_deg = _gcd_degree(tower, _upoly(minpoly, gen), _upoly(separant, gen))
+    gcd = _ext_euclid_first(tower, _upoly(minpoly, gen), _upoly(minpoly.partial(gen), gen))[0]
+    gcd_deg = _udeg(tower, gcd)
     if gcd_deg != 0:
         raise SeparantZeroError(
             f"defining polynomial has a multiple root: gcd with separant has degree {gcd_deg}"
         )
 
-    # derivative forced on gen: coefficients derived, divided by the separant
-    lower = coeff_derivative(minpoly, tower.eta)
-    spec = tower.derspec()
-    for v in sorted(minpoly.variables() & set(spec.images), key=lambda v: v.sort_key):
-        lower = lower + minpoly.partial(v) * spec.images[v]
-    dvalue = _to_ratfun(-lower) / _to_ratfun(separant)
-
+    dvalue = implicit_delta(minpoly, gen, tower.derspec())
     stage = TowerStage(gen, minpoly, dvalue)
     out = tower._with_stages(tower.stages + (stage,))
     stage = TowerStage(gen, minpoly, out.reduce(dvalue))

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .algebra import JetVar, Poly, RatFun, _to_ratfun
-from .derivation import DerSpec, Tower, apply_derivation, coeff_derivative
+from .derivation import DerSpec, Tower, apply_derivation
 from .errors import EngineError, KindMismatchError, UncoveredVariableError
 from .monoid import COMMUTATIVE, FREE, MonoidElem
 
@@ -156,18 +156,17 @@ def _eta_tables(eta, k: int) -> list[dict[JetVar, object]]:
     return tables
 
 
-def _jet_shift(value, i: int, mode: str, k: int, eta: Mapping[JetVar, object], params: set[JetVar]):
+def _jet_shift(value, i: int, mode: str, k: int, eta: Mapping[JetVar, object]):
     """Apply the i-th derivation symbol formally: bump jet indices, derive parameters."""
     gen = MonoidElem.generator(mode, k, i)
-    out = coeff_derivative(value, eta)
-    for v in sorted(value.variables() - params, key=lambda v: v.sort_key):
+    images = {}
+    for v in sorted(value.variables() - set(eta), key=lambda v: v.sort_key):
         if v.index is None:
             raise UncoveredVariableError(
                 f"variable {v} is neither a declared parameter nor a jet variable"
             )
-        bumped = JetVar(v.base, gen.compose(v.index))
-        out = out + value.partial(v) * Poly.variable(bumped)
-    return out
+        images[v] = Poly.variable(JetVar(v.base, gen.compose(v.index)))
+    return apply_derivation(value, DerSpec(f"d{i}", eta, images))
 
 
 def rewrite_term(
@@ -190,6 +189,9 @@ def rewrite_term(
         k = max(max_der_index(t), 1)
     tables = _eta_tables(eta, k)
     params = set().union(*tables) if tables else set()
+    # every table covers every parameter, so each symbol derives them all
+    ordered = sorted(params, key=lambda v: v.sort_key)
+    tables = [{p: table.get(p, Poly.zero()) for p in ordered} for table in tables]
 
     identity = MonoidElem.identity(mode, k)
 
@@ -210,7 +212,7 @@ def rewrite_term(
         if isinstance(node, TDer):
             if not 1 <= node.index <= k:
                 raise EngineError(f"derivation index d{node.index} exceeds k={k}")
-            return _jet_shift(rec(node.arg), node.index, mode, k, tables[node.index - 1], params)
+            return _jet_shift(rec(node.arg), node.index, mode, k, tables[node.index - 1])
         raise TypeError(f"unknown term node: {node!r}")
 
     value = rec(t)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -132,6 +133,15 @@ class _Cursor:
         tok = self.peek()
         if tok.kind != "eof":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
+
+
+@contextmanager
+def _at_line(lineno: int):
+    """Report a parse error raised inside the block at line `lineno` of a file."""
+    try:
+        yield
+    except ParseError as err:
+        raise ParseError(err.message, lineno, err.column) from None
 
 
 def _scan_k(tokens: Sequence[Token]) -> int:
@@ -413,20 +423,25 @@ def parse_config(text: str) -> Configuration:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if re.match(r"^k\s*=", line):
-            k = int(line.split("=", 1)[1].strip())
-            continue
-        if line.startswith("base"):
-            base = line.split("=", 1)[1].strip()
+        if re.match(r"^(k|base)\b", line):
+            cur = _Cursor(tokenize(line, lineno))
+            key = cur.advance().text
+            cur.expect_op("=")
+            if key == "k":
+                k = cur.expect_int()
+            else:
+                base = cur.expect_ident().text
+            cur.expect_eof()
             continue
         if line.startswith("P:") or line.startswith("P :"):
             body = line.split(":", 1)[1]
             if k is None:
                 raise ParseError("k must be declared before P", lineno, 1)
-            for part in body.split(","):
-                part = part.strip()
-                if part:
-                    leaders.append(parse_index_text(part, COMMUTATIVE, k))
+            with _at_line(lineno):
+                for part in body.split(","):
+                    part = part.strip()
+                    if part:
+                        leaders.append(parse_index_text(part, COMMUTATIVE, k))
             continue
         m = re.match(r"^p\s*\[([^\]]*)\]\s*=\s*(.*)$", line)
         if m:
@@ -445,11 +460,8 @@ def parse_config(text: str) -> Configuration:
 
     relations = {}
     for lineno, index_text, poly_text in relation_lines:
-        pi = parse_index_text(index_text, COMMUTATIVE, k)
-        try:
-            relations[pi] = parse_poly(poly_text, COMMUTATIVE, k)
-        except ParseError as err:
-            raise ParseError(err.message, lineno, err.column) from None
+        with _at_line(lineno):
+            relations[parse_index_text(index_text, COMMUTATIVE, k)] = parse_poly(poly_text, COMMUTATIVE, k)
 
     etas: list[dict[JetVar, RatFun]] = [{} for _ in range(k)]
     for lineno, index_text, body in eta_lines:
@@ -457,10 +469,8 @@ def parse_config(text: str) -> Configuration:
         if body == "none":
             continue
         targets = range(k) if index_text is None else [_eta_slot(index_text, k, lineno)]
-        try:
+        with _at_line(lineno):
             spec = parse_derspec("eta: " + body, COMMUTATIVE, k)
-        except ParseError as err:
-            raise ParseError(err.message, lineno, err.column) from None
         for slot in targets:
             etas[slot] = dict(spec.eta)
 
@@ -490,6 +500,7 @@ def parse_variety(text: str) -> VarietyInput:
     gens: list[Poly] = []
     spec = DerSpec()
     point_text: Optional[str] = None
+    point_line = 1
     declared_vars: Optional[list[str]] = None
 
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -500,18 +511,14 @@ def parse_variety(text: str) -> VarietyInput:
             declared_vars = [part.strip() for part in line.split(":", 1)[1].split(",") if part.strip()]
             continue
         if line.startswith("derivation:"):
-            try:
+            with _at_line(lineno):
                 spec = parse_derspec(line.split(":", 1)[1])
-            except ParseError as err:
-                raise ParseError(err.message, lineno, err.column) from None
             continue
         if line.startswith("point:"):
-            point_text = line.split(":", 1)[1]
+            point_text, point_line = line.split(":", 1)[1], lineno
             continue
-        try:
+        with _at_line(lineno):
             gens.append(parse_poly(line))
-        except ParseError as err:
-            raise ParseError(err.message, lineno, err.column) from None
 
     if declared_vars is not None:
         variables = tuple(JetVar(name) for name in declared_vars)
@@ -525,7 +532,8 @@ def parse_variety(text: str) -> VarietyInput:
     point = None
     if point_text is not None:
         parts = [part.strip() for part in point_text.split(",")]
-        point = tuple(parse_ratfun(part) for part in parts if part)
+        with _at_line(point_line):
+            point = tuple(parse_ratfun(part) for part in parts if part)
     return VarietyInput(variables, tuple(gens), spec, point)
 
 
@@ -547,12 +555,8 @@ def parse_triangular(text: str) -> TriangularSystem:
         if ":" not in line:
             raise ParseError("expected `main : polynomial`", lineno, 1)
         main_text, poly_text = line.split(":", 1)
-        try:
-            main = _parse_var_text(main_text.strip(), lineno)
-            poly = parse_poly(poly_text)
-        except ParseError as err:
-            raise ParseError(err.message, lineno, err.column) from None
-        equations.append((main, poly))
+        with _at_line(lineno):
+            equations.append((_parse_var_text(main_text.strip(), lineno), parse_poly(poly_text)))
 
     if ambient is None:
         seen: set[JetVar] = set()
@@ -563,10 +567,8 @@ def parse_triangular(text: str) -> TriangularSystem:
 
 
 def _parse_var_text(text: str, lineno: int, mode: str = COMMUTATIVE, k: Optional[int] = None) -> JetVar:
-    try:
+    with _at_line(lineno):
         value = parse_expression(text, mode, k)
-    except ParseError as err:
-        raise ParseError(err.message, lineno, err.column) from None
     variables = _to_ratfun(value).variables()
     if len(variables) != 1:
         raise ParseError(f"expected a single variable, got {text!r}", lineno, 1)

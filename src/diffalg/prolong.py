@@ -167,19 +167,17 @@ def extend_at_point(
         raise FiberError("a coefficient parameter cannot serve as a generic coordinate")
 
     tangent = [_to_ratfun(y) for y in tangent]
-    binding = {v: RatFun.variable(c) for v, c in zip(variety.variables, coords)}
-    for p in variety.parameters():
-        binding[p] = RatFun.variable(p)
-
+    generic = [RatFun.variable(c) for c in coords]
+    binding = variety.point_binding(generic)
     for p in variety.gens:
         if not tower.is_zero(_to_ratfun(p.substitute(binding))):
             raise FiberError(f"point does not satisfy {p} in the tower")
 
     # fiber membership: lifted equation evaluated at (point, tangent)
-    for p in variety.gens:
-        total = _to_ratfun(coeff_derivative(p, spec.eta).substitute(binding))
-        for v, y in zip(variety.variables, tangent):
-            total = total + _to_ratfun(p.partial(v).substitute(binding)) * y
+    rows, rhs = tangent_system_at(variety, spec, generic)
+    for row, total in zip(rows, rhs):
+        for a, y in zip(row, tangent):
+            total = total + a * y
         if not tower.is_zero(total):
             raise FiberError("tangent values do not satisfy the lifted equations")
 

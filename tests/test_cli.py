@@ -66,6 +66,30 @@ def test_config_check_rejects_negative_global_degree(capsys):
     assert out == ""
     assert "negative degree bound -3" in err
 
+
+def test_config_check_jobs_flag_leaves_output_unchanged(capsys):
+    args = ["config-check", os.path.join(CORPUS, "noncomm.cfg"), "--global-degree", "4", "--json"]
+    serial = run(capsys, *args, "--jobs", "1")
+    assert serial[0] == 0
+    assert run(capsys, *args, "--jobs", "4") == serial
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("k = two\nP: d1\np[d1] = x[d1]\n", "expected a number, found 'two' (line 1, column 5)"),
+        ("k = 1\nbase\nP: d1\np[d1] = x[d1]\n", "expected '=', found end of input (line 2, column 5)"),
+        ("k = 2\n# leaders\n\nP: d1, d5\n", "generator d5 exceeds k=2 (line 4, column 1)"),
+        ("k = 2\n\n\nP: d1\np[d7] = x[d1]\n", "generator d7 exceeds k=2 (line 5, column 1)"),
+    ],
+)
+def test_config_parse_errors_exit_2_with_their_line(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    code, out, err = run(capsys, "config-check", str(bad))
+    assert (code, out, err) == (2, "", f"parse error: {message}\n")
+
+
 def test_config_g(capsys):
     code, out, _ = run(capsys, "config-g", os.path.join(CORPUS, "commuting.cfg"), "d1 d2")
     assert code == 0

@@ -195,6 +195,26 @@ def test_implicit_delta_matches_tower_value():
         assert tower.equal(implicit_delta(minpoly, C, spec), tower.stages[0].dvalue)
 
 
+def test_extension_value_is_the_reduced_implicit_delta():
+    # the stored derivative of each new generator prints as implicit_delta, reduced
+    rng = random.Random(59)
+    unit = Tower([T], {T: Poly.const(1)})
+    cases = [
+        (unit, c * c - t, C),
+        (unit, c - t, C),
+        (Tower([U], {U: u}), c * c - u, C),
+        (unit, c * c - t * t, C),
+        (sqrt_t_tower(), var("e") ** 2 - c, JetVar("e")),
+    ]
+    for _ in range(10):
+        h = rand_poly(rng, [T], max_degree=3)
+        cases.append((unit, c * c - h - t ** (h.deg_in(T) + 1), C))
+    for base, minpoly, gen in cases:
+        tower = extend_to_algebraic(base, minpoly, gen)
+        expected = tower.reduce(implicit_delta(minpoly, gen, base.derspec()))
+        assert str(tower.stages[-1].dvalue) == str(expected)
+
+
 def test_tower_annihilates_defining_relation():
     tower = sqrt_t_tower()
     value = apply_derivation(RatFun(c * c - t), tower.derspec())

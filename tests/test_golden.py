@@ -1,0 +1,96 @@
+"""Golden CLI outputs: every corpus file under its subcommand, byte for byte.
+
+`tests/golden/cli.json` records the exit code, stdout and stderr of each
+run in `CASES`.  Any change to them fails here, so a refactor that must
+keep the output identical can be checked in one test.  Regenerate the file
+only when an output change is intended, and review the diff:
+
+    PYTHONPATH=src python tests/test_golden.py
+
+In an argument, `corpus/NAME` stands for the path of that corpus file and
+`@corpus/NAME` for its contents with surrounding whitespace stripped.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+import pytest
+
+from diffalg.cli import main
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "cli.json")
+
+_PAIR_CONFIGS = ("commuting", "noncomm", "quadratic", "scaled")
+_CONFIGS = _PAIR_CONFIGS + ("single",)
+_VARIETIES = ("circle", "cusp", "twisted_line", "twisted_parabola")
+
+CASES: list[list[str]] = []
+for _name in _CONFIGS:
+    for _degree in ("3", "5"):
+        CASES.append(["config-check", f"corpus/{_name}.cfg", "--global-degree", _degree, "--json"])
+    CASES.append(["config-check", f"corpus/{_name}.cfg", "--global-degree", "3"])
+for _name in _PAIR_CONFIGS:
+    for _alpha in ("d1", "d1 d2", "d1^2 d2", "d1 d2^2"):
+        CASES.append(["config-g", f"corpus/{_name}.cfg", _alpha])
+    CASES.append(["config-g", f"corpus/{_name}.cfg", "--word", "d1 d2", "--leader", "d2", "--json"])
+for _alpha in ("d1^2", "d1^3", "d1^4"):
+    CASES.append(["config-g", "corpus/single.cfg", _alpha])
+for _name in _VARIETIES:
+    CASES.append(["prolong", f"corpus/{_name}.variety"])
+CASES.append(["prolong", "corpus/circle.variety", "--point", "0, 1"])
+CASES.append(["prolong", "corpus/cusp.variety", "--point", "1, 1"])
+CASES.append(["dim-cert", "corpus/chain.tri"])
+CASES.append(["dim-cert", "corpus/chain.tri", "--json"])
+for _n in ("1", "2", "3"):
+    CASES.append(["axiom-wide", "corpus/product.zjson", "--n", _n])
+for _mode in ("comm", "free"):
+    CASES.append(["jet", "@corpus/leibniz.term", "--mode", _mode])
+    CASES.append(["jet", "@corpus/leibniz.term", "--mode", _mode, "--k", "2", "--json"])
+CASES.append(["jet", "d1(t * d2(x)) = d2(t * d1(x))", "--mode", "free", "--eta", "t -> 1"])
+for _expr in ("x^2 / t", "x*y + t*u", "(x - y) / (t^2 + 1)"):
+    CASES.append(["derive", _expr, "--spec", "@corpus/derspec.txt"])
+CASES.append(["derive", "x^3*t", "--spec", "@corpus/derspec.txt", "--json"])
+
+
+def _resolve(arg: str) -> str:
+    if arg.startswith("@corpus/"):
+        with open(os.path.join(ROOT, arg[1:]), "r", encoding="utf-8") as handle:
+            return handle.read().strip()
+    if arg.startswith("corpus/"):
+        return os.path.join(ROOT, arg)
+    return arg
+
+
+def run_case(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([_resolve(a) for a in argv])
+    return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _load_golden() -> dict:
+    with open(GOLDEN, "r", encoding="utf-8") as handle:
+        return {" ".join(entry["argv"]): entry for entry in json.load(handle)}
+
+
+def test_golden_covers_every_case():
+    assert sorted(_load_golden()) == sorted(" ".join(argv) for argv in CASES)
+
+
+@pytest.mark.parametrize("argv", CASES, ids=[" ".join(argv) for argv in CASES])
+def test_golden_cli_output(argv):
+    assert run_case(argv) == _load_golden()[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    records = [run_case(argv) for argv in CASES]
+    with open(GOLDEN, "w", encoding="utf-8") as handle:
+        json.dump(records, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {len(records)} cases to {GOLDEN}", file=sys.stderr)

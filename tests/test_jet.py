@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from diffalg.algebra import JetVar, Poly, RatFun, var
-from diffalg.errors import KindMismatchError, UncoveredVariableError
+from diffalg.errors import KindMismatchError, UncoveredVariableError, UndeclaredParameterError
 from diffalg.jet import (
     DiffModel,
     TAdd,
@@ -177,3 +177,12 @@ def test_rewrite_agrees_with_oracle_free_mode():
 def test_max_der_index():
     assert max_der_index(TDer(2, TDer(1, xt))) == 2
     assert max_der_index(xt) == 0
+
+
+def test_rewrite_term_rejects_undeclared_parameter_in_table():
+    # as on the command line, a table value may only mention declared parameters
+    term = TDer(1, TMul(TVar("t"), TVar("u")))
+    with pytest.raises(UndeclaredParameterError):
+        rewrite_term(term, COMMUTATIVE, eta={T: var("u")}, k=1)
+    with pytest.raises(UndeclaredParameterError):
+        rewrite_term(term, FREE, eta=[{T: var("u")}, {}], k=2)

@@ -120,6 +120,30 @@ def test_parse_config_errors():
         parse_config("k = 2\nP: d1\nnonsense here")
 
 
+@pytest.mark.parametrize(
+    "parse, text, line",
+    [
+        (parse_config, "k = 2\n\n\nP: d1, d5\n", 4),
+        (parse_config, "k = 2\nP: d1\n\n\np[d7] = x[d1]\n", 5),
+        (parse_config, "k = 2\nP: d1\np[d1] = x[d1] +\n", 3),
+        (parse_config, "k = 2\nP: d1\np[d1] = x[d1]\neta[d1]: c -> @\n", 4),
+        (parse_config, "k = two\n", 1),
+        (parse_config, "k = 1\nbase\n", 2),
+        (parse_config, "k = 1\nbase = x y\n", 2),
+        (parse_variety, "# circle\nx^2 + y^2 - 1\npoint: 1, @\n", 3),
+        (parse_variety, "x^2 - c\nderivation: eta: c -> @\n", 2),
+        (parse_variety, "\nx^2 +\n", 2),
+        (parse_triangular, "ambient: x0, x1\nx1 : x1 - x0^2\nx2 x : x2\n", 3),
+        (parse_triangular, "ambient: x0, x1\n\nx1 : x1 - @\n", 3),
+        (parse_triangular, "\nambient: x0, x[\n", 2),
+    ],
+)
+def test_parse_errors_carry_the_file_line(parse, text, line):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == line
+
+
 def test_parse_variety():
     data = parse_variety(
         """
