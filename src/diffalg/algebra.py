@@ -10,6 +10,16 @@ Equality is decided by cross-multiplication, so no multivariate gcd engine
 is needed; construction only removes rational content, fixes the sign of
 the denominator, and cancels the denominator when it happens to divide the
 numerator exactly.
+
+The value rule, decided here and nowhere else: a value with a constant
+denominator is a `Poly`, and a `RatFun` value has a non-constant one.  A
+`Poly` answers `num` (itself) and `den` (1), so code reading `num`, `den`,
+`variables`, `is_zero`, `evaluate`, `substitute` or `partial` takes either
+type (`Value`).  `RatFun` arithmetic, `partial`, `substitute` and `Poly / x`
+end in one normalising step (`_fraction`); entry points that take numbers
+from callers normalise them once with `as_value`.  So `Poly.evaluate`,
+`solve_affine` entries, `parse_ratfun`, `Tower.reduce`/`apply`/`invert`,
+`DiffModel.apply` and the `f_at`/`compute_f` values may be a `Poly`.
 """
 
 from __future__ import annotations
@@ -170,6 +180,15 @@ class Poly:
     def is_constant(self) -> bool:
         return all(m.degree == 0 for m in self.terms)
 
+    # a polynomial is a fraction over 1
+    @property
+    def num(self) -> "Poly":
+        return self
+
+    @property
+    def den(self) -> "Poly":
+        return _ONE
+
     def constant_value(self) -> Fraction:
         if self.is_zero:
             return Fraction(0)
@@ -231,18 +250,9 @@ class Poly:
     # ------------------------------------------------------------------
     # arithmetic
 
-    def _coerce(self, other):
-        if isinstance(other, Poly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Poly.const(other)
-        return None
-
     def __add__(self, other):
-        if isinstance(other, RatFun):
-            return NotImplemented
-        other = self._coerce(other)
-        if other is None:
+        other = _coerce(other)
+        if not isinstance(other, Poly):
             return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
@@ -259,10 +269,8 @@ class Poly:
         return Poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, RatFun):
-            return NotImplemented
-        other = self._coerce(other)
-        if other is None:
+        other = _coerce(other)
+        if not isinstance(other, Poly):
             return NotImplemented
         return self + (-other)
 
@@ -270,10 +278,8 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, RatFun):
-            return NotImplemented
-        other = self._coerce(other)
-        if other is None:
+        other = _coerce(other)
+        if not isinstance(other, Poly):
             return NotImplemented
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
@@ -301,15 +307,14 @@ class Poly:
         return result
 
     def __truediv__(self, other):
-        return RatFun(self, other)
+        # RatFun division reads only num and den, which a Poly answers too
+        return RatFun.__truediv__(self, other)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
         if isinstance(other, Poly):
             return self.terms == other.terms
-        if isinstance(other, RatFun):
-            return RatFun(self) == other
         return NotImplemented
 
     def __hash__(self):
@@ -356,12 +361,12 @@ class Poly:
             return Poly.zero()
         return result
 
-    def evaluate(self, binding: Mapping[JetVar, "Poly | RatFun | int | Fraction"]) -> "RatFun":
+    def evaluate(self, binding: Mapping[JetVar, "Poly | RatFun | int | Fraction"]) -> "Value":
         missing = self.variables() - set(binding)
         if missing:
             names = ", ".join(sorted(str(v) for v in missing))
             raise UncoveredVariableError(f"binding misses variables: {names}")
-        return _to_ratfun(self.substitute(binding))
+        return self.substitute(binding)
 
     def as_univariate(self, v: JetVar) -> dict[int, "Poly"]:
         """Coefficient map degree -> Poly of self viewed as univariate in v."""
@@ -402,6 +407,9 @@ class Poly:
         return f"Poly({self})"
 
 
+_ONE = Poly.const(1)
+
+
 def divide_exact(a: Poly, b: Poly) -> Optional[Poly]:
     """Exact quotient a/b, or None when b does not divide a."""
     if b.is_zero:
@@ -422,7 +430,10 @@ def divide_exact(a: Poly, b: Poly) -> Optional[Poly]:
 
 
 class RatFun:
-    """A fraction of polynomials; equality is cross-multiplication equality."""
+    """A fraction of polynomials; equality is cross-multiplication equality.
+
+    The constructor builds a `RatFun` even over a constant denominator.
+    """
 
     __slots__ = ("num", "den")
 
@@ -480,33 +491,14 @@ class RatFun:
     def variables(self) -> set[JetVar]:
         return self.num.variables() | self.den.variables()
 
-    def to_poly(self) -> Poly:
-        if not self.den.is_constant:
-            raise ValueError(f"not a polynomial: {self}")
-        return self.num
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant
-
     # ------------------------------------------------------------------
     # arithmetic
 
-    @staticmethod
-    def _coerce(x) -> Optional["RatFun"]:
-        if isinstance(x, RatFun):
-            return x
-        if isinstance(x, Poly):
-            return RatFun(x)
-        if isinstance(x, (int, Fraction)):
-            return RatFun.const(x)
-        return None
-
     def __add__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
+        return _fraction(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
@@ -517,7 +509,7 @@ class RatFun:
         return out
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
         return self + (-other)
@@ -526,34 +518,34 @@ class RatFun:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
-        return RatFun(self.num * other.num, self.den * other.den)
+        return _fraction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num)
+        return _fraction(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
         return other / self
 
     def __pow__(self, n: int):
         if n < 0:
-            return RatFun(self.den, self.num) ** (-n)
-        return RatFun(self.num ** n, self.den ** n)
+            return _fraction(self.den, self.num) ** (-n)
+        return _fraction(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
         return (self.num * other.den - other.num * self.den).is_zero
@@ -563,21 +555,21 @@ class RatFun:
 
     # ------------------------------------------------------------------
 
-    def partial(self, v: JetVar) -> "RatFun":
+    def partial(self, v: JetVar) -> "Value":
         dn = self.num.partial(v)
         dd = self.den.partial(v)
         if dd.is_zero:
-            return RatFun(dn, self.den)
-        return RatFun(dn * self.den - self.num * dd, self.den * self.den)
+            return _fraction(dn, self.den)
+        return _fraction(dn * self.den - self.num * dd, self.den * self.den)
 
-    def substitute(self, binding) -> "RatFun":
-        num = _to_ratfun(self.num.substitute(binding))
-        den = _to_ratfun(self.den.substitute(binding))
+    def substitute(self, binding) -> "Value":
+        num = self.num.substitute(binding)
+        den = self.den.substitute(binding)
         if den.is_zero:
             raise PoleError(f"denominator {self.den} vanishes under substitution", factor=self.den)
         return num / den
 
-    def evaluate(self, binding) -> "RatFun":
+    def evaluate(self, binding) -> "Value":
         missing = self.variables() - set(binding)
         if missing:
             names = ", ".join(sorted(str(v) for v in missing))
@@ -593,11 +585,30 @@ class RatFun:
         return f"RatFun({self})"
 
 
-def _to_ratfun(x) -> RatFun:
-    out = RatFun._coerce(x)
+Value = Union[Poly, RatFun]
+
+
+def _coerce(x) -> Optional[Value]:
+    if isinstance(x, (Poly, RatFun)):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return Poly.const(x)
+    return None
+
+
+def _fraction(num: Poly, den: Poly) -> Value:
+    """num / den normalised: a Poly when the denominator cancels to a constant."""
+    out = RatFun(num, den)
+    return out.num if out.den.is_constant else out
+
+
+def as_value(x) -> Value:
+    """x under the value rule: numbers become constant polynomials, and a
+    RatFun over a constant denominator becomes its numerator."""
+    out = _coerce(x)
     if out is None:
         raise TypeError(f"cannot interpret {x!r} as a rational function")
-    return out
+    return out.num if out.den.is_constant else out
 
 
 def pseudo_remainder(f: Poly, p: Poly, main: JetVar) -> tuple[Poly, Poly, Poly]:
@@ -636,8 +647,8 @@ class AffineSpace:
     n: int
     rank: int
     consistent: bool
-    particular: Optional[tuple[RatFun, ...]]
-    kernel: tuple[tuple[RatFun, ...], ...]
+    particular: Optional[tuple[Value, ...]]
+    kernel: tuple[tuple[Value, ...], ...]
 
     @property
     def dimension(self) -> int:
@@ -658,8 +669,8 @@ def solve_affine(rows: Sequence[Sequence], rhs: Sequence, n: Optional[int] = Non
     for row in rows:
         if len(row) != n:
             raise ValueError("ragged matrix")
-    a = [[_to_ratfun(x) for x in row] for row in rows]
-    b = [_to_ratfun(x) for x in rhs]
+    a = [[as_value(x) for x in row] for row in rows]
+    b = [as_value(x) for x in rhs]
 
     pivots: list[tuple[int, int]] = []
     row_i = 0
@@ -673,7 +684,7 @@ def solve_affine(rows: Sequence[Sequence], rhs: Sequence, n: Optional[int] = Non
             continue
         a[row_i], a[pivot] = a[pivot], a[row_i]
         b[row_i], b[pivot] = b[pivot], b[row_i]
-        inv = RatFun.const(1) / a[row_i][col]
+        inv = _ONE / a[row_i][col]
         a[row_i] = [x * inv for x in a[row_i]]
         b[row_i] = b[row_i] * inv
         for r in range(m):
@@ -693,15 +704,15 @@ def solve_affine(rows: Sequence[Sequence], rhs: Sequence, n: Optional[int] = Non
 
     particular = None
     if consistent:
-        sol = [RatFun.const(0)] * n
+        sol = [Poly.zero()] * n
         for r, col in pivots:
             sol[col] = -b[r]
         particular = tuple(sol)
 
     kernel = []
     for fc in free_cols:
-        vec = [RatFun.const(0)] * n
-        vec[fc] = RatFun.const(1)
+        vec = [Poly.zero()] * n
+        vec[fc] = _ONE
         for r, col in pivots:
             vec[col] = -a[r][fc]
         kernel.append(tuple(vec))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-from .algebra import JetVar, Poly, RatFun, _to_ratfun
+from .algebra import JetVar, Poly
 from .config import Configuration
 from .errors import EngineError, NotTriangularError
 from .jet import JetAtom
@@ -44,7 +44,7 @@ class DefinableSetDesc:
     def contains(self, point: Mapping[JetVar, Union[int, Fraction]]) -> bool:
         binding = {v: Fraction(point[v]) for v in self.indices}
         for atom in self.atoms:
-            value = _to_ratfun(atom.poly.evaluate(binding))
+            value = atom.poly.evaluate(binding)
             if atom.rel == "=" and not value.is_zero:
                 return False
             if atom.rel == "!=" and value.is_zero:
@@ -91,7 +91,7 @@ def wide_from_deep(deep: DefinableSetDesc, n: int) -> WideFromDeepResult:
     y_vars = tuple(JetVar(f"{y_base}{i + 1}") for i in range(n))
 
     rename = {deep.indices[n]: Poly.variable(y_vars[n - 1])}
-    atoms = [JetAtom(_to_ratfun(a.poly.substitute(rename)).to_poly(), a.rel) for a in deep.atoms]
+    atoms = [JetAtom(a.poly.substitute(rename), a.rel) for a in deep.atoms]
     couplings = []
     for i in range(n - 1):
         atoms.append(JetAtom(Poly.variable(y_vars[i]) - Poly.variable(x_vars[i + 1]), "="))

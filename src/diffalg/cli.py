@@ -14,7 +14,6 @@ import random
 import sys
 from typing import Optional
 
-from .algebra import RatFun, _to_ratfun
 from .axioms import triangular_dimension_certificate, wide_from_deep
 from .config import Configuration
 from .derivation import apply_derivation
@@ -47,21 +46,21 @@ def _emit(payload: dict, text: str, as_json: bool) -> None:
 def _cmd_derive(args) -> int:
     value = parse_expression(args.expr, _MODES[args.mode], args.k)
     spec = parse_derspec(args.spec, _MODES[args.mode], args.k)
-    result = _to_ratfun(apply_derivation(value, spec))
-    _emit({"input": str(_to_ratfun(value)), "derivative": str(result)}, str(result), args.json)
+    result = apply_derivation(value, spec)
+    _emit({"input": str(value), "derivative": str(result)}, str(result), args.json)
     return 0
 
 
 def _cmd_jet(args) -> int:
     mode = _MODES[args.mode]
     eta = parse_derspec("eta: " + args.eta, mode, args.k).eta if args.eta else None
-    if "=" in args.term or "!=" in args.term:
+    if "=" in args.term:
         lhs, rel, rhs = parse_term_atom(args.term)
         atom = rewrite_atom(lhs, rel, rhs, mode, eta, args.k)
         _emit({"poly": str(atom.poly), "rel": atom.rel}, str(atom), args.json)
         return 0
     term = parse_term(args.term)
-    value = _to_ratfun(rewrite_term(term, mode, eta, args.k))
+    value = rewrite_term(term, mode, eta, args.k)
     _emit({"poly": str(value)}, str(value), args.json)
     return 0
 
@@ -119,11 +118,11 @@ def _cmd_prolong(args) -> int:
     payload = {
         "variables": [str(v) for v in variety.variables],
         "tangent_variables": [str(v) for v in bundle.tangent_vars()],
-        "equations": [str(_to_ratfun(eq)) for eq in bundle.equations],
+        "equations": [str(eq) for eq in bundle.equations],
     }
     point = data.point
     if args.point is not None:
-        point = tuple(_to_ratfun(parse_expression(part.strip())) for part in args.point.split(","))
+        point = tuple(parse_expression(part.strip()) for part in args.point.split(","))
     if point is not None:
         space = tangent_space_at(variety, data.spec, point)
         payload["tangent_space"] = {

@@ -28,7 +28,7 @@ where R_d on a polynomial is the coefficient part plus the sum of
 vector of its terms.  So the exponents grow linearly with the word length
 and no gcd is ever taken: this is the bookkeeping of the product of
 initials and separants in Ritt-Kolchin reduction.  Values leave this
-module as `RatFun`s.
+module as `Value`s: a `Poly` over a constant denominator, else a `RatFun`.
 
 A configuration commutes at a tuple alpha when all its word/leader
 factorizations produce functions that agree on the locus.  Agreement is
@@ -48,20 +48,18 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
-from .algebra import JetVar, Poly, RatFun, _to_ratfun, pseudo_remainder
+from .algebra import JetVar, Poly, Value, as_value, pseudo_remainder
 from .derivation import DerSpec
 from .errors import ConfigurationError, PoleError
 from .jet import DiffModel, jet_binding
 from .monoid import COMMUTATIVE, FREE, MonoidElem, antichain_minimal, theta_ball
-
-Value = Union[Poly, RatFun]
 
 
 @dataclass(frozen=True)
 class GFun:
     """A computed jet function together with the factorization it came from."""
 
-    value: RatFun
+    value: Value
     witness: Union[tuple[MonoidElem, MonoidElem], str]
 
     def __str__(self):
@@ -181,7 +179,7 @@ class Configuration:
             etas = [{} for _ in range(k)]
         if len(etas) != k:
             raise ConfigurationError(f"need {k} coefficient tables, got {len(etas)}")
-        self.etas = tuple(dict(t) for t in etas)
+        self.etas = tuple({c: as_value(v) for c, v in t.items()} for t in etas)
         self._validate()
 
         params = set()
@@ -190,7 +188,7 @@ class Configuration:
         for table in self.etas:
             params |= set(table)
             for value in table.values():
-                params |= _to_ratfun(value).variables()
+                params |= value.variables()
         self.params = tuple(sorted(params, key=lambda v: v.sort_key))
         self.derspecs = tuple(
             DerSpec(f"d{i + 1}", {p: table.get(p, Poly.zero()) for p in self.params}, {})
@@ -208,14 +206,13 @@ class Configuration:
             return factors.index(poly)
 
         self._sep_slots = {pi: slot(self.separant(pi)) for pi in self.leaders}
-        eta_values = [{c: _to_ratfun(v) for c, v in spec.eta.items()} for spec in self.derspecs]
-        eta_slots = [{c: slot(v.den) for c, v in table.items()} for table in eta_values]
+        eta_slots = [{c: slot(v.den) for c, v in spec.eta.items()} for spec in self.derspecs]
         self._factors = tuple(factors)
         self._zero = (0,) * len(factors)
-        # eta_i(c) as a fraction; a constant denominator is 1 after RatFun normalisation
+        # eta_i(c) as a fraction; a Poly value has the denominator 1
         self._eta_images = tuple(
-            {c: _Frac(v.num, self._bump(self._zero, slots[c])) for c, v in table.items() if not v.is_zero}
-            for table, slots in zip(eta_values, eta_slots)
+            {c: _Frac(v.num, self._bump(self._zero, slots[c])) for c, v in spec.eta.items() if not v.is_zero}
+            for spec, slots in zip(self.derspecs, eta_slots)
         )
 
         self._powers: dict[tuple[int, ...], Poly] = {}
@@ -311,8 +308,8 @@ class Configuration:
             num = num + self._lift(f, top)
         return _Frac(num, top)
 
-    def _as_ratfun(self, f: _Frac) -> RatFun:
-        return RatFun(f.num, self._power(f.exps))
+    def _value(self, f: _Frac) -> Value:
+        return f.num / self._power(f.exps)
 
     # ------------------------------------------------------------------
     # the recursion for f
@@ -325,14 +322,14 @@ class Configuration:
         word of the quotient with non-increasing generator indices.
         """
         value, witness = self._f_theta(alpha)
-        return GFun(self._as_ratfun(value), witness)
+        return GFun(self._value(value), witness)
 
     def compute_f(self, word: MonoidElem, pi: MonoidElem) -> GFun:
         if word.kind != FREE or word.k != self.k:
             raise ConfigurationError(f"{word} is not a word over k={self.k} generators")
         if pi not in self.relations:
             raise ConfigurationError(f"{pi} is not a leader")
-        return GFun(self._as_ratfun(self._f_word(word.data, pi)), (word, pi))
+        return GFun(self._value(self._f_word(word.data, pi)), (word, pi))
 
     def _f_theta(self, alpha: MonoidElem) -> tuple[_Frac, Union[tuple, str]]:
         if alpha not in self._theta_cache:
@@ -412,23 +409,23 @@ class Configuration:
         out = self._sum(terms)
         return _Frac(out.num, tuple(a + b for a, b in zip(out.exps, f.exps)))
 
-    def _r_ratfun(self, i: int, h: RatFun) -> RatFun:
+    def _r_value(self, i: int, h: Value) -> Value:
         """R_i(n / d) = (R_i(n) * d - n * R_i(d)) / d^2."""
         num = self._r_poly(i, h.num)
         den = self._r_poly(i, h.den)
         out = self._sum([_Frac(num.num * h.den, num.exps), _Frac(-h.num * den.num, den.exps)])
-        return RatFun(out.num, self._power(out.exps) * h.den * h.den)
+        return out.num / (self._power(out.exps) * h.den * h.den)
 
-    def r_apply(self, i: int, h: Value) -> RatFun:
+    def r_apply(self, i: int, h: Value) -> Value:
         """The derivation extending d_i that sends each x_mu to f at d_i.mu."""
         if not 1 <= i <= self.k:
             raise ConfigurationError(f"no derivation d{i} with k={self.k}")
-        return self._r_ratfun(i, _to_ratfun(h))
+        return self._r_value(i, h)
 
-    def r_apply_word(self, word: MonoidElem, h: Value) -> RatFun:
-        out = _to_ratfun(h)
+    def r_apply_word(self, word: MonoidElem, h: Value) -> Value:
+        out = h
         for letter in reversed(word.data):
-            out = self._r_ratfun(letter, out)
+            out = self._r_value(letter, out)
         return out
 
     # ------------------------------------------------------------------
@@ -471,7 +468,7 @@ class Configuration:
             top = tuple(map(max, value.exps, base_value.exps))
             if self.reduce_mod(self._lift(value, top) - self._lift(base_value, top)).is_zero:
                 continue
-            f1, f2 = self._as_ratfun(value), self._as_ratfun(base_value)
+            f1, f2 = self._value(value), self._value(base_value)
             reduced = self.reduce_mod((f1 - f2).num)
             witness = Witness(word, pi, base_word, base_pi)
             point = self._confirm_witness(f1, f2, rng or random.Random(0), retries)
@@ -485,7 +482,7 @@ class Configuration:
             )
         return CommutationCheck(alpha, "commutes")
 
-    def _confirm_witness(self, f1: RatFun, f2: RatFun, rng: random.Random, retries: int):
+    def _confirm_witness(self, f1: Value, f2: Value, rng: random.Random, retries: int):
         needed = f1.variables() | f2.variables()
         for _ in range(retries):
             point = self.sample_point(rng, needed)
@@ -519,11 +516,11 @@ class Configuration:
             xpi = self.jet_var(pi)
             lower = {v: point[v] for v in p.variables() if v != xpi}
             univ = p.substitute(lower)
-            root = _rational_root(_to_ratfun(univ).to_poly(), xpi)
+            root = _rational_root(univ, xpi)
             if root is None:
                 return None
             sep_val = self.separant(pi).substitute({**lower, xpi: root})
-            if _to_ratfun(sep_val).is_zero:
+            if sep_val.is_zero:
                 return None
             point[xpi] = root
         return point
@@ -562,39 +559,29 @@ class Configuration:
         the coefficient tables; b's jets up to the leaders must satisfy
         every relation with nonzero separant.
         """
-        b = _to_ratfun(b)
+        sigma = {self.base: b}
         model_vars = set(model.variables())
         for p in self.params:
             if p not in model_vars:
                 raise ConfigurationError(f"model does not interpret parameter {p}")
             for i in range(1, self.k + 1):
-                table = self.derspecs[i - 1].eta
-                expected = _to_ratfun(table[p])
-                if not model.equal(model.apply(i, RatFun.variable(p)), expected):
+                expected = self.derspecs[i - 1].eta[p]
+                if not model.equal(model.apply(i, Poly.variable(p)), expected):
                     raise ConfigurationError(
                         f"model derivation d{i} disagrees with the coefficient table on {p}"
                     )
 
-        def binding_for(value: RatFun) -> dict:
-            # parameters stand for themselves, even one named like the jet base
-            jets = [v for v in value.variables() if v.index is not None]
-            out = {v: RatFun.variable(v) for v in value.variables() if v.index is None}
-            out.update(jet_binding(model, {self.base: b}, jets))
-            return out
-
         for pi in self.leaders:
-            p = self.relations[pi]
-            rel_val = p.evaluate(binding_for(_to_ratfun(p)))
-            if not model.is_zero(rel_val):
+            p, sep = self.relations[pi], self.separant(pi)
+            if not model.is_zero(p.evaluate(jet_binding(model, sigma, p.variables()))):
                 raise ConfigurationError(f"b violates the relation for {pi}")
-            sep_val = self.separant(pi).evaluate(binding_for(_to_ratfun(self.separant(pi))))
-            if model.is_zero(sep_val):
+            if model.is_zero(sep.evaluate(jet_binding(model, sigma, sep.variables()))):
                 raise ConfigurationError(f"separant for {pi} vanishes at b")
 
         checked = 0
         for mu in theta_ball(self.k, depth):
             g = self.f_at(mu).value
-            expected = g.evaluate(binding_for(g))
+            expected = g.evaluate(jet_binding(model, sigma, g.variables()))
             got = model.apply_word(mu, b)
             checked += 1
             if not model.equal(expected, got):

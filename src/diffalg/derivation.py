@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
-from .algebra import JetVar, Poly, RatFun, _to_ratfun, pseudo_remainder
+from .algebra import JetVar, Poly, Value, as_value, pseudo_remainder
 from .errors import (
     EngineError,
     NonInvertibleError,
@@ -54,8 +54,6 @@ from .errors import (
     UncoveredVariableError,
     UndeclaredParameterError,
 )
-
-Value = Union[Poly, RatFun]
 
 
 @dataclass
@@ -67,9 +65,11 @@ class DerSpec:
     images: dict[JetVar, Value] = field(default_factory=dict)
 
     def __post_init__(self):
+        self.eta = {p: as_value(value) for p, value in self.eta.items()}
+        self.images = {v: as_value(value) for v, value in self.images.items()}
         declared = set(self.eta)
         for p, value in self.eta.items():
-            extra = _to_ratfun(value).variables() - declared
+            extra = value.variables() - declared
             if extra:
                 names = ", ".join(sorted(str(v) for v in extra))
                 raise UndeclaredParameterError(
@@ -134,7 +134,7 @@ def apply_derivation(q: Value, spec: DerSpec) -> Value:
     return out
 
 
-def implicit_delta(p: Poly, main: JetVar, spec: DerSpec) -> RatFun:
+def implicit_delta(p: Poly, main: JetVar, spec: DerSpec) -> Value:
     """Derivative value forced on `main` by differentiating the constraint p = 0.
 
     Returns -(p_eta + sum_{v != main} (dp/dv) * images[v]) / (dp/dmain); the
@@ -144,7 +144,7 @@ def implicit_delta(p: Poly, main: JetVar, spec: DerSpec) -> RatFun:
     if separant.is_zero:
         raise SeparantZeroError(f"constraint does not depend on {main}")
     total = apply_derivation(p, DerSpec(spec.name, spec.eta, {**spec.images, main: Poly.zero()}))
-    return _to_ratfun(-total) / _to_ratfun(separant)
+    return -total / separant
 
 
 # ----------------------------------------------------------------------
@@ -155,7 +155,7 @@ def implicit_delta(p: Poly, main: JetVar, spec: DerSpec) -> RatFun:
 class TowerStage:
     gen: JetVar
     minpoly: Poly
-    dvalue: RatFun
+    dvalue: Value
 
 
 class Tower:
@@ -168,7 +168,7 @@ class Tower:
             if p not in self.params:
                 raise UndeclaredParameterError(f"eta assigns {p}, which is not a base parameter")
         # unlisted parameters are constants for the derivation
-        self.eta = {p: given.get(p, Poly.zero()) for p in self.params}
+        self.eta = {p: as_value(given.get(p, 0)) for p in self.params}
         self.stages: tuple[TowerStage, ...] = ()
 
     # -- construction --------------------------------------------------
@@ -198,11 +198,11 @@ class Tower:
     def gens(self) -> tuple[JetVar, ...]:
         return tuple(s.gen for s in self.stages)
 
-    def element(self, name: Union[JetVar, str]) -> RatFun:
+    def element(self, name: Union[JetVar, str]) -> Poly:
         v = JetVar(name) if isinstance(name, str) else name
         if v not in self.variables():
             raise UncoveredVariableError(f"{v} is not a tower variable")
-        return RatFun.variable(v)
+        return Poly.variable(v)
 
     def derspec(self, name: str = "d") -> DerSpec:
         return DerSpec(name, dict(self.eta), {s.gen: s.dvalue for s in self.stages})
@@ -224,42 +224,41 @@ class Tower:
                 mult = mult * m
         return p, mult
 
-    def reduce(self, x: Value) -> RatFun:
+    def reduce(self, x: Value) -> Value:
         """Value-preserving normal form of a tower element."""
-        rf = _to_ratfun(x)
         for _ in range(len(self.stages) + 2):
-            rn, mn = self.reduce_poly(rf.num)
-            rd, md = self.reduce_poly(rf.den)
+            rn, mn = self.reduce_poly(x.num)
+            rd, md = self.reduce_poly(x.den)
             if rd.is_zero:
-                raise NonInvertibleError(f"denominator {rf.den} vanishes in the tower")
-            new = RatFun(rn * md, rd * mn)
-            if new.num == rf.num and new.den == rf.den:
+                raise NonInvertibleError(f"denominator {x.den} vanishes in the tower")
+            new = (rn * md) / (rd * mn)
+            if new.num == x.num and new.den == x.den:
                 return new
-            rf = new
-        return rf
+            x = new
+        return x
 
     def is_zero(self, x: Value) -> bool:
-        rem, _ = self.reduce_poly(_to_ratfun(x).num)
+        rem, _ = self.reduce_poly(x.num)
         return rem.is_zero
 
     def equal(self, a: Value, b: Value) -> bool:
-        return self.is_zero(_to_ratfun(a) - _to_ratfun(b))
+        return self.is_zero(a - b)
 
     # -- derivation ----------------------------------------------------
 
-    def apply(self, x: Value) -> RatFun:
-        return self.reduce(_to_ratfun(apply_derivation(_to_ratfun(x), self.derspec())))
+    def apply(self, x: Value) -> Value:
+        return self.reduce(apply_derivation(x, self.derspec()))
 
     # -- inversion via the extended Euclidean step ----------------------
 
-    def invert(self, x: Value) -> RatFun:
+    def invert(self, x: Value) -> Value:
         rf = self.reduce(x)
         if rf.is_zero:
             raise NonInvertibleError("cannot invert zero")
         inv_num = self._invert_poly(rf.num)
         return self.reduce(inv_num * rf.den)
 
-    def _invert_poly(self, p: Poly) -> RatFun:
+    def _invert_poly(self, p: Poly) -> Value:
         stage_idx = None
         for i in range(len(self.stages) - 1, -1, -1):
             if p.depends_on(self.stages[i].gen):
@@ -267,10 +266,10 @@ class Tower:
                 break
         if stage_idx is None:
             # transcendental content only: a plain fraction inverts it
-            return RatFun(Poly.const(1), p)
+            return Poly.const(1) / p
         stage = self.stages[stage_idx]
-        a = _upoly(p, stage.gen)
-        b = _upoly(stage.minpoly, stage.gen)
+        a = p.as_univariate(stage.gen)
+        b = stage.minpoly.as_univariate(stage.gen)
         g, u = _ext_euclid_first(self, a, b)
         dg = _udeg(self, g)
         if dg != 0:
@@ -278,9 +277,9 @@ class Tower:
                 f"{p} is a zero divisor modulo {stage.minpoly} (gcd has degree {dg})"
             )
         inv_c = self.invert(g[0])
-        result = RatFun.const(0)
+        result = Poly.zero()
         for e, coef in u.items():
-            result = result + coef * RatFun(Poly.variable(stage.gen) ** e)
+            result = result + coef * Poly.variable(stage.gen) ** e
         return self.reduce(result * inv_c)
 
     def __str__(self) -> str:
@@ -293,11 +292,7 @@ class Tower:
 # -- univariate helpers over a tower (sparse degree -> coefficient maps) --
 
 
-def _upoly(p: Poly, gen: JetVar) -> dict[int, RatFun]:
-    return {e: RatFun(c) for e, c in p.as_univariate(gen).items()}
-
-
-def _udeg(tower: Tower, up: Mapping[int, RatFun]) -> int:
+def _udeg(tower: Tower, up: Mapping[int, Value]) -> int:
     best = -1
     for e, c in up.items():
         if e > best and not tower.is_zero(c):
@@ -305,22 +300,22 @@ def _udeg(tower: Tower, up: Mapping[int, RatFun]) -> int:
     return best
 
 
-def _udivmod(tower: Tower, a: dict[int, RatFun], b: dict[int, RatFun]):
+def _udivmod(tower: Tower, a: dict[int, Value], b: dict[int, Value]):
     db = _udeg(tower, b)
     if db < 0:
         raise ZeroDivisionError("division by zero polynomial over the tower")
     inv_lb = tower.invert(b[db])
-    q: dict[int, RatFun] = {}
+    q: dict[int, Value] = {}
     r = {e: tower.reduce(c) for e, c in a.items() if not tower.is_zero(c)}
     while True:
         dr = _udeg(tower, r)
         if dr < db:
             break
         coef = tower.reduce(r[dr] * inv_lb)
-        q[dr - db] = q.get(dr - db, RatFun.const(0)) + coef
+        q[dr - db] = q.get(dr - db, Poly.zero()) + coef
         for e, c in b.items():
             shifted = e + dr - db
-            updated = r.get(shifted, RatFun.const(0)) - coef * c
+            updated = r.get(shifted, Poly.zero()) - coef * c
             updated = tower.reduce(updated)
             if updated.is_zero:
                 r.pop(shifted, None)
@@ -330,11 +325,11 @@ def _udivmod(tower: Tower, a: dict[int, RatFun], b: dict[int, RatFun]):
     return q, r
 
 
-def _ext_euclid_first(tower: Tower, a: dict[int, RatFun], b: dict[int, RatFun]):
+def _ext_euclid_first(tower: Tower, a: dict[int, Value], b: dict[int, Value]):
     """Last nonzero remainder g and cofactor u with u * a = g modulo b."""
     r0, r1 = dict(a), dict(b)
-    u0: dict[int, RatFun] = {0: RatFun.const(1)}
-    u1: dict[int, RatFun] = {}
+    u0: dict[int, Value] = {0: Poly.const(1)}
+    u1: dict[int, Value] = {}
     while _udeg(tower, r1) >= 0:
         quot, rem = _udivmod(tower, r0, r1)
         r0, r1 = r1, rem
@@ -343,19 +338,19 @@ def _ext_euclid_first(tower: Tower, a: dict[int, RatFun], b: dict[int, RatFun]):
     return r0, u0
 
 
-def _umul(tower: Tower, a: Mapping[int, RatFun], b: Mapping[int, RatFun]) -> dict[int, RatFun]:
-    out: dict[int, RatFun] = {}
+def _umul(tower: Tower, a: Mapping[int, Value], b: Mapping[int, Value]) -> dict[int, Value]:
+    out: dict[int, Value] = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = e1 + e2
-            out[e] = out.get(e, RatFun.const(0)) + c1 * c2
+            out[e] = out.get(e, Poly.zero()) + c1 * c2
     return {e: tower.reduce(c) for e, c in out.items() if not tower.is_zero(c)}
 
 
-def _usub(tower: Tower, a: Mapping[int, RatFun], b: Mapping[int, RatFun]) -> dict[int, RatFun]:
+def _usub(tower: Tower, a: Mapping[int, Value], b: Mapping[int, Value]) -> dict[int, Value]:
     out = dict(a)
     for e, c in b.items():
-        out[e] = out.get(e, RatFun.const(0)) - c
+        out[e] = out.get(e, Poly.zero()) - c
     return {e: c for e, c in out.items() if not tower.is_zero(c)}
 
 
@@ -380,7 +375,8 @@ def extend_to_algebraic(tower: Tower, minpoly: Poly, gen: Union[JetVar, str]) ->
     if tower.is_zero(lead):
         raise SeparantZeroError(f"leading coefficient {lead} vanishes in the tower")
 
-    gcd = _ext_euclid_first(tower, _upoly(minpoly, gen), _upoly(minpoly.partial(gen), gen))[0]
+    separant = minpoly.partial(gen)
+    gcd = _ext_euclid_first(tower, minpoly.as_univariate(gen), separant.as_univariate(gen))[0]
     gcd_deg = _udeg(tower, gcd)
     if gcd_deg != 0:
         raise SeparantZeroError(
@@ -392,5 +388,5 @@ def extend_to_algebraic(tower: Tower, minpoly: Poly, gen: Union[JetVar, str]) ->
     out = tower._with_stages(tower.stages + (stage,))
     stage = TowerStage(gen, minpoly, out.reduce(dvalue))
     out = tower._with_stages(tower.stages + (stage,))
-    assert out.is_zero(apply_derivation(_to_ratfun(minpoly), out.derspec()))
+    assert out.is_zero(apply_derivation(minpoly, out.derspec()))
     return out

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .algebra import JetVar, Poly, RatFun, _to_ratfun
+from .algebra import JetVar, Poly, Value, as_value
 from .derivation import DerSpec, Tower, apply_derivation
 from .errors import EngineError, KindMismatchError, UncoveredVariableError
 from .monoid import COMMUTATIVE, FREE, MonoidElem
@@ -178,8 +178,8 @@ def rewrite_term(
     """Eliminate derivation symbols, returning a polynomial in jet variables.
 
     `eta` declares the parameters: a single table shared by all symbols, or
-    one table per symbol.  The result is a Poly whenever the tables are
-    polynomial, and a RatFun otherwise.  Substituting the actual iterated
+    one table per symbol.  The result is a Poly unless a fractional table
+    leaves a non-constant denominator.  Substituting the actual iterated
     derivatives of any differential ring for the jet variables recovers the
     value of the term.
     """
@@ -215,9 +215,7 @@ def rewrite_term(
             return _jet_shift(rec(node.arg), node.index, mode, k, tables[node.index - 1])
         raise TypeError(f"unknown term node: {node!r}")
 
-    value = rec(t)
-    rf = _to_ratfun(value)
-    return rf.to_poly() if rf.is_polynomial else rf
+    return rec(t)
 
 
 def rewrite_atom(
@@ -240,8 +238,7 @@ def rewrite_atom(
         k = max(max_der_index(lhs), max_der_index(rhs), 1)
     left = rewrite_term(lhs, mode, eta, k)
     right = rewrite_term(rhs, mode, eta, k)
-    diff = _to_ratfun(left - right)
-    return JetAtom(diff.num, rel)
+    return JetAtom((left - right).num, rel)
 
 
 # ----------------------------------------------------------------------
@@ -278,19 +275,19 @@ class DiffModel:
     def variables(self):
         return self.towers[0].variables()
 
-    def element(self, name) -> RatFun:
+    def element(self, name) -> Poly:
         return self.towers[0].element(name)
 
-    def apply(self, i: int, value) -> RatFun:
+    def apply(self, i: int, value: Value) -> Value:
         if not 1 <= i <= self.k:
             raise EngineError(f"no derivation d{i} in a model with k={self.k}")
         return self.towers[i - 1].apply(value)
 
-    def apply_word(self, word: MonoidElem, value) -> RatFun:
+    def apply_word(self, word: MonoidElem, value) -> Value:
         """Iterated derivative along a word (rightmost letter acts first)."""
         if word.kind != FREE:
             word = word.canonical_word()
-        out = _to_ratfun(value)
+        out = as_value(value)
         for letter in reversed(word.data):
             out = self.apply(letter, out)
         return out
@@ -301,12 +298,12 @@ class DiffModel:
     def is_zero(self, a) -> bool:
         return self.towers[0].is_zero(a)
 
-    def reduce(self, a) -> RatFun:
+    def reduce(self, a: Value) -> Value:
         return self.towers[0].reduce(a)
 
     def commutes_on_generators(self) -> bool:
         for v in self.variables():
-            elem = RatFun.variable(v)
+            elem = Poly.variable(v)
             for i in range(1, self.k + 1):
                 for j in range(i + 1, self.k + 1):
                     lhs = self.apply(i, self.apply(j, elem))
@@ -321,7 +318,7 @@ def oracle_eval(
     model: DiffModel,
     sigma: Mapping[str, object],
     mode: str = FREE,
-) -> RatFun:
+) -> Value:
     """Evaluate a term by literally applying the model derivations.
 
     `sigma` binds the term's differential variables to model elements;
@@ -332,14 +329,14 @@ def oracle_eval(
         raise KindMismatchError("model derivations do not commute; free mode only")
     model_vars = {v.base: v for v in model.variables()}
 
-    def rec(node: DiffTerm) -> RatFun:
+    def rec(node: DiffTerm) -> Value:
         if isinstance(node, TConst):
-            return RatFun.const(node.value)
+            return Poly.const(node.value)
         if isinstance(node, TVar):
             if node.name in sigma:
-                return _to_ratfun(sigma[node.name])
+                return as_value(sigma[node.name])
             if node.name in model_vars:
-                return RatFun.variable(model_vars[node.name])
+                return Poly.variable(model_vars[node.name])
             raise UncoveredVariableError(f"no model value for variable {node.name}")
         if isinstance(node, TAdd):
             return rec(node.left) + rec(node.right)
@@ -357,13 +354,17 @@ def oracle_eval(
 def jet_binding(
     model: DiffModel,
     sigma: Mapping[str, object],
-    jet_vars: Sequence[JetVar],
-) -> dict[JetVar, RatFun]:
-    """Bind jet variables to the literal iterated derivatives they stand for."""
-    out: dict[JetVar, RatFun] = {}
+    jet_vars: Iterable[JetVar],
+) -> dict[JetVar, Value]:
+    """Bind jet variables to the literal iterated derivatives they stand for.
+
+    Unindexed variables are parameters and stand for the model element of
+    the same name, even where a sigma key shares that name.
+    """
+    out: dict[JetVar, Value] = {}
     for v in jet_vars:
         if v.index is None:
-            out[v] = model.element(v.base) if v.base not in sigma else _to_ratfun(sigma[v.base])
+            out[v] = model.element(v.base)
         else:
             if v.base not in sigma:
                 raise UncoveredVariableError(f"no model value for {v.base}")

@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import json
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import JetVar, Poly, RatFun, _to_ratfun
+from .algebra import JetVar, Poly, RatFun, Value
 from .axioms import DefinableSetDesc, TriangularSystem
 from .config import Configuration
 from .derivation import DerSpec
@@ -135,13 +134,35 @@ class _Cursor:
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
 
 
-@contextmanager
-def _at_line(lineno: int):
-    """Report a parse error raised inside the block at line `lineno` of a file."""
-    try:
-        yield
-    except ParseError as err:
-        raise ParseError(err.message, lineno, err.column) from None
+def _lines(text: str):
+    """Each non-blank line of a file without its comment, and a cursor over its
+    tokens, which carry their file line and column."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        cur = _Cursor(tokenize(line, lineno))
+        if cur.peek().kind != "eof":
+            yield line.strip(), cur
+
+
+def _take(cur: _Cursor, *texts: str) -> bool:
+    """Step past the next tokens if they have exactly these texts."""
+    if [tok.text for tok in cur.tokens[cur.i:cur.i + len(texts)]] != list(texts):
+        return False
+    cur.i += len(texts)
+    return True
+
+
+def _comma_list(cur: _Cursor, item) -> list:
+    """Comma-separated items up to the end of the line; empty items are skipped."""
+    out = []
+    while cur.peek().kind != "eof":
+        if not cur.at_op(","):
+            out.append(item())
+            if not cur.at_op(","):
+                cur.expect_eof()
+                break
+        cur.advance()
+    return out
 
 
 def _scan_k(tokens: Sequence[Token]) -> int:
@@ -223,10 +244,7 @@ class _ExprParser:
         while self.cur.at_op("*", "/"):
             op = self.cur.advance().text
             rhs = self.factor()
-            if op == "*":
-                value = value * rhs
-            else:
-                value = _to_ratfun(value) / _to_ratfun(rhs)
+            value = value * rhs if op == "*" else value / rhs
         return value
 
     def factor(self):
@@ -246,7 +264,7 @@ class _ExprParser:
             self.cur.advance()
             return Poly.const(int(tok.text))
         if tok.kind == "ident":
-            return self.variable()
+            return Poly.variable(self.variable())
         if self.cur.at_op("("):
             self.cur.advance()
             value = self.expr()
@@ -254,7 +272,7 @@ class _ExprParser:
             return value
         raise ParseError(f"expected a value, found {_shown(tok)}", tok.line, tok.column)
 
-    def variable(self):
+    def variable(self) -> JetVar:
         tok = self.cur.expect_ident()
         if _DNAME_RE.match(tok.text):
             raise ParseError(f"{tok.text} is reserved for derivation symbols", tok.line, tok.column)
@@ -264,12 +282,12 @@ class _ExprParser:
                 raise ParseError("unterminated index", bracket.line, bracket.column)
             index = _parse_index(self.cur, self.mode, self.k)
             self.cur.expect_op("]")
-            return Poly.variable(JetVar(tok.text, index))
-        return Poly.variable(JetVar(tok.text))
+            return JetVar(tok.text, index)
+        return JetVar(tok.text)
 
 
 def parse_expression(text: str, mode: str = COMMUTATIVE, k: Optional[int] = None):
-    """A Poly or RatFun, depending on whether division shows up."""
+    """A Poly, or a RatFun when the denominator does not cancel to a constant."""
     tokens = tokenize(text)
     if k is None:
         k = _scan_k(tokens)
@@ -279,16 +297,24 @@ def parse_expression(text: str, mode: str = COMMUTATIVE, k: Optional[int] = None
     return value
 
 
+def _poly(cur: _Cursor, mode: str, k: int) -> Poly:
+    """A polynomial running to the end of the input."""
+    start = cur.peek()
+    value = _ExprParser(cur, mode, k).expr()
+    cur.expect_eof()
+    if isinstance(value, RatFun):
+        raise ParseError("expected a polynomial, found a proper fraction", start.line, start.column)
+    return value
+
+
 def parse_poly(text: str, mode: str = COMMUTATIVE, k: Optional[int] = None) -> Poly:
-    value = _to_ratfun(parse_expression(text, mode, k))
-    if not value.is_polynomial:
-        tok = tokenize(text)[0]
-        raise ParseError("expected a polynomial, found a proper fraction", tok.line, tok.column)
-    return value.to_poly()
+    tokens = tokenize(text)
+    return _poly(_Cursor(tokens), mode, _scan_k(tokens) if k is None else k)
 
 
-def parse_ratfun(text: str, mode: str = COMMUTATIVE, k: Optional[int] = None) -> RatFun:
-    return _to_ratfun(parse_expression(text, mode, k))
+def parse_ratfun(text: str, mode: str = COMMUTATIVE, k: Optional[int] = None) -> Value:
+    """A rational expression; a Poly when its denominator cancels to a constant."""
+    return parse_expression(text, mode, k)
 
 
 # ----------------------------------------------------------------------
@@ -371,40 +397,42 @@ def parse_term_atom(text: str) -> tuple[DiffTerm, str, DiffTerm]:
 # derivation specs
 
 
-def parse_derspec(text: str, mode: str = COMMUTATIVE, k: Optional[int] = None, name: str = "d") -> DerSpec:
-    """`eta: t -> 1; d: x -> u, y -> v`; either section may be `none`."""
-    tokens = tokenize(text)
-    if k is None:
-        k = _scan_k(tokens)
-    cur = _Cursor(tokens)
-    eta: dict[JetVar, RatFun] = {}
-    images: dict[JetVar, RatFun] = {}
+def _table(cur: _Cursor, mode: str, k: int, table: dict[JetVar, Value]) -> None:
+    """Add `target -> value, ...` to the table; `none` adds nothing."""
+    if _take(cur, "none"):
+        return
+    while True:
+        target_tok = cur.peek()
+        target = _ExprParser(cur, mode, k).variable()
+        cur.expect_op("->")
+        value = _ExprParser(cur, mode, k).expr()
+        if target in table:
+            raise ParseError(f"duplicate entry for {target}", target_tok.line, target_tok.column)
+        table[target] = value
+        if not cur.at_op(","):
+            return
+        cur.advance()
+
+
+def _derspec(cur: _Cursor, mode: str, k: int, name: str = "d") -> DerSpec:
+    """Sections `eta: ...; d: ...` running to the end of the input."""
+    eta: dict[JetVar, Value] = {}
+    images: dict[JetVar, Value] = {}
     while cur.peek().kind != "eof":
         section = cur.expect_ident()
         cur.expect_op(":")
-        if cur.peek().kind == "ident" and cur.peek().text == "none":
-            cur.advance()
-        else:
-            while True:
-                target_tok = cur.peek()
-                target = _ExprParser(cur, mode, k).variable()
-                (target_var,) = target.variables()
-                cur.expect_op("->")
-                value = _ExprParser(cur, mode, k).expr()
-                table = eta if section.text == "eta" else images
-                if target_var in table:
-                    raise ParseError(f"duplicate entry for {target_var}", target_tok.line, target_tok.column)
-                table[target_var] = _to_ratfun(value)
-                if cur.at_op(","):
-                    cur.advance()
-                    continue
-                break
-        if cur.at_op(";"):
-            cur.advance()
-            continue
-        break
+        _table(cur, mode, k, eta if section.text == "eta" else images)
+        if not cur.at_op(";"):
+            break
+        cur.advance()
     cur.expect_eof()
     return DerSpec(name, eta, images)
+
+
+def parse_derspec(text: str, mode: str = COMMUTATIVE, k: Optional[int] = None, name: str = "d") -> DerSpec:
+    """`eta: t -> 1; d: x -> u, y -> v`; either section may be `none`."""
+    tokens = tokenize(text)
+    return _derspec(_Cursor(tokens), mode, _scan_k(tokens) if k is None else k, name)
 
 
 # ----------------------------------------------------------------------
@@ -412,46 +440,32 @@ def parse_derspec(text: str, mode: str = COMMUTATIVE, k: Optional[int] = None, n
 
 
 def parse_config(text: str) -> Configuration:
-    lines = text.split("\n")
     k: Optional[int] = None
     base = "x"
     leaders: list[MonoidElem] = []
-    relation_lines: list[tuple[int, str, str]] = []  # (line number, index text, poly text)
-    eta_lines: list[tuple[int, Optional[str], str]] = []  # (line number, index text or None, body)
+    relation_lines: list[_Cursor] = []  # parsed once k is known
+    eta_lines: list[_Cursor] = []
 
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if re.match(r"^(k|base)\b", line):
-            cur = _Cursor(tokenize(line, lineno))
-            key = cur.advance().text
+    for line, cur in _lines(text):
+        head = cur.peek()
+        if _take(cur, "k"):
             cur.expect_op("=")
-            if key == "k":
-                k = cur.expect_int()
-            else:
-                base = cur.expect_ident().text
+            k = cur.expect_int()
             cur.expect_eof()
-            continue
-        if line.startswith("P:") or line.startswith("P :"):
-            body = line.split(":", 1)[1]
+        elif _take(cur, "base"):
+            cur.expect_op("=")
+            base = cur.expect_ident().text
+            cur.expect_eof()
+        elif _take(cur, "P", ":"):
             if k is None:
-                raise ParseError("k must be declared before P", lineno, 1)
-            with _at_line(lineno):
-                for part in body.split(","):
-                    part = part.strip()
-                    if part:
-                        leaders.append(parse_index_text(part, COMMUTATIVE, k))
-            continue
-        m = re.match(r"^p\s*\[([^\]]*)\]\s*=\s*(.*)$", line)
-        if m:
-            relation_lines.append((lineno, m.group(1), m.group(2)))
-            continue
-        m = re.match(r"^eta\s*(?:\[([^\]]*)\])?\s*:\s*(.*)$", line)
-        if m:
-            eta_lines.append((lineno, m.group(1), m.group(2)))
-            continue
-        raise ParseError(f"unrecognized configuration line: {line!r}", lineno, 1)
+                raise ParseError("k must be declared before P", head.line, head.column)
+            leaders += _comma_list(cur, lambda: _parse_index(cur, COMMUTATIVE, k))
+        elif _take(cur, "p", "["):
+            relation_lines.append(cur)
+        elif _take(cur, "eta"):
+            eta_lines.append(cur)
+        else:
+            raise ParseError(f"unrecognized configuration line: {line!r}", head.line, head.column)
 
     if k is None:
         raise ParseError("missing `k = ...` header", 1, 1)
@@ -459,28 +473,36 @@ def parse_config(text: str) -> Configuration:
         raise ParseError("missing `P: ...` line", 1, 1)
 
     relations = {}
-    for lineno, index_text, poly_text in relation_lines:
-        with _at_line(lineno):
-            relations[parse_index_text(index_text, COMMUTATIVE, k)] = parse_poly(poly_text, COMMUTATIVE, k)
+    for cur in relation_lines:
+        pi = _parse_index(cur, COMMUTATIVE, k)
+        cur.expect_op("]")
+        cur.expect_op("=")
+        relations[pi] = _poly(cur, COMMUTATIVE, k)
 
-    etas: list[dict[JetVar, RatFun]] = [{} for _ in range(k)]
-    for lineno, index_text, body in eta_lines:
-        body = body.strip()
-        if body == "none":
+    etas: list[dict[JetVar, Value]] = [{} for _ in range(k)]
+    for cur in eta_lines:
+        slots = range(k)
+        if _take(cur, "["):
+            slots = [_eta_slot(cur, k)]
+            cur.expect_op("]")
+        cur.expect_op(":")
+        table: dict[JetVar, Value] = {}
+        _table(cur, COMMUTATIVE, k, table)
+        cur.expect_eof()
+        if not table:
             continue
-        targets = range(k) if index_text is None else [_eta_slot(index_text, k, lineno)]
-        with _at_line(lineno):
-            spec = parse_derspec("eta: " + body, COMMUTATIVE, k)
-        for slot in targets:
-            etas[slot] = dict(spec.eta)
+        table = DerSpec(eta=table).eta
+        for slot in slots:
+            etas[slot] = dict(table)
 
     return Configuration(k, leaders, relations, etas, base=base)
 
 
-def _eta_slot(index_text: str, k: int, lineno: int) -> int:
-    m = _DNAME_RE.match(index_text.strip())
+def _eta_slot(cur: _Cursor, k: int) -> int:
+    tok = cur.advance()
+    m = _DNAME_RE.match(tok.text) if tok.kind == "ident" else None
     if not m or not 1 <= int(m.group(1)) <= k:
-        raise ParseError(f"eta index must be one of d1..d{k}", lineno, 1)
+        raise ParseError(f"eta index must be one of d1..d{k}", tok.line, tok.column)
     return int(m.group(1)) - 1
 
 
@@ -493,32 +515,25 @@ class VarietyInput:
     variables: tuple[JetVar, ...]
     gens: tuple[Poly, ...]
     spec: DerSpec
-    point: Optional[tuple[RatFun, ...]]
+    point: Optional[tuple[Value, ...]]
 
 
 def parse_variety(text: str) -> VarietyInput:
     gens: list[Poly] = []
     spec = DerSpec()
-    point_text: Optional[str] = None
-    point_line = 1
+    point = None
     declared_vars: Optional[list[str]] = None
 
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("vars:"):
-            declared_vars = [part.strip() for part in line.split(":", 1)[1].split(",") if part.strip()]
-            continue
-        if line.startswith("derivation:"):
-            with _at_line(lineno):
-                spec = parse_derspec(line.split(":", 1)[1])
-            continue
-        if line.startswith("point:"):
-            point_text, point_line = line.split(":", 1)[1], lineno
-            continue
-        with _at_line(lineno):
-            gens.append(parse_poly(line))
+    for _, cur in _lines(text):
+        k = _scan_k(cur.tokens)
+        if _take(cur, "vars", ":"):
+            declared_vars = _comma_list(cur, lambda: cur.expect_ident().text)
+        elif _take(cur, "derivation", ":"):
+            spec = _derspec(cur, COMMUTATIVE, k)
+        elif _take(cur, "point", ":"):
+            point = tuple(_comma_list(cur, _ExprParser(cur, COMMUTATIVE, k).expr))
+        else:
+            gens.append(_poly(cur, COMMUTATIVE, k))
 
     if declared_vars is not None:
         variables = tuple(JetVar(name) for name in declared_vars)
@@ -528,12 +543,6 @@ def parse_variety(text: str) -> VarietyInput:
             seen |= {v for v in p.variables() if v.index is None}
         seen -= set(spec.eta)
         variables = tuple(sorted(seen, key=lambda v: v.sort_key))
-
-    point = None
-    if point_text is not None:
-        parts = [part.strip() for part in point_text.split(",")]
-        with _at_line(point_line):
-            point = tuple(parse_ratfun(part) for part in parts if part)
     return VarietyInput(variables, tuple(gens), spec, point)
 
 
@@ -544,19 +553,16 @@ def parse_variety(text: str) -> VarietyInput:
 def parse_triangular(text: str) -> TriangularSystem:
     ambient: Optional[tuple[JetVar, ...]] = None
     equations: list[tuple[JetVar, Poly]] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for _, cur in _lines(text):
+        k = _scan_k(cur.tokens)
+        if _take(cur, "ambient", ":"):
+            ambient = tuple(_comma_list(cur, _ExprParser(cur, COMMUTATIVE, k).variable))
             continue
-        if line.startswith("ambient:"):
-            names = [part.strip() for part in line.split(":", 1)[1].split(",") if part.strip()]
-            ambient = tuple(_parse_var_text(name, lineno) for name in names)
-            continue
-        if ":" not in line:
-            raise ParseError("expected `main : polynomial`", lineno, 1)
-        main_text, poly_text = line.split(":", 1)
-        with _at_line(lineno):
-            equations.append((_parse_var_text(main_text.strip(), lineno), parse_poly(poly_text)))
+        main = _ExprParser(cur, COMMUTATIVE, k).variable()
+        tok = cur.advance()
+        if tok.text != ":":
+            raise ParseError("expected `main : polynomial`", tok.line, tok.column)
+        equations.append((main, _poly(cur, COMMUTATIVE, k)))
 
     if ambient is None:
         seen: set[JetVar] = set()
@@ -566,12 +572,10 @@ def parse_triangular(text: str) -> TriangularSystem:
     return TriangularSystem(ambient, tuple(equations))
 
 
-def _parse_var_text(text: str, lineno: int, mode: str = COMMUTATIVE, k: Optional[int] = None) -> JetVar:
-    with _at_line(lineno):
-        value = parse_expression(text, mode, k)
-    variables = _to_ratfun(value).variables()
+def _parse_var_text(text: str, mode: str = COMMUTATIVE, k: Optional[int] = None) -> JetVar:
+    variables = parse_expression(text, mode, k).variables()
     if len(variables) != 1:
-        raise ParseError(f"expected a single variable, got {text!r}", lineno, 1)
+        raise ParseError(f"expected a single variable, got {text!r}", 1, 1)
     (v,) = variables
     return v
 
@@ -588,12 +592,12 @@ def parse_definable_json(text: str, mode: str = COMMUTATIVE, k: Optional[int] = 
     for key in ("indices", "atoms", "projection"):
         if key not in data:
             raise ParseError(f"missing field {key!r}", 1, 1)
-    indices = tuple(_parse_var_text(name, 1, mode, k) for name in data["indices"])
+    indices = tuple(_parse_var_text(name, mode, k) for name in data["indices"])
     atoms = []
     for entry in data["atoms"]:
         rel = entry.get("rel", "=")
         if rel not in ("=", "!="):
             raise ParseError(f"unknown relation {rel!r}", 1, 1)
         atoms.append(JetAtom(parse_poly(entry["poly"], mode, k), rel))
-    projection = tuple(_parse_var_text(name, 1, mode, k) for name in data["projection"])
+    projection = tuple(_parse_var_text(name, mode, k) for name in data["projection"])
     return DefinableSetDesc(indices, tuple(atoms), projection)

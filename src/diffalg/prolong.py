@@ -25,11 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .algebra import AffineSpace, JetVar, Poly, RatFun, _to_ratfun, solve_affine
+from .algebra import AffineSpace, JetVar, Poly, Value, as_value, solve_affine
 from .derivation import DerSpec, Tower, coeff_derivative, partner_var, twisted_lift
 from .errors import FiberError, UndeclaredParameterError
-
-Value = Union[Poly, RatFun]
 
 
 @dataclass(frozen=True)
@@ -54,12 +52,12 @@ class VarietyPresentation:
             out |= p.variables()
         return out - set(self.variables)
 
-    def point_binding(self, point: Sequence[Value]) -> dict[JetVar, RatFun]:
+    def point_binding(self, point: Sequence[Value]) -> dict[JetVar, Value]:
         if len(point) != self.n:
             raise ValueError(f"point has {len(point)} coordinates, ambient dimension is {self.n}")
-        binding = {v: _to_ratfun(a) for v, a in zip(self.variables, point)}
+        binding = {v: as_value(a) for v, a in zip(self.variables, point)}
         for p in self.parameters():
-            binding[p] = RatFun.variable(p)
+            binding[p] = Poly.variable(p)
         return binding
 
     def contains(self, point: Sequence[Value], is_zero=None) -> bool:
@@ -98,14 +96,14 @@ def twisted_bundle(variety: VarietyPresentation, spec: DerSpec) -> Prolongation:
 
 def tangent_system_at(
     variety: VarietyPresentation, spec: DerSpec, point: Sequence[Value]
-) -> tuple[list[list[RatFun]], list[RatFun]]:
+) -> tuple[list[list[Value]], list[Value]]:
     """Matrix and constant column of the fiber equations at a point of W."""
     binding = variety.point_binding(point)
     rows = []
     rhs = []
     for p in variety.gens:
-        rows.append([_to_ratfun(p.partial(v).substitute(binding)) for v in variety.variables])
-        rhs.append(_to_ratfun(coeff_derivative(p, spec.eta)).substitute(binding))
+        rows.append([p.partial(v).substitute(binding) for v in variety.variables])
+        rhs.append(coeff_derivative(p, spec.eta).substitute(binding))
     return rows, rhs
 
 
@@ -166,11 +164,10 @@ def extend_at_point(
     if any(c in spec.parameters for c in coords):
         raise FiberError("a coefficient parameter cannot serve as a generic coordinate")
 
-    tangent = [_to_ratfun(y) for y in tangent]
-    generic = [RatFun.variable(c) for c in coords]
+    generic = [Poly.variable(c) for c in coords]
     binding = variety.point_binding(generic)
     for p in variety.gens:
-        if not tower.is_zero(_to_ratfun(p.substitute(binding))):
+        if not tower.is_zero(p.substitute(binding)):
             raise FiberError(f"point does not satisfy {p} in the tower")
 
     # fiber membership: lifted equation evaluated at (point, tangent)

@@ -33,6 +33,10 @@ def test_ring_ops_examples():
     p = 3 * x * y - y ** 2
     assert p + Poly.zero() == p
     assert RatFun(x * x - 1, x - 1) == RatFun(x + 1)
+    # a value with a constant denominator is a Poly, which reads as a fraction over 1
+    for value, poly in [((x / y) * y, x), (RatFun(x * x - 1, x - 1) + 0, x + 1), (RatFun(x, 2) * 2, x)]:
+        assert isinstance(value, Poly) and value == poly
+    assert p.num is p and p.den == 1
 
 
 def test_ratfun_div_by_zero():

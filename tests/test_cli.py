@@ -79,8 +79,8 @@ def test_config_check_jobs_flag_leaves_output_unchanged(capsys):
     [
         ("k = two\nP: d1\np[d1] = x[d1]\n", "expected a number, found 'two' (line 1, column 5)"),
         ("k = 1\nbase\nP: d1\np[d1] = x[d1]\n", "expected '=', found end of input (line 2, column 5)"),
-        ("k = 2\n# leaders\n\nP: d1, d5\n", "generator d5 exceeds k=2 (line 4, column 1)"),
-        ("k = 2\n\n\nP: d1\np[d7] = x[d1]\n", "generator d7 exceeds k=2 (line 5, column 1)"),
+        ("k = 2\n# leaders\n\nP: d1, d5\n", "generator d5 exceeds k=2 (line 4, column 8)"),
+        ("k = 2\n\n\nP: d1\np[d7] = x[d1]\n", "generator d7 exceeds k=2 (line 5, column 3)"),
     ],
 )
 def test_config_parse_errors_exit_2_with_their_line(tmp_path, capsys, text, message):

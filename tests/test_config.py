@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_poly
-from diffalg.algebra import JetVar, Poly, RatFun, _to_ratfun, var
+from diffalg.algebra import JetVar, Poly, RatFun, var
 from diffalg.config import Configuration, _multiset_permutations
 from diffalg.derivation import coeff_derivative
 from diffalg.errors import ConfigurationError
@@ -292,7 +292,7 @@ class QuotientRuleReference:
         return self.theta(MonoidElem.generator(COMMUTATIVE, self.cfg.k, i).compose(mu))
 
     def r(self, i, h: RatFun) -> RatFun:
-        out = _to_ratfun(coeff_derivative(h, self.cfg.derspecs[i - 1].eta))
+        out = coeff_derivative(h, self.cfg.derspecs[i - 1].eta)
         for v in h.variables():
             if v.index is not None:
                 out = out + h.partial(v) * self.delta(i, v.index)
@@ -306,7 +306,7 @@ class QuotientRuleReference:
                 value = RatFun.variable(cfg.jet_var(pi))
             elif len(letters) == 1:
                 p = cfg.relations[pi]
-                num = _to_ratfun(coeff_derivative(p, cfg.derspecs[letters[0] - 1].eta))
+                num = coeff_derivative(p, cfg.derspecs[letters[0] - 1].eta)
                 for v in p.variables():
                     if v.index is not None and v.index != pi:
                         num = num + p.partial(v) * self.delta(letters[0], v.index)

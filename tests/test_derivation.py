@@ -111,6 +111,8 @@ def test_extend_square_root():
     assert stage.dvalue == RatFun(Poly.const(1), 2 * c)
     assert tower.is_zero(c * c - t)
     assert not tower.is_zero(c * c + t)
+    reduced = tower.reduce(c * c * c)
+    assert isinstance(reduced, Poly) and reduced == t * c
 
 
 def test_extend_linear_identity_case():

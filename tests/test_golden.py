@@ -17,14 +17,16 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
 
 from diffalg.cli import main
 
-ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "cli.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.join(HERE, "..")
+GOLDEN = os.path.join(HERE, "golden", "cli.json")
 
 _PAIR_CONFIGS = ("commuting", "noncomm", "quadratic", "scaled")
 _CONFIGS = _PAIR_CONFIGS + ("single",)
@@ -45,6 +47,7 @@ for _name in _VARIETIES:
     CASES.append(["prolong", f"corpus/{_name}.variety"])
 CASES.append(["prolong", "corpus/circle.variety", "--point", "0, 1"])
 CASES.append(["prolong", "corpus/cusp.variety", "--point", "1, 1"])
+CASES.append(["prolong", "corpus/twisted_line.variety", "--point", "t"])
 CASES.append(["dim-cert", "corpus/chain.tri"])
 CASES.append(["dim-cert", "corpus/chain.tri", "--json"])
 for _n in ("1", "2", "3"):
@@ -53,9 +56,12 @@ for _mode in ("comm", "free"):
     CASES.append(["jet", "@corpus/leibniz.term", "--mode", _mode])
     CASES.append(["jet", "@corpus/leibniz.term", "--mode", _mode, "--k", "2", "--json"])
 CASES.append(["jet", "d1(t * d2(x)) = d2(t * d1(x))", "--mode", "free", "--eta", "t -> 1"])
+CASES.append(["jet", "d1(d2(d1(d1(t * x * x))))", "--eta", "t -> 1"])
+CASES.append(["jet", "d1(d1(t * x))", "--eta", "t -> 1/t"])
 for _expr in ("x^2 / t", "x*y + t*u", "(x - y) / (t^2 + 1)"):
     CASES.append(["derive", _expr, "--spec", "@corpus/derspec.txt"])
 CASES.append(["derive", "x^3*t", "--spec", "@corpus/derspec.txt", "--json"])
+CASES.append(["derive", "x^2*t + x/t", "--spec", "eta: t -> 1/(t + 1); d: x -> u/t"])
 
 
 def _resolve(arg: str) -> str:
@@ -86,6 +92,19 @@ def test_golden_covers_every_case():
 @pytest.mark.parametrize("argv", CASES, ids=[" ".join(argv) for argv in CASES])
 def test_golden_cli_output(argv):
     assert run_case(argv) == _load_golden()[" ".join(argv)]
+
+
+def test_golden_output_under_fixed_hash_seeds():
+    # each suite run draws one random hash seed; these two are pinned
+    script = "import json, test_golden as g; print(json.dumps([g.run_case(a) for a in g.CASES]))"
+    for seed in ("0", "3"):
+        path = os.pathsep.join([os.path.join(ROOT, "src"), HERE])
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120, check=True
+        )
+        got = {" ".join(entry["argv"]): entry for entry in json.loads(done.stdout)}
+        assert got == _load_golden(), f"PYTHONHASHSEED={seed}"
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from diffalg.jet import (
     rewrite_term,
 )
 from diffalg.monoid import COMMUTATIVE, FREE, MonoidElem
+from diffalg.parsing import parse_derspec
 
 T = JetVar("t")
 xt = TVar("x")
@@ -65,6 +66,8 @@ def test_rewrite_parameter_table():
     x0 = Poly.variable(jv("x", 0))
     x1 = Poly.variable(jv("x", 1))
     assert got == x0 + var("c") * x1
+    from_text = rewrite_term(term, COMMUTATIVE, eta=parse_derspec("eta: c -> 1"), k=1)
+    assert isinstance(from_text, Poly) and from_text == got
 
 
 def test_rewrite_is_multiplicative():
@@ -172,6 +175,14 @@ def test_rewrite_agrees_with_oracle_free_mode():
         jetpoly = rewrite_term(term, FREE, k=2)
         binding = jet_binding(model, sigma, sorted(jetpoly.variables(), key=lambda v: v.sort_key))
         assert model.equal(jetpoly.evaluate(binding), oracle_eval(term, model, sigma))
+
+
+def test_jet_binding_binds_parameters_to_themselves():
+    # the parameter x shares its name with the sigma key; only its jets take sigma's value
+    s, x = JetVar("s"), JetVar("x")
+    model = DiffModel.on_parameters([x, s], [{s: Poly.const(1)}])
+    binding = jet_binding(model, {"x": var("x") * var("s")}, [x, jv("x", 0), jv("x", 1)])
+    assert binding == {x: var("x"), jv("x", 0): var("x") * var("s"), jv("x", 1): var("x")}
 
 
 def test_max_der_index():

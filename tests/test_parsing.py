@@ -144,6 +144,22 @@ def test_parse_errors_carry_the_file_line(parse, text, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize(
+    "parse, text, line, column",
+    [
+        (parse_config, "k = 2\nP: d1\np[d1] = x[d1] + @\n", 3, 17),
+        (parse_config, "k = 2\nP: d1\np[d1] = x[d1]\neta[d1]: c -> @\n", 4, 15),
+        (parse_config, "k = 2\nP:   d1 d1 , d7\n", 2, 14),
+        (parse_variety, "x^2 - c\nderivation: eta: c -> @\n", 2, 23),
+        (parse_triangular, "ambient: x, y\ny : y - @\n", 2, 9),
+    ],
+)
+def test_parse_errors_carry_the_file_column(parse, text, line, column):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 def test_parse_variety():
     data = parse_variety(
         """
