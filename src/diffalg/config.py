@@ -54,6 +54,9 @@ from .errors import ConfigurationError, PoleError
 from .jet import DiffModel, jet_binding
 from .monoid import COMMUTATIVE, FREE, MonoidElem, antichain_minimal, theta_ball
 
+# random points tried before a violation is reported unconfirmed
+_WITNESS_DRAWS = 40
+
 
 @dataclass(frozen=True)
 class GFun:
@@ -190,6 +193,8 @@ class Configuration:
             for value in table.values():
                 params |= value.variables()
         self.params = tuple(sorted(params, key=lambda v: v.sort_key))
+        if self.params and not DiffModel.on_parameters(self.params, self.etas).commutes_on_generators():
+            raise ConfigurationError("the eta tables do not commute on the parameters")
         self.derspecs = tuple(
             DerSpec(f"d{i + 1}", {p: table.get(p, Poly.zero()) for p in self.params}, {})
             for i, table in enumerate(self.etas)
@@ -453,7 +458,6 @@ class Configuration:
         self,
         alpha: MonoidElem,
         rng: Optional[random.Random] = None,
-        retries: int = 40,
     ) -> CommutationCheck:
         """Decide whether all factorizations of alpha agree on the locus."""
         if self.is_free(alpha):
@@ -471,7 +475,7 @@ class Configuration:
             f1, f2 = self._value(value), self._value(base_value)
             reduced = self.reduce_mod((f1 - f2).num)
             witness = Witness(word, pi, base_word, base_pi)
-            point = self._confirm_witness(f1, f2, rng or random.Random(0), retries)
+            point = self._confirm_witness(f1, f2, rng or random.Random(0))
             status = "violation" if point is not None else "violation-unconfirmed"
             return CommutationCheck(
                 alpha,
@@ -482,9 +486,9 @@ class Configuration:
             )
         return CommutationCheck(alpha, "commutes")
 
-    def _confirm_witness(self, f1: Value, f2: Value, rng: random.Random, retries: int):
+    def _confirm_witness(self, f1: Value, f2: Value, rng: random.Random):
         needed = f1.variables() | f2.variables()
-        for _ in range(retries):
+        for _ in range(_WITNESS_DRAWS):
             point = self.sample_point(rng, needed)
             if point is None:
                 continue

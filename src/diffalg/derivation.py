@@ -35,10 +35,14 @@ and carries the forced derivative value
              / (its derivative in gen, at gen).
 
 Tower arithmetic reduces elements by pseudo-division against each stage's
-defining polynomial (highest stage first) and inverts elements through the
-extended Euclidean algorithm against the defining polynomial.  Degenerate
-elements (zero divisors arising from a reducible defining polynomial)
-raise `NonInvertibleError` instead of splitting the tower.
+defining polynomial (highest stage first).  Inverting an element and
+checking that a new defining polynomial is squarefree are both one
+fraction-free pseudo-remainder sequence in the stage generator (Knuth,
+TAOCP vol. 2, 4.6.1, Algorithm R), whose remainders are reduced over the
+tower and whose cofactor follows them: no coefficient is ever inverted on
+the way.  Degenerate elements (zero divisors arising from a reducible
+defining polynomial) raise `NonInvertibleError` instead of splitting the
+tower.
 """
 
 from __future__ import annotations
@@ -183,9 +187,9 @@ class Tower:
     def extend(self, minpoly: Poly, gen: Union[JetVar, str]) -> "Tower":
         return extend_to_algebraic(self, minpoly, gen)
 
-    def with_eta(self, eta: Mapping[JetVar, Value], params: Optional[Iterable[JetVar]] = None) -> "Tower":
+    def with_eta(self, eta: Mapping[JetVar, Value]) -> "Tower":
         """Rebuild the same chain of extensions over a new coefficient derivation."""
-        base = Tower(self.params if params is None else params, eta)
+        base = Tower(self.params, eta)
         for stage in self.stages:
             base = base.extend(stage.minpoly, stage.gen)
         return base
@@ -249,38 +253,23 @@ class Tower:
     def apply(self, x: Value) -> Value:
         return self.reduce(apply_derivation(x, self.derspec()))
 
-    # -- inversion via the extended Euclidean step ----------------------
+    # -- inversion by the pseudo-remainder sequence ----------------------
 
     def invert(self, x: Value) -> Value:
         rf = self.reduce(x)
         if rf.is_zero:
             raise NonInvertibleError("cannot invert zero")
-        inv_num = self._invert_poly(rf.num)
-        return self.reduce(inv_num * rf.den)
-
-    def _invert_poly(self, p: Poly) -> Value:
-        stage_idx = None
-        for i in range(len(self.stages) - 1, -1, -1):
-            if p.depends_on(self.stages[i].gen):
-                stage_idx = i
-                break
-        if stage_idx is None:
+        num = rf.num
+        stage = next((s for s in reversed(self.stages) if num.depends_on(s.gen)), None)
+        if stage is None:
             # transcendental content only: a plain fraction inverts it
-            return Poly.const(1) / p
-        stage = self.stages[stage_idx]
-        a = p.as_univariate(stage.gen)
-        b = stage.minpoly.as_univariate(stage.gen)
-        g, u = _ext_euclid_first(self, a, b)
-        dg = _udeg(self, g)
-        if dg != 0:
+            return self.reduce(rf.den / num)
+        g, u = _last_remainder(self, num, stage.minpoly, stage.gen)
+        if g.depends_on(stage.gen):
             raise NonInvertibleError(
-                f"{p} is a zero divisor modulo {stage.minpoly} (gcd has degree {dg})"
+                f"{num} is a zero divisor modulo {stage.minpoly} (gcd has degree {g.deg_in(stage.gen)})"
             )
-        inv_c = self.invert(g[0])
-        result = Poly.zero()
-        for e, coef in u.items():
-            result = result + coef * Poly.variable(stage.gen) ** e
-        return self.reduce(result * inv_c)
+        return self.reduce(u * rf.den * self.invert(g))
 
     def __str__(self) -> str:
         parts = [f"Q({', '.join(str(p) for p in self.params)})"]
@@ -289,77 +278,30 @@ class Tower:
         return "".join(parts)
 
 
-# -- univariate helpers over a tower (sparse degree -> coefficient maps) --
+def _last_remainder(tower: Tower, a: Poly, modulus: Poly, gen: JetVar) -> tuple[Poly, Poly]:
+    """Last nonzero remainder g of the pseudo-remainder sequence of `modulus`
+    and a in `gen`, and a cofactor s with g = s * a modulo `modulus` in the
+    tower.
 
-
-def _udeg(tower: Tower, up: Mapping[int, Value]) -> int:
-    best = -1
-    for e, c in up.items():
-        if e > best and not tower.is_zero(c):
-            best = e
-    return best
-
-
-def _udivmod(tower: Tower, a: dict[int, Value], b: dict[int, Value]):
-    db = _udeg(tower, b)
-    if db < 0:
-        raise ZeroDivisionError("division by zero polynomial over the tower")
-    inv_lb = tower.invert(b[db])
-    q: dict[int, Value] = {}
-    r = {e: tower.reduce(c) for e, c in a.items() if not tower.is_zero(c)}
-    while True:
-        dr = _udeg(tower, r)
-        if dr < db:
-            break
-        coef = tower.reduce(r[dr] * inv_lb)
-        q[dr - db] = q.get(dr - db, Poly.zero()) + coef
-        for e, c in b.items():
-            shifted = e + dr - db
-            updated = r.get(shifted, Poly.zero()) - coef * c
-            updated = tower.reduce(updated)
-            if updated.is_zero:
-                r.pop(shifted, None)
-            else:
-                r[shifted] = updated
-        r.pop(dr, None)
-    return q, r
-
-
-def _ext_euclid_first(tower: Tower, a: dict[int, Value], b: dict[int, Value]):
-    """Last nonzero remainder g and cofactor u with u * a = g modulo b."""
-    r0, r1 = dict(a), dict(b)
-    u0: dict[int, Value] = {0: Poly.const(1)}
-    u1: dict[int, Value] = {}
-    while _udeg(tower, r1) >= 0:
-        quot, rem = _udivmod(tower, r0, r1)
-        r0, r1 = r1, rem
-        prod = _umul(tower, quot, u1)
-        u0, u1 = u1, _usub(tower, u0, prod)
-    return r0, u0
-
-
-def _umul(tower: Tower, a: Mapping[int, Value], b: Mapping[int, Value]) -> dict[int, Value]:
-    out: dict[int, Value] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            out[e] = out.get(e, Poly.zero()) + c1 * c2
-    return {e: tower.reduce(c) for e, c in out.items() if not tower.is_zero(c)}
-
-
-def _usub(tower: Tower, a: Mapping[int, Value], b: Mapping[int, Value]) -> dict[int, Value]:
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, Poly.zero()) - c
-    return {e: c for e, c in out.items() if not tower.is_zero(c)}
+    Each remainder is put in normal form over the tower, so a coefficient
+    that vanishes there does not count toward its degree; the cofactor is
+    scaled by the same multipliers.  When the tower below `gen` is a field,
+    g has degree 0 in `gen` exactly when a and `modulus` are coprime.
+    """
+    r0, r1, s0, s1 = modulus, a, Poly.zero(), Poly.const(1)
+    while not r1.is_zero and r1.depends_on(gen):
+        rem, mult, quo = pseudo_remainder(r0, r1, gen)
+        rem, scale = tower.reduce_poly(rem)
+        r0, r1, s0, s1 = r1, rem, s1, scale * (mult * s0 - quo * s1)
+    return (r0, s0) if r1.is_zero else (r1, s1)
 
 
 def extend_to_algebraic(tower: Tower, minpoly: Poly, gen: Union[JetVar, str]) -> Tower:
     """Adjoin an algebraic generator and the derivative value it forces.
 
     The defining polynomial must be univariate in `gen` over the current
-    tower, with a simple root there: the squarefreeness of minpoly in `gen`
-    is verified by a gcd computation against its own separant.
+    tower, with a simple root there: the pseudo-remainder sequence of
+    minpoly and its separant must end in a remainder free of `gen`.
     """
     gen = JetVar(gen) if isinstance(gen, str) else gen
     if gen in tower.variables():
@@ -375,12 +317,10 @@ def extend_to_algebraic(tower: Tower, minpoly: Poly, gen: Union[JetVar, str]) ->
     if tower.is_zero(lead):
         raise SeparantZeroError(f"leading coefficient {lead} vanishes in the tower")
 
-    separant = minpoly.partial(gen)
-    gcd = _ext_euclid_first(tower, minpoly.as_univariate(gen), separant.as_univariate(gen))[0]
-    gcd_deg = _udeg(tower, gcd)
-    if gcd_deg != 0:
+    gcd, _ = _last_remainder(tower, minpoly.partial(gen), minpoly, gen)
+    if gcd.depends_on(gen):
         raise SeparantZeroError(
-            f"defining polynomial has a multiple root: gcd with separant has degree {gcd_deg}"
+            f"defining polynomial has a multiple root: gcd with separant has degree {gcd.deg_in(gen)}"
         )
 
     dvalue = implicit_delta(minpoly, gen, tower.derspec())

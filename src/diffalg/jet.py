@@ -32,15 +32,6 @@ class DiffTerm:
 
     __slots__ = ()
 
-    def __add__(self, other):
-        return TAdd(self, _as_term(other))
-
-    def __mul__(self, other):
-        return TMul(self, _as_term(other))
-
-    def __neg__(self):
-        return TNeg(self)
-
 
 @dataclass(frozen=True)
 class TConst(DiffTerm):
@@ -99,14 +90,6 @@ def _factor_str(t: DiffTerm) -> str:
     return str(t)
 
 
-def _as_term(x) -> DiffTerm:
-    if isinstance(x, DiffTerm):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return TConst(Fraction(x))
-    raise TypeError(f"not a term: {x!r}")
-
-
 def term_str(t: DiffTerm) -> str:
     return str(t)
 
@@ -119,16 +102,6 @@ def max_der_index(t: DiffTerm) -> int:
     if isinstance(t, TNeg):
         return max_der_index(t.arg)
     return 0
-
-
-def term_variables(t: DiffTerm) -> set[str]:
-    if isinstance(t, TVar):
-        return {t.name}
-    if isinstance(t, (TAdd, TMul)):
-        return term_variables(t.left) | term_variables(t.right)
-    if isinstance(t, (TNeg, TDer)):
-        return term_variables(t.arg)
-    return set()
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ class VarietyPresentation:
 
     variables: tuple[JetVar, ...]
     gens: tuple[Poly, ...]
-    generates_full_ideal: bool = True
 
     def __post_init__(self):
         if len(set(self.variables)) != len(self.variables):

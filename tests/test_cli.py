@@ -165,6 +165,21 @@ def test_exit_codes(tmp_path, capsys):
     assert code in (1, 2)
 
 
+def test_config_check_rejects_eta_tables_that_do_not_commute(tmp_path, capsys):
+    cfg = tmp_path / "eta.cfg"
+    head = "k = 2\nP: d1, d2\np[d1] = x[d1] - x[0]\np[d2] = x[d2] - 2*x[0]\neta[d1]: c -> 1\n"
+    cfg.write_text(head + "eta[d2]: c -> c\n")
+    code, out, err = run(capsys, "config-check", str(cfg), "--global-degree", "4")
+    assert code == 1
+    assert out == ""
+    assert "do not commute" in err
+
+    cfg.write_text(head + "eta[d2]: c -> 2\n")
+    code, out, _ = run(capsys, "config-check", str(cfg), "--global-degree", "4")
+    assert code == 0
+    assert "global: commutes" in out
+
+
 def test_byte_determinism(capsys):
     args = ["config-check", os.path.join(CORPUS, "noncomm.cfg"), "--global-degree", "4", "--json"]
     code1, out1, _ = run(capsys, *args)

@@ -77,6 +77,16 @@ def test_configuration_rejects_bad_relation():
         Configuration(2, [theta(1, 0), theta(2, 0)], {})  # not an anti-chain
 
 
+def test_configuration_rejects_eta_tables_that_do_not_commute():
+    c = var("c")
+    # [d1, d2](c) = d1(c) - d2(1) = c, which is not zero
+    with pytest.raises(ConfigurationError, match="do not commute"):
+        pair_config(xj(0, 0), 2 * xj(0, 0), etas=[{JetVar("c"): 1}, {JetVar("c"): c}])
+    # constant images commute, and so do tables where one derivation kills c
+    pair_config(xj(0, 0), 2 * xj(0, 0), etas=[{JetVar("c"): 1}, {JetVar("c"): 3}])
+    pair_config(xj(0, 0), 2 * xj(0, 0), etas=[{JetVar("c"): RatFun(1, c + 1)}, {JetVar("c"): 0}])
+
+
 def test_f_base_case_and_eq3():
     # q1 = x0^2: the d2-derivative of the d1-leader is q1'(x0) * x[d2]
     cfg = pair_config(xj(0, 0) ** 2, 2 * xj(0, 0))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_poly, rand_ratfun
+from conftest import rand_nonzero_poly, rand_poly, rand_ratfun
 from diffalg.algebra import JetVar, Poly, RatFun, var
 from diffalg.derivation import (
     DerSpec,
@@ -221,3 +221,90 @@ def test_tower_annihilates_defining_relation():
     tower = sqrt_t_tower()
     value = apply_derivation(RatFun(c * c - t), tower.derspec())
     assert tower.is_zero(value)
+
+
+# ----------------------------------------------------------------------
+# inversion and squarefreeness by the pseudo-remainder sequence
+
+E = JetVar("e")
+e = var("e")
+
+
+def _sympy_of(sympy, p: Poly):
+    return sympy.sympify(str(p).replace("^", "**"), locals={n: sympy.Symbol(n) for n in "tce"})
+
+
+def test_tower_inverse_matches_sympy_on_random_towers():
+    # inv * x = 1 in Q(t)[c]/(m), checked by SymPy's own division by m
+    sympy = pytest.importorskip("sympy")
+    sc = sympy.Symbol("c")
+    rng = random.Random(61)
+    base = Tower([T], {T: Poly.const(1)})
+    inverted = 0
+    for _ in range(40):
+        d = rng.choice([2, 3])
+        lead = rand_nonzero_poly(rng, [T], max_terms=2, max_degree=1)
+        minpoly = lead * c**d
+        for i in range(d):
+            minpoly = minpoly + rand_poly(rng, [T], max_terms=2, max_degree=2) * c**i
+        if rng.random() < 0.2:  # a double root
+            minpoly = (lead * c - rand_poly(rng, [T], max_terms=2, max_degree=2)) ** 2
+        sm = _sympy_of(sympy, minpoly)
+        squarefree = sympy.degree(sympy.gcd(sm, sympy.diff(sm, sc)), sc) == 0
+        if not squarefree:
+            with pytest.raises(SeparantZeroError):
+                extend_to_algebraic(base, minpoly, C)
+            continue
+        tower = extend_to_algebraic(base, minpoly, C)
+        x = RatFun(rand_nonzero_poly(rng, [T, C], max_degree=3), rand_nonzero_poly(rng, [T], max_degree=2))
+        if sympy.degree(sympy.gcd(_sympy_of(sympy, x.num), sm), sc) > 0:
+            with pytest.raises(NonInvertibleError):
+                tower.invert(x)
+            continue
+        inv = tower.invert(x)
+        num = _sympy_of(sympy, inv.num) * _sympy_of(sympy, x.num)
+        den = _sympy_of(sympy, inv.den) * _sympy_of(sympy, x.den)
+        assert sympy.rem(sympy.expand(num - den), sm, sc, field=True) == 0, (minpoly, x, inv)
+        inverted += 1
+    assert inverted >= 25
+
+
+def test_tower_inverse_non_monic_and_two_stage():
+    base = Tower([T], {T: Poly.const(1)})
+    non_monic = extend_to_algebraic(base, (t + 1) * c**3 - t * c + 2, C)
+    two_stage = extend_to_algebraic(sqrt_t_tower(), c * e**2 - t * e - 1, E)
+    cases = [
+        (non_monic, c + t),
+        (non_monic, RatFun(t * c**2 - 1, t + 2)),
+        (two_stage, e + c),
+        (two_stage, e * c - t),
+        (two_stage, RatFun(e**2 + t, c + 1)),
+        (two_stage, c),  # an element of the lower stage
+    ]
+    for tower, x in cases:
+        inv = tower.invert(x)
+        assert tower.equal(inv * x, Poly.const(1)), (tower, x)
+
+
+def test_tower_zero_divisor_over_two_stages():
+    # e^2 = t over c^2 = t: e - c and e + c are zero divisors, e * c is a unit
+    tower = extend_to_algebraic(sqrt_t_tower(), e**2 - t, E)
+    for x in (e - c, e + c, 2 * e - 2 * c):
+        with pytest.raises(NonInvertibleError):
+            tower.invert(x)
+    inv = tower.invert(e * c)
+    assert tower.equal(inv * e * c, Poly.const(1))
+    # t*c^2 - t^3 = t(c - t)(c + t) is squarefree, with a non-monic leader
+    reducible = extend_to_algebraic(Tower([T], {T: Poly.const(1)}), t * c**2 - t**3, C)
+    with pytest.raises(NonInvertibleError):
+        reducible.invert(c - t)
+    assert reducible.equal(reducible.invert(c + 2 * t) * (c + 2 * t), Poly.const(1))
+
+
+def test_extend_rejects_multiple_root_over_a_stage():
+    # (e - c)^2 over c^2 = t, written out and with c^2 already replaced by t
+    for minpoly in ((e - c) ** 2, e**2 - 2 * c * e + t):
+        with pytest.raises(SeparantZeroError):
+            extend_to_algebraic(sqrt_t_tower(), minpoly, E)
+    # e^2 - t = (e - c)(e + c) has simple roots
+    extend_to_algebraic(sqrt_t_tower(), e**2 - t, E)
