@@ -35,12 +35,15 @@ and carries the forced derivative value
              / (its derivative in gen, at gen).
 
 Tower arithmetic reduces elements by pseudo-division against each stage's
-defining polynomial (highest stage first).  Inverting an element and
-checking that a new defining polynomial is squarefree are both one
-fraction-free pseudo-remainder sequence in the stage generator (Knuth,
-TAOCP vol. 2, 4.6.1, Algorithm R), whose remainders are reduced over the
-tower and whose cofactor follows them: no coefficient is ever inverted on
-the way.  Degenerate elements (zero divisors arising from a reducible
+defining polynomial (highest stage first; Knuth, TAOCP vol. 2, 4.6.1,
+Algorithm R).  Inverting an element and checking that a new defining
+polynomial is squarefree are both one pseudo-remainder sequence in the
+stage generator (Brown and Traub, JACM 1971), whose remainders are reduced
+over the tower and whose cofactor follows them; its coefficients are never
+multiplied by inverses.  Only two kinds of value are inverted in the tower
+below: a leading coefficient that involves a lower generator (to test that
+it is a unit), and the last remainder once it is free of the stage
+generator.  Degenerate elements (zero divisors arising from a reducible
 defining polynomial) raise `NonInvertibleError` instead of splitting the
 tower.
 """
@@ -285,11 +288,19 @@ def _last_remainder(tower: Tower, a: Poly, modulus: Poly, gen: JetVar) -> tuple[
 
     Each remainder is put in normal form over the tower, so a coefficient
     that vanishes there does not count toward its degree; the cofactor is
-    scaled by the same multipliers.  When the tower below `gen` is a field,
-    g has degree 0 in `gen` exactly when a and `modulus` are coprime.
+    scaled by the same multipliers.  The leading coefficient of every
+    divisor must be a unit of the tower below `gen`: one that involves a
+    lower generator is inverted there, which raises `NonInvertibleError`
+    on a zero divisor, as a Euclidean division by it would.  With all of
+    them units, g has degree 0 in `gen` exactly when a and `modulus` are
+    coprime.
     """
+    lower = set(tower.gens()) - {gen}
     r0, r1, s0, s1 = modulus, a, Poly.zero(), Poly.const(1)
     while not r1.is_zero and r1.depends_on(gen):
+        lead = r1.leading_coeff_in(gen)
+        if lead.variables() & lower:
+            tower.invert(lead)
         rem, mult, quo = pseudo_remainder(r0, r1, gen)
         rem, scale = tower.reduce_poly(rem)
         r0, r1, s0, s1 = r1, rem, s1, scale * (mult * s0 - quo * s1)
@@ -301,7 +312,8 @@ def extend_to_algebraic(tower: Tower, minpoly: Poly, gen: Union[JetVar, str]) ->
 
     The defining polynomial must be univariate in `gen` over the current
     tower, with a simple root there: the pseudo-remainder sequence of
-    minpoly and its separant must end in a remainder free of `gen`.
+    minpoly and its separant must end in a remainder free of `gen` that is
+    a unit of the tower.
     """
     gen = JetVar(gen) if isinstance(gen, str) else gen
     if gen in tower.variables():
@@ -322,6 +334,7 @@ def extend_to_algebraic(tower: Tower, minpoly: Poly, gen: Union[JetVar, str]) ->
         raise SeparantZeroError(
             f"defining polynomial has a multiple root: gcd with separant has degree {gcd.deg_in(gen)}"
         )
+    tower.invert(gcd)  # a zero divisor raises NonInvertibleError
 
     dvalue = implicit_delta(minpoly, gen, tower.derspec())
     stage = TowerStage(gen, minpoly, dvalue)

@@ -308,3 +308,17 @@ def test_extend_rejects_multiple_root_over_a_stage():
             extend_to_algebraic(sqrt_t_tower(), minpoly, E)
     # e^2 - t = (e - c)(e + c) has simple roots
     extend_to_algebraic(sqrt_t_tower(), e**2 - t, E)
+
+
+def test_extend_rejects_zero_divisor_over_a_reducible_stage():
+    # over c^2 = t^2 = (c - t)(c + t) the element c - t is a zero divisor
+    reducible = extend_to_algebraic(Tower([T], {T: Poly.const(1)}), c**2 - t**2, C)
+    cases = (
+        e**2 + c - t,  # separant 2e leaves 2c - 2t: e^2 = 0 on c = t
+        (c - t) * e - 1,  # separant c - t itself
+        (c - t) * e**2 + c + t,  # leading coefficient of the separant
+    )
+    for minpoly in cases:
+        with pytest.raises(NonInvertibleError):
+            extend_to_algebraic(reducible, minpoly, E)
+    extend_to_algebraic(reducible, e**2 - t, E)
