@@ -83,6 +83,8 @@ def wide_from_deep(deep: DefinableSetDesc, n: int) -> WideFromDeepResult:
     reproduce the shifted positions, so a point of the new set encodes the
     depth-n jet of its first coordinate.
     """
+    if n < 1:
+        raise EngineError(f"the depth n must be at least 1, got {n}")
     if len(deep.indices) != n + 1:
         raise EngineError(f"expected {n + 1} coordinates, got {len(deep.indices)}")
     x_vars = deep.indices[:n]

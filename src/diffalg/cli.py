@@ -9,6 +9,7 @@ text reports to schema-stable JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -160,6 +161,7 @@ def _cmd_dim_cert(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="diffalg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -49,7 +49,7 @@ from math import gcd
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .algebra import JetVar, Poly, Value, as_value, pseudo_remainder
-from .derivation import DerSpec
+from .derivation import DerSpec, apply_derivation
 from .errors import ConfigurationError, PoleError
 from .jet import DiffModel, jet_binding
 from .monoid import COMMUTATIVE, FREE, MonoidElem, antichain_minimal, theta_ball
@@ -414,23 +414,21 @@ class Configuration:
         out = self._sum(terms)
         return _Frac(out.num, tuple(a + b for a, b in zip(out.exps, f.exps)))
 
-    def _r_value(self, i: int, h: Value) -> Value:
-        """R_i(n / d) = (R_i(n) * d - n * R_i(d)) / d^2."""
-        num = self._r_poly(i, h.num)
-        den = self._r_poly(i, h.den)
-        out = self._sum([_Frac(num.num * h.den, num.exps), _Frac(-h.num * den.num, den.exps)])
-        return out.num / (self._power(out.exps) * h.den * h.den)
-
     def r_apply(self, i: int, h: Value) -> Value:
         """The derivation extending d_i that sends each x_mu to f at d_i.mu."""
         if not 1 <= i <= self.k:
             raise ConfigurationError(f"no derivation d{i} with k={self.k}")
-        return self._r_value(i, h)
+        eta = self.derspecs[i - 1].eta
+        images = {
+            v: eta.get(v, 0) if v.index is None else self._value(self._f_delta_mu(i, v.index))
+            for v in h.variables()
+        }
+        return apply_derivation(h, DerSpec(f"d{i}", {}, images))
 
     def r_apply_word(self, word: MonoidElem, h: Value) -> Value:
         out = h
         for letter in reversed(word.data):
-            out = self._r_value(letter, out)
+            out = self.r_apply(letter, out)
         return out
 
     # ------------------------------------------------------------------

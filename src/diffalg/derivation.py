@@ -14,8 +14,9 @@ how a derivation extends from the coefficients to polynomials,
 where q^eta = sum_c (dq/dc) * eta[c] over the parameters c
 (`coeff_derivative`).  It sums the parameter terms first and then the main
 variables, each group in `sort_key` order, so its output does not depend
-on set or dict iteration order.  The other constructions are this rule
-with a particular image table:
+on set or dict iteration order.  A fraction n/m takes one quotient step,
+(d(n) * m - n * d(m)) / m^2 (Kolchin 1973, ch. I).  The other
+constructions are this rule with a particular image table:
 
 * the twisted lift sends each main variable x to a fresh partner y_x,
 
@@ -25,7 +26,8 @@ with a particular image table:
   D extending eta; setting all partners to zero gives p^eta;
 * `implicit_delta` maps the solved-for variable to zero and divides by
   minus its separant;
-* the jet shift in `jet.py` maps each jet variable to its bumped index.
+* the jet shift in `jet.py` maps each jet variable to its bumped index;
+* `Configuration.r_apply` maps each x_mu to its function at d_i.mu.
 
 `Tower` models iterated algebraic extensions of a transcendental base
 field Q(params): each stage adjoins a generator with a defining polynomial
@@ -104,10 +106,7 @@ class DerSpec:
 
 def coeff_derivative(q: Value, eta: Mapping[JetVar, Value]) -> Value:
     """Apply the coefficient derivation: sum over parameters of dq/dc * eta(c)."""
-    out = Poly.zero()
-    for v in sorted(q.variables() & set(eta), key=lambda v: v.sort_key):
-        out = out + q.partial(v) * eta[v]
-    return out
+    return apply_derivation(q, DerSpec(eta=eta, images=dict.fromkeys(q.variables() - set(eta), 0)))
 
 
 def partner_var(v: JetVar) -> JetVar:
@@ -131,14 +130,20 @@ def twisted_lift(p: Value, spec: DerSpec) -> LiftResult:
 
 
 def apply_derivation(q: Value, spec: DerSpec) -> Value:
-    """Evaluate the derivation on q: q_eta + sum (dq/dx) * images[x]."""
-    out = coeff_derivative(q, spec.eta)
-    mains = sorted(q.variables() - spec.parameters, key=lambda v: v.sort_key)
-    for v in mains:
+    """Evaluate the derivation on q: q_eta + sum (dq/dx) * images[x], then
+    for a fraction n/m one quotient step, (d(n)*m - n*d(m)) / m^2."""
+    for v in sorted(q.variables() - spec.parameters, key=lambda v: v.sort_key):
         if v not in spec.images:
             raise UncoveredVariableError(f"derivation {spec.name} has no image for {v}")
-        out = out + q.partial(v) * spec.images[v]
-    return out
+
+    def rule(p: Poly) -> Value:
+        out = Poly.zero()
+        for v in sorted(p.variables(), key=lambda v: (v in spec.images, v.sort_key)):
+            out = out + p.partial(v) * spec.eta.get(v, spec.images.get(v))
+        return out
+
+    n, m = q.num, q.den
+    return rule(q) if m.is_constant else (rule(n) * m - n * rule(m)) / (m * m)
 
 
 def implicit_delta(p: Poly, main: JetVar, spec: DerSpec) -> Value:

@@ -179,6 +179,14 @@ def _scan_k(tokens: Sequence[Token]) -> int:
 # monoid indices
 
 
+def _generator(cur: _Cursor, k: int) -> int:
+    tok = cur.advance()
+    i = int(_DNAME_RE.match(tok.text).group(1))
+    if not 1 <= i <= k:
+        raise ParseError(f"generator d{i} exceeds k={k}", tok.line, tok.column)
+    return i
+
+
 def _parse_index(cur: _Cursor, mode: str, k: int) -> MonoidElem:
     tok = cur.peek()
     if tok.kind == "int":
@@ -189,17 +197,14 @@ def _parse_index(cur: _Cursor, mode: str, k: int) -> MonoidElem:
     if mode == FREE:
         letters = []
         while cur.peek().kind == "ident" and _DNAME_RE.match(cur.peek().text):
-            letters.append(int(_DNAME_RE.match(cur.advance().text).group(1)))
+            letters.append(_generator(cur, k))
         if not letters:
             raise ParseError("expected a derivation word", tok.line, tok.column)
         return MonoidElem.word(k, letters)
     exps = [0] * k
     seen = False
     while cur.peek().kind == "ident" and _DNAME_RE.match(cur.peek().text):
-        gen_tok = cur.advance()
-        i = int(_DNAME_RE.match(gen_tok.text).group(1))
-        if not 1 <= i <= k:
-            raise ParseError(f"generator d{i} exceeds k={k}", gen_tok.line, gen_tok.column)
+        i = _generator(cur, k)
         e = 1
         if cur.at_op("^"):
             cur.advance()
@@ -211,14 +216,17 @@ def _parse_index(cur: _Cursor, mode: str, k: int) -> MonoidElem:
     return MonoidElem.exponents(exps)
 
 
-def parse_index_text(text: str, mode: str = COMMUTATIVE, k: Optional[int] = None) -> MonoidElem:
+def _whole(text: str, k: Optional[int], parse):
+    """parse(cursor, k) over all of the text; k is scanned from the text when not given."""
     tokens = tokenize(text)
-    if k is None:
-        k = _scan_k(tokens)
     cur = _Cursor(tokens)
-    out = _parse_index(cur, mode, k)
+    out = parse(cur, _scan_k(tokens) if k is None else k)
     cur.expect_eof()
     return out
+
+
+def parse_index_text(text: str, mode: str = COMMUTATIVE, k: Optional[int] = None) -> MonoidElem:
+    return _whole(text, k, lambda cur, k: _parse_index(cur, mode, k))
 
 
 # ----------------------------------------------------------------------
@@ -288,13 +296,7 @@ class _ExprParser:
 
 def parse_expression(text: str, mode: str = COMMUTATIVE, k: Optional[int] = None):
     """A Poly, or a RatFun when the denominator does not cancel to a constant."""
-    tokens = tokenize(text)
-    if k is None:
-        k = _scan_k(tokens)
-    cur = _Cursor(tokens)
-    value = _ExprParser(cur, mode, k).expr()
-    cur.expect_eof()
-    return value
+    return _whole(text, k, lambda cur, k: _ExprParser(cur, mode, k).expr())
 
 
 def _poly(cur: _Cursor, mode: str, k: int) -> Poly:
@@ -308,8 +310,7 @@ def _poly(cur: _Cursor, mode: str, k: int) -> Poly:
 
 
 def parse_poly(text: str, mode: str = COMMUTATIVE, k: Optional[int] = None) -> Poly:
-    tokens = tokenize(text)
-    return _poly(_Cursor(tokens), mode, _scan_k(tokens) if k is None else k)
+    return _whole(text, k, lambda cur, k: _poly(cur, mode, k))
 
 
 def parse_ratfun(text: str, mode: str = COMMUTATIVE, k: Optional[int] = None) -> Value:
@@ -431,8 +432,7 @@ def _derspec(cur: _Cursor, mode: str, k: int, name: str = "d") -> DerSpec:
 
 def parse_derspec(text: str, mode: str = COMMUTATIVE, k: Optional[int] = None, name: str = "d") -> DerSpec:
     """`eta: t -> 1; d: x -> u, y -> v`; either section may be `none`."""
-    tokens = tokenize(text)
-    return _derspec(_Cursor(tokens), mode, _scan_k(tokens) if k is None else k, name)
+    return _whole(text, k, lambda cur, k: _derspec(cur, mode, k, name))
 
 
 # ----------------------------------------------------------------------
@@ -572,14 +572,6 @@ def parse_triangular(text: str) -> TriangularSystem:
     return TriangularSystem(ambient, tuple(equations))
 
 
-def _parse_var_text(text: str, mode: str = COMMUTATIVE, k: Optional[int] = None) -> JetVar:
-    variables = parse_expression(text, mode, k).variables()
-    if len(variables) != 1:
-        raise ParseError(f"expected a single variable, got {text!r}", 1, 1)
-    (v,) = variables
-    return v
-
-
 # ----------------------------------------------------------------------
 # definable-set descriptions as JSON
 
@@ -589,15 +581,19 @@ def parse_definable_json(text: str, mode: str = COMMUTATIVE, k: Optional[int] = 
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(f"invalid JSON: {err.msg}", err.lineno, err.colno) from None
+
+    def variable(name: str) -> JetVar:
+        return _whole(name, k, lambda cur, k: _ExprParser(cur, mode, k).variable())
+
     for key in ("indices", "atoms", "projection"):
         if key not in data:
             raise ParseError(f"missing field {key!r}", 1, 1)
-    indices = tuple(_parse_var_text(name, mode, k) for name in data["indices"])
+    indices = tuple(map(variable, data["indices"]))
     atoms = []
     for entry in data["atoms"]:
         rel = entry.get("rel", "=")
         if rel not in ("=", "!="):
             raise ParseError(f"unknown relation {rel!r}", 1, 1)
         atoms.append(JetAtom(parse_poly(entry["poly"], mode, k), rel))
-    projection = tuple(_parse_var_text(name, mode, k) for name in data["projection"])
+    projection = tuple(map(variable, data["projection"]))
     return DefinableSetDesc(indices, tuple(atoms), projection)

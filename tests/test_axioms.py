@@ -48,6 +48,8 @@ def test_wide_from_deep_arity_mismatch():
     deep = DefinableSetDesc((Z1, Z2), (), (Z1,))
     with pytest.raises(EngineError):
         wide_from_deep(deep, 2)
+    with pytest.raises(EngineError, match="at least 1"):
+        wide_from_deep(DefinableSetDesc((Z1,), (), (Z1,)), 0)
 
 
 def grid_transfer_holds(deep: DefinableSetDesc, n: int, values) -> bool:

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from diffalg.cli import main
+from diffalg.cli import build_parser, main
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -133,6 +133,41 @@ def test_axiom_wide(capsys):
     assert data["x"] == ["z1", "z2"]
     assert len(data["y"]) == 2
     assert any(a["poly"] == "-z2 + y1" for a in data["wide"]["atoms"])
+
+
+@pytest.mark.parametrize("entry", ["2*z2", "z2^2", "z2 + 1"])
+def test_axiom_wide_rejects_entries_that_are_not_single_variables(tmp_path, capsys, entry):
+    desc = {"indices": ["z1", entry, "z3"], "atoms": [{"poly": "z3 - z1*z2"}], "projection": ["z1"]}
+    path = tmp_path / "deep.zjson"
+    path.write_text(json.dumps(desc))
+    code, out, err = run(capsys, "axiom-wide", str(path), "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error")
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_axiom_wide_rejects_depth_below_one(capsys, n):
+    code, out, err = run(capsys, "axiom-wide", os.path.join(CORPUS, "product.zjson"), "--n", n)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: the depth n must be at least 1, got {n}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, column",
+    [(["--word", "d1 d3", "--leader", "d1"], 4), (["d1^2 d3"], 6)],
+    ids=["free word", "exponent tuple"],
+)
+def test_config_g_rejects_generators_beyond_k(capsys, argv, column):
+    code, out, err = run(capsys, "config-g", os.path.join(CORPUS, "commuting.cfg"), *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"parse error: generator d3 exceeds k=2 (line 1, column {column})\n"
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_dim_cert(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_nonzero_poly, rand_poly, rand_ratfun
-from diffalg.algebra import JetVar, Poly, RatFun, var
+from diffalg.algebra import JetVar, Poly, RatFun, divide_exact, var
 from diffalg.derivation import (
     DerSpec,
     Tower,
@@ -21,6 +21,9 @@ from diffalg.errors import (
     UncoveredVariableError,
     UndeclaredParameterError,
 )
+from diffalg.jet import DiffModel, TDer, oracle_eval
+from diffalg.monoid import FREE
+from diffalg.parsing import parse_term
 
 X, Y, T, C, U = JetVar("x"), JetVar("y"), JetVar("t"), JetVar("c"), JetVar("u")
 x, y, t, c, u = (var(n) for n in "xytcu")
@@ -94,6 +97,60 @@ def test_coeff_derivative_only_touches_parameters():
     spec = DerSpec(eta={T: Poly.const(1)})
     assert coeff_derivative(t * x * x, spec.eta) == x * x
     assert coeff_derivative(x * x, spec.eta) == Poly.zero()
+
+
+def _sympy_value(sympy, q):
+    names = {n: sympy.Symbol(n) for n in "xytuv"}
+    return sympy.sympify(f"({q.num}) / ({q.den})".replace("^", "**"), locals=names)
+
+
+@pytest.mark.parametrize("fractional", [False, True], ids=["polynomial tables", "fractional tables"])
+def test_apply_derivation_matches_sympy_on_random_fractions(fractional):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(71 + fractional)
+    mains = [X, Y, T]
+
+    def image(variables):
+        if fractional:
+            return rand_ratfun(rng, variables, max_terms=2, max_degree=2)
+        return rand_poly(rng, variables, max_terms=2, max_degree=2)
+
+    for _ in range(25):
+        spec = DerSpec(eta={T: image([T])}, images={X: image([X, T, U]), Y: image([Y, JetVar("v")])})
+        q = RatFun(rand_poly(rng, mains, max_degree=3), rand_nonzero_poly(rng, mains, max_terms=3, max_degree=2))
+        got = apply_derivation(q, spec)
+        sq = _sympy_value(sympy, q)
+        want = sum(
+            sympy.diff(sq, sympy.Symbol(str(v))) * _sympy_value(sympy, image)
+            for v, image in {**spec.eta, **spec.images}.items()
+        )
+        want_num, want_den = sympy.fraction(sympy.together(want))
+        got_num, got_den = sympy.fraction(_sympy_value(sympy, got))
+        assert sympy.expand(got_num * want_den - want_num * got_den) == 0, (q, spec)
+        if not fractional:
+            # one quotient step: the denominator divides m^2
+            assert divide_exact(q.den * q.den, got.den) is not None, (q, got)
+
+
+def test_coeff_derivative_of_a_fraction_takes_one_quotient_step():
+    s = var("s")
+    m = t * s + 1
+    eta = {T: Poly.const(1), JetVar("s"): Poly.const(1)}
+    got = coeff_derivative(RatFun(x, m), eta)
+    assert got == RatFun(-x * (s + t), m * m)
+    assert got.den.total_degree() <= 4
+    assert twisted_lift(RatFun(x * y, m), DerSpec(eta=eta)).lift.den.total_degree() <= 4
+
+
+def test_oracle_denominators_at_most_double_per_order():
+    # d1^n (x^3 + 2*x*t) over Q(t)[c]/(c^2 - t - 2), t' = 1, at x = c*t + 1
+    tower = Tower([T], {T: Poly.const(1)}).extend(c * c - t - 2, C)
+    model = DiffModel([tower])
+    term = parse_term("x*x*x + 2*x*t")
+    for n in range(1, 7):
+        term = TDer(1, term)
+        value = oracle_eval(term, model, {"x": c * t + 1}, FREE)
+        assert value.den.total_degree() <= 2 ** (n - 1), n
 
 
 # ----------------------------------------------------------------------

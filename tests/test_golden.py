@@ -58,10 +58,12 @@ for _mode in ("comm", "free"):
 CASES.append(["jet", "d1(t * d2(x)) = d2(t * d1(x))", "--mode", "free", "--eta", "t -> 1"])
 CASES.append(["jet", "d1(d2(d1(d1(t * x * x))))", "--eta", "t -> 1"])
 CASES.append(["jet", "d1(d1(t * x))", "--eta", "t -> 1/t"])
+CASES.append(["jet", "d1(d1(d1(d1(t * x))))", "--eta", "t -> 1/(t + 1)"])
 for _expr in ("x^2 / t", "x*y + t*u", "(x - y) / (t^2 + 1)"):
     CASES.append(["derive", _expr, "--spec", "@corpus/derspec.txt"])
 CASES.append(["derive", "x^3*t", "--spec", "@corpus/derspec.txt", "--json"])
 CASES.append(["derive", "x^2*t + x/t", "--spec", "eta: t -> 1/(t + 1); d: x -> u/t"])
+CASES.append(["derive", "(x*y + t) / (x - t^2)", "--spec", "eta: t -> 1; d: x -> u, y -> v"])
 
 
 def _resolve(arg: str) -> str:

@@ -72,6 +72,9 @@ def test_parse_index_text():
     assert parse_index_text("d1^2 d2", COMMUTATIVE, 2) == MonoidElem.exponents((2, 1))
     assert parse_index_text("d1 d2 d1", FREE, 2) == MonoidElem.word(2, (1, 2, 1))
     assert parse_index_text("0", COMMUTATIVE, 2) == MonoidElem.identity(COMMUTATIVE, 2)
+    for mode in (COMMUTATIVE, FREE):
+        with pytest.raises(ParseError, match="generator d3 exceeds k=2"):
+            parse_index_text("d1 d3", mode, 2)
 
 
 def test_parse_derspec_round_trip():
@@ -205,6 +208,9 @@ def test_parse_definable_json():
         parse_definable_json("not json")
     with pytest.raises(ParseError):
         parse_definable_json('{"indices": []}')
+    for entry in ("2*z2", "z2^2", "z2 + 1", "1"):
+        with pytest.raises(ParseError):
+            parse_definable_json(f'{{"indices": ["z1", "{entry}"], "atoms": [], "projection": ["z1"]}}')
 
 
 # ----------------------------------------------------------------------
