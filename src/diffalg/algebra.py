@@ -14,10 +14,10 @@ numerator exactly.
 The value rule, decided here and nowhere else: a value with a constant
 denominator is a `Poly`, and a `RatFun` value has a non-constant one.  A
 `Poly` answers `num` (itself) and `den` (1), so code reading `num`, `den`,
-`variables`, `is_zero`, `evaluate`, `substitute` or `partial` takes either
-type (`Value`).  `RatFun` arithmetic, `partial`, `substitute` and `Poly / x`
-end in one normalising step (`_fraction`); entry points that take numbers
-from callers normalise them once with `as_value`.  So `Poly.evaluate`,
+`variables`, `is_zero`, `evaluate` or `substitute` takes either type
+(`Value`).  `RatFun` arithmetic, `substitute` and `Poly / x` end in one
+normalising step (`_fraction`); entry points that take numbers from
+callers normalise them once with `as_value`.  So `Poly.evaluate`,
 `solve_affine` entries, `parse_ratfun`, `Tower.reduce`/`apply`/`invert`,
 `DiffModel.apply` and the `f_at`/`compute_f` values may be a `Poly`.
 """
@@ -162,8 +162,7 @@ class Poly:
 
     @staticmethod
     def const(c) -> "Poly":
-        c = _as_fraction(c)
-        return Poly({Monomial.one(): c}) if c != 0 else Poly()
+        return Poly({Monomial.one(): c})
 
     @staticmethod
     def variable(v: JetVar) -> "Poly":
@@ -256,11 +255,8 @@ class Poly:
             return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
+            prev = out.get(m)
+            out[m] = c if prev is None else prev + c
         return Poly(out)
 
     __radd__ = __add__
@@ -281,15 +277,16 @@ class Poly:
         other = _coerce(other)
         if not isinstance(other, Poly):
             return NotImplemented
+        if self is _ONE:
+            return other
+        if other is _ONE:
+            return self
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = m1 * m2
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
+                prev = out.get(m)
+                out[m] = c1 * c2 if prev is None else prev + c1 * c2
         return Poly(out)
 
     __rmul__ = __mul__
@@ -297,7 +294,7 @@ class Poly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = Poly.const(1)
+        result = _ONE
         base = self
         while n:
             if n & 1:
@@ -335,11 +332,8 @@ class Poly:
             else:
                 d[v] = e - 1
             mm = Monomial.make(d)
-            s = out.get(mm, Fraction(0)) + c * e
-            if s == 0:
-                out.pop(mm, None)
-            else:
-                out[mm] = s
+            prev = out.get(mm)
+            out[mm] = c * e if prev is None else prev + c * e
         return Poly(out)
 
     def substitute(self, binding: Mapping[JetVar, "Poly | RatFun | int | Fraction"]):
@@ -441,31 +435,27 @@ class RatFun:
         if isinstance(num, (int, Fraction)):
             num = Poly.const(num)
         if den is None:
-            den = Poly.const(1)
+            den = _ONE
         elif isinstance(den, (int, Fraction)):
             den = Poly.const(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:
-            self.num, self.den = Poly.zero(), Poly.const(1)
+            self.num, self.den = Poly.zero(), _ONE
             return
+        if not den.is_constant:
+            shared = num.monomial_content().gcd(den.monomial_content())
+            if shared.powers:
+                num = num.divide_monomial(shared)
+                den = den.divide_monomial(shared)
         if den.is_constant:
             c = den.constant_value()
-            self.num = num * Fraction(c.denominator, c.numerator)
-            self.den = Poly.const(1)
-            return
-        shared = num.monomial_content().gcd(den.monomial_content())
-        if shared.powers:
-            num = num.divide_monomial(shared)
-            den = den.divide_monomial(shared)
-        if den.is_constant:
-            c = den.constant_value()
-            self.num = num * Fraction(c.denominator, c.numerator)
-            self.den = Poly.const(1)
+            self.num = num if c == 1 else num * Fraction(c.denominator, c.numerator)
+            self.den = _ONE
             return
         q = divide_exact(num, den)
         if q is not None:
-            self.num, self.den = q, Poly.const(1)
+            self.num, self.den = q, _ONE
             return
         scale = den.content()
         if den.leading_term()[1] < 0:
@@ -555,13 +545,6 @@ class RatFun:
 
     # ------------------------------------------------------------------
 
-    def partial(self, v: JetVar) -> "Value":
-        dn = self.num.partial(v)
-        dd = self.den.partial(v)
-        if dd.is_zero:
-            return _fraction(dn, self.den)
-        return _fraction(dn * self.den - self.num * dd, self.den * self.den)
-
     def substitute(self, binding) -> "Value":
         num = self.num.substitute(binding)
         den = self.den.substitute(binding)
@@ -569,12 +552,8 @@ class RatFun:
             raise PoleError(f"denominator {self.den} vanishes under substitution", factor=self.den)
         return num / den
 
-    def evaluate(self, binding) -> "Value":
-        missing = self.variables() - set(binding)
-        if missing:
-            names = ", ".join(sorted(str(v) for v in missing))
-            raise UncoveredVariableError(f"binding misses variables: {names}")
-        return self.substitute(binding)
+    # Poly.evaluate reads only variables and substitute, which a RatFun answers too
+    evaluate = Poly.evaluate
 
     def __str__(self) -> str:
         if self.den.is_constant:
@@ -628,16 +607,33 @@ def pseudo_remainder(f: Poly, p: Poly, main: JetVar) -> tuple[Poly, Poly, Poly]:
     lead = p.leading_coeff_in(main)
     rem = f
     quotient = Poly.zero()
-    multiplier = Poly.const(1)
+    multiplier = _ONE
     while not rem.is_zero and rem.deg_in(main) >= d:
         e = rem.deg_in(main)
-        top = rem.as_univariate(main).get(e, Poly.zero())
-        shift = Poly({Monomial.of(main, e - d): Fraction(1)}) if e > d else Poly.const(1)
+        top = rem.leading_coeff_in(main)
+        shift = Poly({Monomial.of(main, e - d): Fraction(1)}) if e > d else _ONE
         rem = lead * rem - top * shift * p
         quotient = lead * quotient + top * shift
         multiplier = multiplier * lead
     assert multiplier * f == quotient * p + rem
     return rem, multiplier, quotient
+
+
+def pseudo_reduce(p: Poly, chain: Sequence[tuple[JetVar, Poly]]) -> tuple[Poly, Poly]:
+    """Pseudo-reduce p by a triangular chain of (main, relation) pairs,
+    listed highest main variable first (Ritt-Kolchin reduction), skipping a
+    relation of higher degree in its main variable than p.
+
+    Returns (rem, mult): mult * p is congruent to rem modulo the chain and
+    mult is the product of the `pseudo_remainder` multipliers.  When no
+    relation applies, rem is p itself and mult is 1.
+    """
+    mult = _ONE
+    for main, relation in chain:
+        if p.deg_in(main) >= relation.deg_in(main):
+            p, m, _ = pseudo_remainder(p, relation, main)
+            mult = mult * m
+    return p, mult
 
 
 @dataclass(frozen=True)

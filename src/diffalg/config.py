@@ -48,7 +48,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
-from .algebra import JetVar, Poly, Value, as_value, pseudo_remainder
+from .algebra import JetVar, Poly, Value, as_value, pseudo_reduce
 from .derivation import DerSpec, apply_derivation
 from .errors import ConfigurationError, PoleError
 from .jet import DiffModel, jet_binding
@@ -184,6 +184,8 @@ class Configuration:
             raise ConfigurationError(f"need {k} coefficient tables, got {len(etas)}")
         self.etas = tuple({c: as_value(v) for c, v in t.items()} for t in etas)
         self._validate()
+        # the relations as a triangular chain, highest leader first
+        self._chain = tuple((self.jet_var(pi), self.relations[pi]) for pi in reversed(self.leaders))
 
         params = set()
         for p in self.relations.values():
@@ -343,7 +345,7 @@ class Configuration:
             elif alpha in self.relations:
                 out = self._variable(alpha), (MonoidElem.identity(FREE, self.k), alpha)
             else:
-                pi = min((p for p in self.leaders if p.preceq(alpha)), key=lambda p: p.sort_key)
+                pi = next(p for p in self.leaders if p.preceq(alpha))
                 word = alpha.minus(pi).canonical_word()
                 out = self._f_word(word.data, pi), (word, pi)
             self._theta_cache[alpha] = out
@@ -436,20 +438,16 @@ class Configuration:
 
     def reduce_mod(self, p: Poly) -> Poly:
         """Pseudo-reduce by every relation, highest leader first."""
-        for pi in sorted(self.leaders, key=lambda e: e.sort_key, reverse=True):
-            xpi = self.jet_var(pi)
-            if p.deg_in(xpi) >= self.relations[pi].deg_in(xpi):
-                p, _, _ = pseudo_remainder(p, self.relations[pi], xpi)
-        return p
+        return pseudo_reduce(p, self._chain)[0]
 
     def factorizations(self, alpha: MonoidElem) -> list[tuple[MonoidElem, MonoidElem]]:
-        """All (word, leader) pairs whose composite is alpha, deterministically ordered."""
+        """All (word, leader) pairs whose composite is alpha, ordered by leader,
+        then by word: Algorithm L yields each leader's words in order."""
         out = []
         for pi in self.leaders:
             if pi.preceq(alpha):
                 for perm in _multiset_permutations(alpha.minus(pi).canonical_word().data):
                     out.append((MonoidElem.word(self.k, perm), pi))
-        out.sort(key=lambda wp: (wp[1].sort_key, wp[0].sort_key))
         return out
 
     def check_commutation_at(
@@ -513,7 +511,7 @@ class Configuration:
         for v in sorted(needed, key=lambda v: v.sort_key):
             if v.index is None or (self.is_free(v.index)):
                 point[v] = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-        for pi in sorted(self.leaders, key=lambda e: e.sort_key):
+        for pi in self.leaders:
             p = self.relations[pi]
             xpi = self.jet_var(pi)
             lower = {v: point[v] for v in p.variables() if v != xpi}

@@ -37,17 +37,17 @@ and carries the forced derivative value
              / (its derivative in gen, at gen).
 
 Tower arithmetic reduces elements by pseudo-division against each stage's
-defining polynomial (highest stage first; Knuth, TAOCP vol. 2, 4.6.1,
-Algorithm R).  Inverting an element and checking that a new defining
-polynomial is squarefree are both one pseudo-remainder sequence in the
-stage generator (Brown and Traub, JACM 1971), whose remainders are reduced
-over the tower and whose cofactor follows them; its coefficients are never
-multiplied by inverses.  Only two kinds of value are inverted in the tower
-below: a leading coefficient that involves a lower generator (to test that
-it is a unit), and the last remainder once it is free of the stage
-generator.  Degenerate elements (zero divisors arising from a reducible
-defining polynomial) raise `NonInvertibleError` instead of splitting the
-tower.
+defining polynomial, highest stage first, through `algebra.pseudo_reduce`
+(each step is Knuth, TAOCP vol. 2, 4.6.1, Algorithm R).  Inverting an
+element and checking that a new defining polynomial is squarefree are both
+one pseudo-remainder sequence in the stage generator (Brown and Traub,
+JACM 1971), whose remainders are reduced over the tower and whose cofactor
+follows them; its coefficients are never multiplied by inverses.  Only two
+kinds of value are inverted in the tower below: a leading coefficient that
+involves a lower generator (to test that it is a unit), and the last
+remainder once it is free of the stage generator.  Degenerate elements
+(zero divisors arising from a reducible defining polynomial) raise
+`NonInvertibleError` instead of splitting the tower.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
-from .algebra import JetVar, Poly, Value, as_value, pseudo_remainder
+from .algebra import JetVar, Poly, Value, as_value, pseudo_reduce, pseudo_remainder
 from .errors import (
     EngineError,
     NonInvertibleError,
@@ -143,7 +143,7 @@ def apply_derivation(q: Value, spec: DerSpec) -> Value:
         return out
 
     n, m = q.num, q.den
-    return rule(q) if m.is_constant else (rule(n) * m - n * rule(m)) / (m * m)
+    return rule(n) if m.is_constant else (rule(n) * m - n * rule(m)) / (m * m)
 
 
 def implicit_delta(p: Poly, main: JetVar, spec: DerSpec) -> Value:
@@ -221,36 +221,28 @@ class Tower:
 
     # -- reduction and zero testing ------------------------------------
 
-    def reduce_poly(self, p: Poly) -> tuple[Poly, Poly]:
-        """Normal form modulo the stage relations.
-
-        Returns (rem, mult) with mult * p congruent to rem and mult a
-        product of powers of stage initials (never zero in the tower).
-        """
-        mult = Poly.const(1)
-        for stage in reversed(self.stages):
-            d = stage.minpoly.deg_in(stage.gen)
-            if p.deg_in(stage.gen) >= d:
-                rem, m, _ = pseudo_remainder(p, stage.minpoly, stage.gen)
-                p = rem
-                mult = mult * m
-        return p, mult
+    @property
+    def _chain(self) -> tuple[tuple[JetVar, Poly], ...]:
+        """The stage relations as a triangular chain, highest stage first;
+        its multipliers are products of stage initials, never zero in the
+        tower."""
+        return tuple((s.gen, s.minpoly) for s in reversed(self.stages))
 
     def reduce(self, x: Value) -> Value:
-        """Value-preserving normal form of a tower element."""
+        """Value-preserving normal form of a tower element: reduce numerator
+        and denominator until a pass reduces neither."""
         for _ in range(len(self.stages) + 2):
-            rn, mn = self.reduce_poly(x.num)
-            rd, md = self.reduce_poly(x.den)
+            rn, mn = pseudo_reduce(x.num, self._chain)
+            rd, md = pseudo_reduce(x.den, self._chain)
             if rd.is_zero:
                 raise NonInvertibleError(f"denominator {x.den} vanishes in the tower")
-            new = (rn * md) / (rd * mn)
-            if new.num == x.num and new.den == x.den:
-                return new
-            x = new
+            if rn is x.num and rd is x.den:
+                return as_value(x)
+            x = (rn * md) / (rd * mn)
         return x
 
     def is_zero(self, x: Value) -> bool:
-        rem, _ = self.reduce_poly(x.num)
+        rem, _ = pseudo_reduce(x.num, self._chain)
         return rem.is_zero
 
     def equal(self, a: Value, b: Value) -> bool:
@@ -307,7 +299,7 @@ def _last_remainder(tower: Tower, a: Poly, modulus: Poly, gen: JetVar) -> tuple[
         if lead.variables() & lower:
             tower.invert(lead)
         rem, mult, quo = pseudo_remainder(r0, r1, gen)
-        rem, scale = tower.reduce_poly(rem)
+        rem, scale = pseudo_reduce(rem, tower._chain)
         r0, r1, s0, s1 = r1, rem, s1, scale * (mult * s0 - quo * s1)
     return (r0, s0) if r1.is_zero else (r1, s1)
 

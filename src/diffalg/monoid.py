@@ -282,9 +282,10 @@ def antichain_minimal(elements: Iterable[MonoidElem]) -> frozenset[MonoidElem]:
 def minimal_leaders(initial: InitialSet) -> MinimalLeaders:
     """Minimal elements of the complement of a downward-closed set.
 
-    For exponent tuples the candidates are one-generator bumps of members;
-    for words they are single-letter prolongations d_i . v of members, kept
-    when every proper suffix lies in the set.  Word candidates never exceed
+    The candidates are one-generator prolongations g . v of members v.
+    Since the set is downward closed, an element outside it is minimal in
+    the complement exactly when all its immediate predecessors lie in the
+    set, and that is the one rule applied.  Word candidates never exceed
     (longest member) + 1 letters; the bound used is reported alongside.
     """
     kind, k = initial.kind, initial.k
@@ -295,21 +296,13 @@ def minimal_leaders(initial: InitialSet) -> MinimalLeaders:
         return MinimalLeaders(frozenset([identity]), bound)
 
     gens = [MonoidElem.generator(kind, k, i) for i in range(1, k + 1)]
-    candidates = {
-        g.compose(v)
-        for v in initial.elements
-        for g in gens
-        if g.compose(v) not in initial.elements
-    }
-    if kind == FREE:
-        bound = max(el.degree for el in initial.elements) + 1
-        candidates = {
-            w
-            for w in candidates
-            if all(s in initial.elements for s in w.proper_suffixes())
-        }
-        return MinimalLeaders(antichain_minimal(candidates), bound)
-    return MinimalLeaders(antichain_minimal(candidates), None)
+    leaders = frozenset(
+        w
+        for w in (g.compose(v) for v in initial.elements for g in gens)
+        if w not in initial.elements and all(u in initial.elements for u in w.immediate_predecessors())
+    )
+    bound = max(el.degree for el in initial.elements) + 1 if kind == FREE else None
+    return MinimalLeaders(leaders, bound)
 
 
 def theta_ball(k: int, degree: int) -> list[MonoidElem]:

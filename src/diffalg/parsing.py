@@ -585,15 +585,25 @@ def parse_definable_json(text: str, mode: str = COMMUTATIVE, k: Optional[int] = 
     def variable(name: str) -> JetVar:
         return _whole(name, k, lambda cur, k: _ExprParser(cur, mode, k).variable())
 
+    def items(key: str, kind: type, noun: str) -> list:
+        value = data[key]
+        if not isinstance(value, list) or not all(isinstance(x, kind) for x in value):
+            raise ParseError(f"field {key!r} must be a list of {noun}", 1, 1)
+        return value
+
+    if not isinstance(data, dict):
+        raise ParseError("expected a JSON object", 1, 1)
     for key in ("indices", "atoms", "projection"):
         if key not in data:
             raise ParseError(f"missing field {key!r}", 1, 1)
-    indices = tuple(map(variable, data["indices"]))
+    indices = tuple(map(variable, items("indices", str, "strings")))
     atoms = []
-    for entry in data["atoms"]:
+    for entry in items("atoms", dict, "objects"):
         rel = entry.get("rel", "=")
         if rel not in ("=", "!="):
             raise ParseError(f"unknown relation {rel!r}", 1, 1)
+        if not isinstance(entry.get("poly"), str):
+            raise ParseError("every atom needs a string field 'poly'", 1, 1)
         atoms.append(JetAtom(parse_poly(entry["poly"], mode, k), rel))
-    projection = tuple(map(variable, data["projection"]))
+    projection = tuple(map(variable, items("projection", str, "strings")))
     return DefinableSetDesc(indices, tuple(atoms), projection)

@@ -17,6 +17,7 @@ from diffalg.algebra import (
     solve_affine,
     var,
 )
+from diffalg.derivation import DerSpec, apply_derivation
 from diffalg.errors import PoleError, UncoveredVariableError
 from diffalg.monoid import MonoidElem
 
@@ -39,6 +40,13 @@ def test_ring_ops_examples():
     assert p.num is p and p.den == 1
 
 
+def test_product_with_the_unit_is_the_other_operand():
+    one = x.den  # the shared unit every Poly answers as its denominator
+    p = 3 * x * y - y ** 2
+    for product in (p * one, one * p):
+        assert product == p and product is p
+
+
 def test_ratfun_div_by_zero():
     with pytest.raises(ZeroDivisionError):
         RatFun(x, Poly.zero())
@@ -49,8 +57,11 @@ def test_ratfun_div_by_zero():
 def test_partial_derivative_examples():
     assert (x * x * y).partial(X) == 2 * x * y
     assert Poly.const(5).partial(X) == Poly.zero()
-    # quotient rule: d(x/y)/dy = -x/y^2
-    assert RatFun(x, y).partial(Y) == RatFun(-x, y * y)
+    # d/dy is the derivation with images x -> 0, y -> 1: d(x/y)/dy = -x/y^2,
+    # and a RatFun over a constant denominator derives its numerator
+    d_dy = DerSpec(images={X: 0, Y: 1})
+    assert apply_derivation(RatFun(x, y), d_dy) == RatFun(-x, y * y)
+    assert apply_derivation(RatFun(x * y, 2), d_dy) == x / 2
 
 
 def test_partials_commute():

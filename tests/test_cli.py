@@ -146,6 +146,24 @@ def test_axiom_wide_rejects_entries_that_are_not_single_variables(tmp_path, caps
     assert err.startswith("parse error")
 
 
+@pytest.mark.parametrize(
+    "desc",
+    [
+        {"indices": [1, "z2"], "atoms": [{"poly": "z2"}], "projection": ["z2"]},
+        {"indices": ["z1"], "atoms": ["z1"], "projection": ["z1"]},
+        {"indices": ["z1"], "atoms": [{"poly": 5}], "projection": ["z1"]},
+    ],
+    ids=["index not a string", "atom not an object", "poly not a string"],
+)
+def test_axiom_wide_rejects_json_values_of_the_wrong_type(tmp_path, capsys, desc):
+    path = tmp_path / "deep.zjson"
+    path.write_text(json.dumps(desc))
+    code, out, err = run(capsys, "axiom-wide", str(path), "--n", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error")
+
+
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_axiom_wide_rejects_depth_below_one(capsys, n):
     code, out, err = run(capsys, "axiom-wide", os.path.join(CORPUS, "product.zjson"), "--n", n)

@@ -266,16 +266,22 @@ def test_multiset_permutations_match_brute_force():
             assert len(got) == math.factorial(n) // (math.factorial(ones) * math.factorial(n - ones))
 
 
+def three_leader_config() -> Configuration:
+    """k=3, leaders d1^2, d1 d2 and d3 over the free variable x[0]."""
+    leaders = [theta(2, 0, 0), theta(1, 1, 0), theta(0, 0, 1)]
+    return Configuration(3, leaders, {pi: xj(*pi.data) - xj(0, 0, 0) for pi in leaders})
+
+
 def test_factorizations_match_brute_force():
-    cfg = pair_config(xj(0, 0), 2 * xj(0, 0))
-    for alpha in theta_ball(2, 7):
-        want = []
-        for pi in cfg.leaders:
-            if pi.preceq(alpha):
-                perms = set(itertools.permutations(alpha.minus(pi).canonical_word().data))
-                want += [(MonoidElem.word(2, perm), pi) for perm in perms]
-        want.sort(key=lambda wp: (wp[1].sort_key, wp[0].sort_key))
-        assert cfg.factorizations(alpha) == want
+    for cfg, degree in [(pair_config(xj(0, 0), 2 * xj(0, 0)), 7), (three_leader_config(), 5)]:
+        for alpha in theta_ball(cfg.k, degree):
+            want = []
+            for pi in cfg.leaders:
+                if pi.preceq(alpha):
+                    perms = set(itertools.permutations(alpha.minus(pi).canonical_word().data))
+                    want += [(MonoidElem.word(cfg.k, perm), pi) for perm in perms]
+            want.sort(key=lambda wp: (wp[1].sort_key, wp[0].sort_key))
+            assert cfg.factorizations(alpha) == want
 
 
 # ----------------------------------------------------------------------
@@ -303,9 +309,12 @@ class QuotientRuleReference:
 
     def r(self, i, h: RatFun) -> RatFun:
         out = coeff_derivative(h, self.cfg.derspecs[i - 1].eta)
+        n, m = h.num, h.den
         for v in h.variables():
             if v.index is not None:
-                out = out + h.partial(v) * self.delta(i, v.index)
+                # its own quotient rule: dh/dv = (dn/dv * m - n * dm/dv) / m^2
+                dh = (n.partial(v) * m - n * m.partial(v)) / (m * m)
+                out = out + dh * self.delta(i, v.index)
         return out
 
     def word(self, letters, pi) -> RatFun:

@@ -1,0 +1,144 @@
+"""`pseudo_reduce` and `Tower.reduce` against the loops they replaced.
+
+The references below are the earlier per-module reductions: the
+configuration loop over its leaders (here also keeping the product of the
+multipliers), the tower loop over its stages, and the tower normal form
+that rebuilt the fraction after every pass until it stopped changing.
+"""
+
+import random
+
+import pytest
+
+from conftest import rand_nonzero_poly, rand_poly
+from diffalg.algebra import JetVar, Poly, RatFun, pseudo_reduce, pseudo_remainder
+from diffalg.config import Configuration
+from diffalg.derivation import Tower, extend_to_algebraic
+from diffalg.errors import NonInvertibleError, SeparantZeroError
+from diffalg.monoid import antichain_minimal, theta_ball
+
+T, C, E = JetVar("t"), JetVar("c"), JetVar("e")
+
+
+def reduce_mod_reference(cfg: Configuration, p: Poly) -> tuple[Poly, Poly]:
+    mult = Poly.const(1)
+    for pi in sorted(cfg.leaders, key=lambda el: el.sort_key, reverse=True):
+        xpi = cfg.jet_var(pi)
+        if p.deg_in(xpi) >= cfg.relations[pi].deg_in(xpi):
+            p, m, _ = pseudo_remainder(p, cfg.relations[pi], xpi)
+            mult = mult * m
+    return p, mult
+
+
+def reduce_poly_reference(tower: Tower, p: Poly) -> tuple[Poly, Poly]:
+    mult = Poly.const(1)
+    for stage in reversed(tower.stages):
+        d = stage.minpoly.deg_in(stage.gen)
+        if p.deg_in(stage.gen) >= d:
+            rem, m, _ = pseudo_remainder(p, stage.minpoly, stage.gen)
+            p = rem
+            mult = mult * m
+    return p, mult
+
+
+def tower_reduce_reference(tower: Tower, x):
+    """The fixed point and the number of passes it took."""
+    for passes in range(1, len(tower.stages) + 3):
+        rn, mn = reduce_poly_reference(tower, x.num)
+        rd, md = reduce_poly_reference(tower, x.den)
+        if rd.is_zero:
+            raise NonInvertibleError(f"denominator {x.den} vanishes in the tower")
+        new = (rn * md) / (rd * mn)
+        if new.num == x.num and new.den == x.den:
+            return new, passes
+        x = new
+    return x, passes
+
+
+def random_configuration(rng: random.Random) -> Configuration:
+    """k=2, one to three leaders of degree <= 3, each relation of degree 1
+    or 2 in its leader variable over the free variables below it."""
+    pool = [a for a in theta_ball(2, 3) if not a.is_identity]
+    leaders = sorted(antichain_minimal(rng.sample(pool, rng.randint(1, 3))), key=lambda el: el.sort_key)
+    relations = {}
+    for pi in leaders:
+        lower = [
+            JetVar("x", mu)
+            for mu in theta_ball(2, pi.degree)
+            if mu < pi and not any(q.preceq(mu) for q in leaders)
+        ]
+        lead = rand_nonzero_poly(rng, lower, max_terms=2, max_degree=1)
+        xpi = Poly.variable(JetVar("x", pi))
+        relations[pi] = lead * xpi ** rng.randint(1, 2) + rand_poly(rng, lower, max_terms=3, max_degree=2)
+    return Configuration(2, leaders, relations)
+
+
+def random_tower(rng: random.Random) -> Tower:
+    """One or two stages over Q(t), d(t) = 1, the second one with an initial
+    that may involve the first generator; a stage is retried until it is
+    accepted (simple roots, unit initial and separant gcd)."""
+    tower = Tower([T], {T: Poly.const(1)})
+    for gen, lower in ((C, [T]), (E, [T, C]))[: rng.randint(1, 2)]:
+        while True:
+            x = Poly.variable(gen)
+            d = rng.choice([2, 3])
+            minpoly = rand_nonzero_poly(rng, lower, max_terms=2, max_degree=1) * x**d
+            for i in range(d):
+                minpoly = minpoly + rand_poly(rng, lower, max_terms=2, max_degree=2) * x**i
+            try:
+                tower = extend_to_algebraic(tower, minpoly, gen)
+                break
+            except (SeparantZeroError, NonInvertibleError):
+                continue
+    return tower
+
+
+def test_pseudo_reduce_matches_the_configuration_loop():
+    rng = random.Random(83)
+    reduced = 0
+    for _ in range(40):
+        cfg = random_configuration(rng)
+        chain = [(cfg.jet_var(pi), cfg.relations[pi]) for pi in reversed(cfg.leaders)]
+        variables = sorted(set().union(*(p.variables() for p in cfg.relations.values())))
+        for _ in range(3):
+            p = rand_poly(rng, variables, max_terms=5, max_degree=5)
+            rem, mult = pseudo_reduce(p, chain)
+            assert (rem, mult) == reduce_mod_reference(cfg, p)
+            assert cfg.reduce_mod(p) == rem
+            reduced += rem != p
+    assert reduced >= 40
+
+
+def test_pseudo_reduce_matches_the_tower_loop():
+    rng = random.Random(89)
+    reduced = 0
+    for _ in range(30):
+        tower = random_tower(rng)
+        chain = [(s.gen, s.minpoly) for s in reversed(tower.stages)]
+        for _ in range(3):
+            p = rand_poly(rng, list(tower.variables()), max_terms=4, max_degree=5)
+            rem, mult = pseudo_reduce(p, chain)
+            assert (rem, mult) == reduce_poly_reference(tower, p)
+            assert tower.is_zero(p) == rem.is_zero
+            reduced += rem != p
+    assert reduced >= 30
+
+
+def test_tower_reduce_matches_the_fixed_point():
+    rng = random.Random(97)
+    reducing_second_pass = 0
+    for _ in range(30):
+        tower = random_tower(rng)
+        gens = list(tower.variables())
+        for _ in range(3):
+            x = RatFun(rand_poly(rng, gens, max_terms=4, max_degree=4), rand_nonzero_poly(rng, gens, max_degree=3))
+            try:
+                want, passes = tower_reduce_reference(tower, x)
+            except NonInvertibleError:
+                with pytest.raises(NonInvertibleError):
+                    tower.reduce(x)
+                continue
+            got = tower.reduce(x)
+            assert (type(got), str(got)) == (type(want), str(want)), (tower, x)
+            reducing_second_pass += passes > 2
+    assert reducing_second_pass >= 1
