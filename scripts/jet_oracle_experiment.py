@@ -69,7 +69,7 @@ def main():
         term = rand_term(rng, args.depth)
         jetpoly = rewrite_term(term, COMMUTATIVE, k=2)
         largest = max(largest, len(getattr(jetpoly, "terms", {})))
-        binding = jet_binding(model, sigma, sorted(jetpoly.variables(), key=lambda v: v.sort_key))
+        binding = jet_binding(model, sigma, sorted(jetpoly.variables()))
         via_jets = jetpoly.evaluate(binding)
         direct = oracle_eval(term, model, sigma, mode=COMMUTATIVE)
         if not model.equal(via_jets, direct):

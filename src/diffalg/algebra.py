@@ -20,12 +20,18 @@ normalising step (`_fraction`); entry points that take numbers from
 callers normalise them once with `as_value`.  So `Poly.evaluate`,
 `solve_affine` entries, `parse_ratfun`, `Tower.reduce`/`apply`/`invert`,
 `DiffModel.apply` and the `f_at`/`compute_f` values may be a `Poly`.
+
+The order rule: variables order themselves (`JetVar.sort_key`, computed once
+per variable), and a `Monomial` is an unordered set of powers.  Only
+`Poly.__str__` and `Poly.substitute` sort a monomial's powers: a product of
+fractions normalises step by step, so its printed form depends on the order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from math import gcd
@@ -45,7 +51,7 @@ class JetVar:
     base: str
     index: Optional[MonoidElem] = None
 
-    @property
+    @cached_property
     def sort_key(self):
         if self.index is None:
             return (self.base, 0, ())
@@ -77,22 +83,21 @@ def _as_fraction(c) -> Fraction:
 
 @dataclass(frozen=True)
 class Monomial:
-    """A product of variable powers; exponents are positive, variables sorted."""
+    """A product of variable powers: an unordered set of (variable, exponent)
+    pairs with positive exponents."""
 
-    powers: tuple[tuple[JetVar, int], ...]
+    powers: frozenset[tuple[JetVar, int]]
 
     @staticmethod
     def make(powers: Mapping[JetVar, int]) -> "Monomial":
-        items = tuple(
-            sorted(((v, e) for v, e in powers.items() if e != 0), key=lambda p: p[0].sort_key)
-        )
+        items = frozenset((v, e) for v, e in powers.items() if e != 0)
         if any(e < 0 for _, e in items):
-            raise ValueError(f"negative exponent in monomial: {items}")
+            raise ValueError(f"negative exponent in monomial: {sorted(items)}")
         return Monomial(items)
 
     @staticmethod
     def one() -> "Monomial":
-        return Monomial(())
+        return Monomial(frozenset())
 
     @staticmethod
     def of(v: JetVar, e: int = 1) -> "Monomial":
@@ -128,7 +133,7 @@ class Monomial:
         return Monomial.make(d)
 
     def without(self, v: JetVar) -> "Monomial":
-        return Monomial(tuple((w, e) for w, e in self.powers if w != v))
+        return Monomial(frozenset((w, e) for w, e in self.powers if w != v))
 
     def gcd(self, other: "Monomial") -> "Monomial":
         other_d = dict(other.powers)
@@ -177,7 +182,7 @@ class Poly:
 
     @property
     def is_constant(self) -> bool:
-        return all(m.degree == 0 for m in self.terms)
+        return all(not m.powers for m in self.terms)
 
     # a polynomial is a fraction over 1
     @property
@@ -210,12 +215,9 @@ class Poly:
     def depends_on(self, v: JetVar) -> bool:
         return any(m.deg_in(v) > 0 for m in self.terms)
 
-    def sorted_vars(self) -> list[JetVar]:
-        return sorted(self.variables(), key=lambda v: v.sort_key)
-
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         # degree first, ties broken on the highest variable: x[d1] before x[0]
-        all_vars = self.sorted_vars()[::-1]
+        all_vars = sorted(self.variables(), reverse=True)
         return sorted(self.terms.items(), key=lambda t: t[0].order_key(all_vars), reverse=True)
 
     def leading_term(self) -> tuple[Monomial, Fraction]:
@@ -277,10 +279,12 @@ class Poly:
         other = _coerce(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        if self is _ONE:
-            return other
-        if other is _ONE:
-            return self
+        # a constant factor scales the other operand's coefficients
+        if self.is_constant:
+            self, other = other, self
+        if other.is_constant:
+            c = other.constant_value()
+            return self if c == 1 else Poly({m: c * d for m, d in self.terms.items()})
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -299,8 +303,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __truediv__(self, other):
@@ -341,7 +346,7 @@ class Poly:
         result = None
         for m, c in self.terms.items():
             term = Poly.const(c)
-            for v, e in m.powers:
+            for v, e in sorted(m.powers):
                 if v in binding:
                     repl = binding[v]
                     if isinstance(repl, (int, Fraction)):
@@ -384,7 +389,7 @@ class Poly:
             return "0"
         pieces = []
         for m, c in self.sorted_terms():
-            factors = [f"{v}^{e}" if e > 1 else str(v) for v, e in m.powers]
+            factors = [f"{v}^{e}" if e > 1 else str(v) for v, e in sorted(m.powers)]
             if not factors:
                 body = str(abs(c))
             elif abs(c) == 1:

@@ -137,15 +137,8 @@ def nc_normalize(initial: InitialSet, desc: DefinableSetDesc) -> NcNormalizeResu
     added = leaders - initial.elements
     v_prime = InitialSet(initial.kind, initial.k, initial.elements | leaders)
 
-    new_indices = tuple(
-        sorted(
-            {JetVar(base, el) for el in v_prime.elements},
-            key=lambda v: v.sort_key,
-        )
-    )
-    projection = tuple(
-        sorted((JetVar(base, el) for el in free.elements), key=lambda v: v.sort_key)
-    )
+    new_indices = tuple(sorted(JetVar(base, el) for el in v_prime.elements))
+    projection = tuple(sorted(JetVar(base, el) for el in free.elements))
     z_prime = DefinableSetDesc(new_indices, desc.atoms, projection)
     note = "projection to the free coordinates is unchanged"
     return NcNormalizeResult(v_prime, z_prime, frozenset(added), note)
@@ -192,11 +185,8 @@ def triangular_dimension_certificate(
         ambient = set(mains)
         for p in system.relations.values():
             ambient |= {v for v in p.variables() if v.index is not None}
-        ambient_order = sorted(ambient, key=lambda v: v.sort_key)
-        equations = [
-            (system.jet_var(pi), system.relations[pi])
-            for pi in sorted(system.leaders, key=lambda e: e.sort_key)
-        ]
+        ambient_order = sorted(ambient)
+        equations = [(system.jet_var(pi), system.relations[pi]) for pi in system.leaders]
         system = TriangularSystem(tuple(ambient_order), tuple(equations))
 
     ambient = list(system.ambient)

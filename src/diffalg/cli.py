@@ -98,6 +98,8 @@ def _cmd_config_g(args) -> int:
     if args.word is not None or args.leader is not None:
         if args.word is None or args.leader is None:
             raise EngineError("--word and --leader must be given together")
+        if args.alpha is not None:
+            raise EngineError("give an exponent monomial or --word with --leader, not both")
         word = parse_index_text(args.word, FREE, cfg.k)
         leader = parse_index_text(args.leader, COMMUTATIVE, cfg.k)
         g = cfg.compute_f(word, leader)

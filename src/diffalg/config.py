@@ -65,12 +65,6 @@ class GFun:
     value: Value
     witness: Union[tuple[MonoidElem, MonoidElem], str]
 
-    def __str__(self):
-        if isinstance(self.witness, str):
-            return f"{self.value}  ({self.witness})"
-        word, leader = self.witness
-        return f"{self.value}  (word {word}, leader {leader})"
-
 
 @dataclass(frozen=True)
 class Witness:
@@ -176,7 +170,7 @@ class Configuration:
     ):
         self.k = k
         self.base = base
-        self.leaders = tuple(sorted(leaders, key=lambda e: e.sort_key))
+        self.leaders = tuple(leaders)
         self.relations = dict(relations)
         if etas is None:
             etas = [{} for _ in range(k)]
@@ -184,6 +178,7 @@ class Configuration:
             raise ConfigurationError(f"need {k} coefficient tables, got {len(etas)}")
         self.etas = tuple({c: as_value(v) for c, v in t.items()} for t in etas)
         self._validate()
+        self.leaders = tuple(sorted(self.leaders))  # comparable once validated
         # the relations as a triangular chain, highest leader first
         self._chain = tuple((self.jet_var(pi), self.relations[pi]) for pi in reversed(self.leaders))
 
@@ -194,7 +189,7 @@ class Configuration:
             params |= set(table)
             for value in table.values():
                 params |= value.variables()
-        self.params = tuple(sorted(params, key=lambda v: v.sort_key))
+        self.params = tuple(sorted(params))
         if self.params and not DiffModel.on_parameters(self.params, self.etas).commutes_on_generators():
             raise ConfigurationError("the eta tables do not commute on the parameters")
         self.derspecs = tuple(
@@ -390,7 +385,7 @@ class Configuration:
         """
         eta = self._eta_images[i - 1]
         terms = []
-        for v in sorted(q.variables(), key=lambda v: v.sort_key):
+        for v in q.variables():
             if v == skip:
                 continue
             image = eta.get(v) if v.index is None else self._f_delta_mu(i, v.index)
@@ -508,7 +503,7 @@ class Configuration:
         for p in self.relations.values():
             needed |= p.variables()
         point: dict[JetVar, Fraction] = {}
-        for v in sorted(needed, key=lambda v: v.sort_key):
+        for v in sorted(needed):
             if v.index is None or (self.is_free(v.index)):
                 point[v] = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
         for pi in self.leaders:

@@ -13,8 +13,8 @@ how a derivation extends from the coefficients to polynomials,
 
 where q^eta = sum_c (dq/dc) * eta[c] over the parameters c
 (`coeff_derivative`).  It sums the parameter terms first and then the main
-variables, each group in `sort_key` order, so its output does not depend
-on set or dict iteration order.  A fraction n/m takes one quotient step,
+variables, each group in the variables' own order, so its output does not
+depend on set or dict iteration order.  A fraction n/m takes one quotient step,
 (d(n) * m - n * d(m)) / m^2 (Kolchin 1973, ch. I).  The other
 constructions are this rule with a particular image table:
 
@@ -95,8 +95,7 @@ class DerSpec:
 
     def __str__(self) -> str:
         def table(mapping):
-            items = sorted(mapping.items(), key=lambda kv: kv[0].sort_key)
-            return ", ".join(f"{v} -> {val}" for v, val in items)
+            return ", ".join(f"{v} -> {mapping[v]}" for v in sorted(mapping))
 
         eta_part = table(self.eta) if self.eta else "none"
         if self.images:
@@ -121,7 +120,7 @@ class LiftResult(NamedTuple):
 
 def twisted_lift(p: Value, spec: DerSpec) -> LiftResult:
     """Lift p to p_eta + sum (dp/dx) y_x over fresh partner variables."""
-    mains = sorted(p.variables() - spec.parameters, key=lambda v: v.sort_key)
+    mains = sorted(p.variables() - spec.parameters)
     for v in mains:
         if partner_var(v) in p.variables():
             raise EngineError(f"reserved partner name {partner_var(v)} already occurs in {p}")
@@ -132,7 +131,7 @@ def twisted_lift(p: Value, spec: DerSpec) -> LiftResult:
 def apply_derivation(q: Value, spec: DerSpec) -> Value:
     """Evaluate the derivation on q: q_eta + sum (dq/dx) * images[x], then
     for a fraction n/m one quotient step, (d(n)*m - n*d(m)) / m^2."""
-    for v in sorted(q.variables() - spec.parameters, key=lambda v: v.sort_key):
+    for v in sorted(q.variables() - spec.parameters):
         if v not in spec.images:
             raise UncoveredVariableError(f"derivation {spec.name} has no image for {v}")
 

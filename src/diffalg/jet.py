@@ -133,7 +133,7 @@ def _jet_shift(value, i: int, mode: str, k: int, eta: Mapping[JetVar, object]):
     """Apply the i-th derivation symbol formally: bump jet indices, derive parameters."""
     gen = MonoidElem.generator(mode, k, i)
     images = {}
-    for v in sorted(value.variables() - set(eta), key=lambda v: v.sort_key):
+    for v in sorted(value.variables() - set(eta)):
         if v.index is None:
             raise UncoveredVariableError(
                 f"variable {v} is neither a declared parameter nor a jet variable"
@@ -163,7 +163,7 @@ def rewrite_term(
     tables = _eta_tables(eta, k)
     params = set().union(*tables) if tables else set()
     # every table covers every parameter, so each symbol derives them all
-    ordered = sorted(params, key=lambda v: v.sort_key)
+    ordered = sorted(params)
     tables = [{p: table.get(p, Poly.zero()) for p in ordered} for table in tables]
 
     identity = MonoidElem.identity(mode, k)

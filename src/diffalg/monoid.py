@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property, total_ordering
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import KindMismatchError, NotInitialError
@@ -31,6 +32,7 @@ FREE = "free"
 COMMUTATIVE = "commutative"
 
 
+@total_ordering
 @dataclass(frozen=True)
 class MonoidElem:
     """A word over d1..dk (kind 'free') or a tuple in N^k (kind 'commutative')."""
@@ -134,7 +136,7 @@ class MonoidElem:
     # ------------------------------------------------------------------
     # total order: degree first, then the fixed lexicographic tie-break
 
-    @property
+    @cached_property
     def sort_key(self):
         if self.kind == FREE:
             return (self.kind, self.k, len(self.data), self.data)
@@ -144,16 +146,6 @@ class MonoidElem:
     def __lt__(self, other: "MonoidElem") -> bool:
         self._check_compatible(other)
         return self.sort_key < other.sort_key
-
-    def __le__(self, other: "MonoidElem") -> bool:
-        self._check_compatible(other)
-        return self.sort_key <= other.sort_key
-
-    def __gt__(self, other: "MonoidElem") -> bool:
-        return not self.__le__(other)
-
-    def __ge__(self, other: "MonoidElem") -> bool:
-        return not self.__lt__(other)
 
     # ------------------------------------------------------------------
     # conversions
@@ -251,7 +243,7 @@ class InitialSet:
         return el in self.elements
 
     def __iter__(self) -> Iterator[MonoidElem]:
-        return iter(sorted(self.elements, key=lambda e: e.sort_key))
+        return iter(sorted(self.elements))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -307,23 +299,11 @@ def minimal_leaders(initial: InitialSet) -> MinimalLeaders:
 
 def theta_ball(k: int, degree: int) -> list[MonoidElem]:
     """All exponent tuples of total degree <= degree, in increasing total order."""
-    out = []
-    for total in range(degree + 1):
-        for cuts in itertools.combinations(range(total + k - 1), k - 1):
-            prev = -1
-            exps = []
-            for c in cuts:
-                exps.append(c - prev - 1)
-                prev = c
-            exps.append(total + k - 2 - prev)
-            out.append(MonoidElem(COMMUTATIVE, k, tuple(exps)))
-    return sorted(out, key=lambda e: e.sort_key)
+    tuples = (t for t in itertools.product(range(degree + 1), repeat=k) if sum(t) <= degree)
+    return sorted(MonoidElem(COMMUTATIVE, k, t) for t in tuples)
 
 
 def gamma_ball(k: int, length: int) -> list[MonoidElem]:
     """All words of length <= length, in increasing total order."""
-    out = []
-    for n in range(length + 1):
-        for letters in itertools.product(range(1, k + 1), repeat=n):
-            out.append(MonoidElem(FREE, k, letters))
-    return sorted(out, key=lambda e: e.sort_key)
+    words = (w for n in range(length + 1) for w in itertools.product(range(1, k + 1), repeat=n))
+    return sorted(MonoidElem(FREE, k, w) for w in words)

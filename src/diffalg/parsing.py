@@ -152,6 +152,13 @@ def _take(cur: _Cursor, *texts: str) -> bool:
     return True
 
 
+def _once(declared: set, key, tok: Token, what: str) -> None:
+    """Refuse a header or table that a file declares a second time."""
+    if key in declared:
+        raise ParseError(f"{what} is declared twice", tok.line, tok.column)
+    declared.add(key)
+
+
 def _comma_list(cur: _Cursor, item) -> list:
     """Comma-separated items up to the end of the line; empty items are skipped."""
     out = []
@@ -445,14 +452,17 @@ def parse_config(text: str) -> Configuration:
     leaders: list[MonoidElem] = []
     relation_lines: list[_Cursor] = []  # parsed once k is known
     eta_lines: list[_Cursor] = []
+    declared: set = set()
 
     for line, cur in _lines(text):
         head = cur.peek()
         if _take(cur, "k"):
+            _once(declared, "k", head, "`k`")
             cur.expect_op("=")
             k = cur.expect_int()
             cur.expect_eof()
         elif _take(cur, "base"):
+            _once(declared, "base", head, "`base`")
             cur.expect_op("=")
             base = cur.expect_ident().text
             cur.expect_eof()
@@ -475,6 +485,7 @@ def parse_config(text: str) -> Configuration:
     relations = {}
     for cur in relation_lines:
         pi = _parse_index(cur, COMMUTATIVE, k)
+        _once(declared, ("p", pi), cur.tokens[0], f"`p[{pi}]`")
         cur.expect_op("]")
         cur.expect_op("=")
         relations[pi] = _poly(cur, COMMUTATIVE, k)
@@ -493,6 +504,7 @@ def parse_config(text: str) -> Configuration:
             continue
         table = DerSpec(eta=table).eta
         for slot in slots:
+            _once(declared, ("eta", slot), cur.tokens[0], f"the eta table of d{slot + 1}")
             etas[slot] = dict(table)
 
     return Configuration(k, leaders, relations, etas, base=base)
@@ -523,14 +535,19 @@ def parse_variety(text: str) -> VarietyInput:
     spec = DerSpec()
     point = None
     declared_vars: Optional[list[str]] = None
+    declared: set = set()
 
     for _, cur in _lines(text):
         k = _scan_k(cur.tokens)
+        head = cur.peek()
         if _take(cur, "vars", ":"):
+            _once(declared, "vars", head, "`vars:`")
             declared_vars = _comma_list(cur, lambda: cur.expect_ident().text)
         elif _take(cur, "derivation", ":"):
+            _once(declared, "derivation", head, "`derivation:`")
             spec = _derspec(cur, COMMUTATIVE, k)
         elif _take(cur, "point", ":"):
+            _once(declared, "point", head, "`point:`")
             point = tuple(_comma_list(cur, _ExprParser(cur, COMMUTATIVE, k).expr))
         else:
             gens.append(_poly(cur, COMMUTATIVE, k))
@@ -542,7 +559,7 @@ def parse_variety(text: str) -> VarietyInput:
         for p in gens:
             seen |= {v for v in p.variables() if v.index is None}
         seen -= set(spec.eta)
-        variables = tuple(sorted(seen, key=lambda v: v.sort_key))
+        variables = tuple(sorted(seen))
     return VarietyInput(variables, tuple(gens), spec, point)
 
 
@@ -553,9 +570,12 @@ def parse_variety(text: str) -> VarietyInput:
 def parse_triangular(text: str) -> TriangularSystem:
     ambient: Optional[tuple[JetVar, ...]] = None
     equations: list[tuple[JetVar, Poly]] = []
+    declared: set = set()
     for _, cur in _lines(text):
         k = _scan_k(cur.tokens)
+        head = cur.peek()
         if _take(cur, "ambient", ":"):
+            _once(declared, "ambient", head, "`ambient:`")
             ambient = tuple(_comma_list(cur, _ExprParser(cur, COMMUTATIVE, k).variable))
             continue
         main = _ExprParser(cur, COMMUTATIVE, k).variable()
@@ -568,7 +588,7 @@ def parse_triangular(text: str) -> TriangularSystem:
         seen: set[JetVar] = set()
         for _, p in equations:
             seen |= p.variables()
-        ambient = tuple(sorted(seen, key=lambda v: v.sort_key))
+        ambient = tuple(sorted(seen))
     return TriangularSystem(ambient, tuple(equations))
 
 

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -41,10 +44,50 @@ def test_ring_ops_examples():
 
 
 def test_product_with_the_unit_is_the_other_operand():
-    one = x.den  # the shared unit every Poly answers as its denominator
     p = 3 * x * y - y ** 2
-    for product in (p * one, one * p):
-        assert product == p and product is p
+    # the shared unit every Poly answers as its denominator, and a new one
+    for one in (x.den, Poly.const(1)):
+        for product in (p * one, one * p):
+            assert product == p and product is p
+
+
+def test_power_squares_no_further_than_its_last_bit(monkeypatch):
+    p = x + 2 * y
+    expected = [Poly.const(1)]
+    for _ in range(9):
+        expected.append(expected[-1] * p)
+    products = []
+    mul = Poly.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    for n in range(1, 10):
+        products.clear()
+        assert p ** n == expected[n]
+        assert len(products) == bin(n).count("1") + n.bit_length() - 1
+
+
+SUBSTITUTION = """
+from diffalg.algebra import JetVar
+from diffalg.parsing import parse_expression as e
+binding = {JetVar("x"): e("t + 1"), JetVar("y"): e("1/(t + 1)"),
+           JetVar("z"): e("1/(t + 2)"), JetVar("w"): e("(t + 2)/(t + 3)")}
+print(e("x*y*z + x^2*y*w").substitute(binding))
+"""
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_substitution_does_not_depend_on_the_hash_seed(seed):
+    root = os.path.join(os.path.dirname(__file__), "..")
+    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", SUBSTITUTION], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "(t^4 + 6*t^3 + 14*t^2 + 16*t + 7) / (t^3 + 6*t^2 + 11*t + 6)\n"
 
 
 def test_ratfun_div_by_zero():

@@ -184,6 +184,23 @@ def test_config_g_rejects_generators_beyond_k(capsys, argv, column):
     assert err == f"parse error: generator d3 exceeds k=2 (line 1, column {column})\n"
 
 
+def test_config_g_refuses_a_monomial_together_with_a_word(capsys):
+    path = os.path.join(CORPUS, "commuting.cfg")
+    code, out, err = run(capsys, "config-g", path, "d1^5", "--word", "d1", "--leader", "d2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: give an exponent monomial or --word with --leader, not both\n"
+
+
+def test_a_relation_declared_twice_is_a_parse_error(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("k = 2\nP: d1\np[d1] = x[d1] - x[0]\np[d1] = x[d1] - 5*x[0]\n")
+    code, out, err = run(capsys, "config-g", str(cfg), "d1^2")
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: `p[d1]` is declared twice (line 4, column 1)\n"
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 

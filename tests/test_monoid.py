@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -97,6 +98,32 @@ def test_total_order_is_total_and_compatible_up_to_degree_2():
             assert (a < b) or (b < a) or (a == b)
             if a.preceq(b):
                 assert a <= b
+
+
+def test_order_comparisons_agree_with_the_sort_key_and_refuse_other_kinds():
+    ball = theta_ball(2, 3)
+    for a in ball:
+        for b in ball:
+            assert (a <= b, a > b, a >= b) == (
+                a.sort_key <= b.sort_key,
+                a.sort_key > b.sort_key,
+                a.sort_key >= b.sort_key,
+            )
+    for compare in (lambda a, b: a < b, lambda a, b: a <= b, lambda a, b: a > b, lambda a, b: a >= b):
+        with pytest.raises(KindMismatchError):
+            compare(w(1), e(1, 0))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_balls_hold_every_element_once_in_increasing_order(k):
+    for radius in range(-1, 5):
+        thetas = theta_ball(k, radius)
+        assert len(thetas) == (math.comb(radius + k, k) if radius >= 0 else 0)
+        words = gamma_ball(k, radius)
+        assert len(words) == sum(k ** n for n in range(radius + 1))
+        for ball in (thetas, words):
+            assert all(a.degree <= radius for a in ball)
+            assert all(a < b for a, b in zip(ball, ball[1:]))
 
 
 def test_lub_examples():

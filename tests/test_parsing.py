@@ -163,6 +163,45 @@ def test_parse_errors_carry_the_file_column(parse, text, line, column):
     assert (err.value.line, err.value.column) == (line, column)
 
 
+@pytest.mark.parametrize(
+    "parse, text, line, column, what",
+    [
+        (parse_config, "k = 2\nP: d1\nk = 2\np[d1] = x[d1]\n", 3, 1, "`k`"),
+        (parse_config, "k = 1\nbase = y\nP: d1\n  base = z\np[d1] = y[d1]\n", 4, 3, "`base`"),
+        (
+            parse_config,
+            "k = 2\nP: d1\np[d1] = x[d1] - x[0]\np[d1] = x[d1] - 5*x[0]\n",
+            4,
+            1,
+            "`p[d1]`",
+        ),
+        (
+            parse_config,
+            "k = 2\nP: d1\np[d1] = x[d1]\neta: c -> 1\neta[d2]: c -> 2\n",
+            5,
+            1,
+            "the eta table of d2",
+        ),
+        (parse_config, "k = 1\nP: d1\np[d1] = x[d1]\neta: c -> 1\neta: c -> 1\n", 5, 1, "the eta table of d1"),
+        (parse_variety, "vars: x\nx^2 - 1\nvars: x, y\n", 3, 1, "`vars:`"),
+        (parse_variety, "x^2 - c\nderivation: eta: c -> 1\nderivation: eta: c -> 2\n", 3, 1, "`derivation:`"),
+        (parse_variety, "x^2 - 1\npoint: 1\n point: -1\n", 3, 2, "`point:`"),
+        (parse_triangular, "ambient: x0, x1\nx1 : x1 - x0^2\nambient: x1\n", 3, 1, "`ambient:`"),
+    ],
+)
+def test_a_header_or_table_is_declared_once(parse, text, line, column, what):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert err.value.message == f"{what} is declared twice"
+
+
+def test_empty_eta_tables_do_not_count_as_declarations():
+    cfg = parse_config("k = 2\nP: d1\np[d1] = x[d1]\neta: none\neta[d1]: c -> 1\neta[d2]: none\n")
+    assert cfg.etas[0] == {JetVar("c"): Poly.const(1)}
+    assert cfg.etas[1] == {}
+
+
 def test_parse_variety():
     data = parse_variety(
         """
