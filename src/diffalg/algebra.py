@@ -21,10 +21,13 @@ callers normalise them once with `as_value`.  So `Poly.evaluate`,
 `solve_affine` entries, `parse_ratfun`, `Tower.reduce`/`apply`/`invert`,
 `DiffModel.apply` and the `f_at`/`compute_f` values may be a `Poly`.
 
-The order rule: variables order themselves (`JetVar.sort_key`, computed once
-per variable), and a `Monomial` is an unordered set of powers.  Only
-`Poly.__str__` and `Poly.substitute` sort a monomial's powers: a product of
-fractions normalises step by step, so its printed form depends on the order.
+The order rule: variables and monomials order themselves, by a `sort_key`
+computed once per object.  A `Monomial` is an unordered set of powers,
+ordered by degree, then by its powers from the highest variable down, so
+`x[d1]` comes before `x[0]`; a leading term is the largest monomial.
+`Poly.__str__` and `Poly.substitute` walk a monomial's powers in increasing
+variable order (`sorted_powers`): a product of fractions normalises step by
+step, so its printed form depends on the order.
 """
 
 from __future__ import annotations
@@ -32,9 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence, Union
-
 from math import gcd
+from typing import Mapping, Optional, Sequence, Union
 
 from .errors import PoleError, UncoveredVariableError
 from .monoid import MonoidElem
@@ -107,6 +109,18 @@ class Monomial:
     def degree(self) -> int:
         return sum(e for _, e in self.powers)
 
+    @cached_property
+    def sorted_powers(self) -> tuple[tuple[JetVar, int], ...]:
+        return tuple(sorted(self.powers, key=lambda p: p[0].sort_key))
+
+    @cached_property
+    def sort_key(self) -> tuple:
+        # the degree, then the powers from the highest variable down
+        return self.degree, tuple(sorted(((v.sort_key, e) for v, e in self.powers), reverse=True))
+
+    def __lt__(self, other: "Monomial") -> bool:
+        return self.sort_key < other.sort_key
+
     def deg_in(self, v: JetVar) -> int:
         for w, e in self.powers:
             if w == v:
@@ -138,10 +152,6 @@ class Monomial:
     def gcd(self, other: "Monomial") -> "Monomial":
         other_d = dict(other.powers)
         return Monomial.make({v: min(e, other_d.get(v, 0)) for v, e in self.powers})
-
-    def order_key(self, all_vars: Sequence[JetVar]):
-        d = dict(self.powers)
-        return (self.degree, tuple(d.get(v, 0) for v in all_vars))
 
 
 class Poly:
@@ -215,15 +225,11 @@ class Poly:
     def depends_on(self, v: JetVar) -> bool:
         return any(m.deg_in(v) > 0 for m in self.terms)
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        # degree first, ties broken on the highest variable: x[d1] before x[0]
-        all_vars = sorted(self.variables(), reverse=True)
-        return sorted(self.terms.items(), key=lambda t: t[0].order_key(all_vars), reverse=True)
-
     def leading_term(self) -> tuple[Monomial, Fraction]:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading term")
-        return self.sorted_terms()[0]
+        m = max(self.terms, key=lambda m: m.sort_key)
+        return m, self.terms[m]
 
     def content(self) -> Fraction:
         """Positive rational c with self/c having coprime integer coefficients."""
@@ -326,19 +332,13 @@ class Poly:
     # calculus and substitution
 
     def partial(self, v: JetVar) -> "Poly":
+        # m -> m / v is one-to-one on the terms that involve v: nothing merges
         out: dict[Monomial, Fraction] = {}
+        dv = Monomial.of(v)
         for m, c in self.terms.items():
             e = m.deg_in(v)
-            if e == 0:
-                continue
-            d = dict(m.powers)
-            if e == 1:
-                del d[v]
-            else:
-                d[v] = e - 1
-            mm = Monomial.make(d)
-            prev = out.get(mm)
-            out[mm] = c * e if prev is None else prev + c * e
+            if e:
+                out[m / dv] = c * e
         return Poly(out)
 
     def substitute(self, binding: Mapping[JetVar, "Poly | RatFun | int | Fraction"]):
@@ -346,12 +346,9 @@ class Poly:
         result = None
         for m, c in self.terms.items():
             term = Poly.const(c)
-            for v, e in sorted(m.powers):
+            for v, e in m.sorted_powers:
                 if v in binding:
-                    repl = binding[v]
-                    if isinstance(repl, (int, Fraction)):
-                        repl = Poly.const(repl)
-                    factor = repl ** e
+                    factor = _coerce(binding[v]) ** e
                 else:
                     factor = Poly({Monomial.of(v, e): Fraction(1)})
                 term = factor * term
@@ -375,21 +372,22 @@ class Poly:
             out.setdefault(e, {})[m.without(v)] = c
         return {e: Poly(t) for e, t in out.items()}
 
-    def leading_coeff_in(self, v: JetVar) -> "Poly":
+    def lead_in(self, v: JetVar) -> tuple[int, "Poly"]:
+        """The degree in v and its coefficient, from one split; (0, 0) for zero."""
         coeffs = self.as_univariate(v)
-        if not coeffs:
-            return Poly.zero()
-        return coeffs[max(coeffs)]
+        d = max(coeffs, default=0)
+        return d, coeffs.get(d, Poly.zero())
 
     # ------------------------------------------------------------------
-    # printing: monomials in decreasing (degree, exponents) order
+    # printing: terms in decreasing monomial order
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
         pieces = []
-        for m, c in self.sorted_terms():
-            factors = [f"{v}^{e}" if e > 1 else str(v) for v, e in sorted(m.powers)]
+        for m in sorted(self.terms, key=lambda m: m.sort_key, reverse=True):
+            c = self.terms[m]
+            factors = [f"{v}^{e}" if e > 1 else str(v) for v, e in m.sorted_powers]
             if not factors:
                 body = str(abs(c))
             elif abs(c) == 1:
@@ -554,7 +552,7 @@ class RatFun:
         num = self.num.substitute(binding)
         den = self.den.substitute(binding)
         if den.is_zero:
-            raise PoleError(f"denominator {self.den} vanishes under substitution", factor=self.den)
+            raise PoleError(f"denominator {self.den} vanishes under substitution")
         return num / den
 
     # Poly.evaluate reads only variables and substitute, which a RatFun answers too
@@ -606,16 +604,16 @@ def pseudo_remainder(f: Poly, p: Poly, main: JetVar) -> tuple[Poly, Poly, Poly]:
     coefficient of p in `main`.  The identity is checked on every call
     unless Python runs with -O.
     """
-    d = p.deg_in(main)
+    d, lead = p.lead_in(main)
     if d == 0:
         raise ValueError(f"divisor does not involve {main}")
-    lead = p.leading_coeff_in(main)
     rem = f
     quotient = Poly.zero()
     multiplier = _ONE
-    while not rem.is_zero and rem.deg_in(main) >= d:
-        e = rem.deg_in(main)
-        top = rem.leading_coeff_in(main)
+    while True:
+        e, top = rem.lead_in(main)  # (0, 0) once rem is zero
+        if e < d:
+            break
         shift = Poly({Monomial.of(main, e - d): Fraction(1)}) if e > d else _ONE
         rem = lead * rem - top * shift * p
         quotient = lead * quotient + top * shift

@@ -256,6 +256,14 @@ class Configuration:
                     raise ConfigurationError(
                         f"relation for {pi} mentions {v}, which is not below {pi}"
                     )
+        # the f recursion reads eta on parameters only: a jet variable there is never derived
+        for i, table in enumerate(self.etas, 1):
+            for c, value in table.items():
+                if any(v.index is not None for v in {c} | value.variables()):
+                    raise ConfigurationError(
+                        f"eta[d{i}] maps {c} -> {value}, but coefficient tables act on "
+                        "parameters, not on jet variables"
+                    )
 
     # ------------------------------------------------------------------
 

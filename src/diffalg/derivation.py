@@ -293,8 +293,10 @@ def _last_remainder(tower: Tower, a: Poly, modulus: Poly, gen: JetVar) -> tuple[
     """
     lower = set(tower.gens()) - {gen}
     r0, r1, s0, s1 = modulus, a, Poly.zero(), Poly.const(1)
-    while not r1.is_zero and r1.depends_on(gen):
-        lead = r1.leading_coeff_in(gen)
+    while True:
+        degree, lead = r1.lead_in(gen)  # (0, 0) once r1 is zero
+        if degree == 0:
+            break
         if lead.variables() & lower:
             tower.invert(lead)
         rem, mult, quo = pseudo_remainder(r0, r1, gen)
@@ -318,10 +320,9 @@ def extend_to_algebraic(tower: Tower, minpoly: Poly, gen: Union[JetVar, str]) ->
     if extra:
         names = ", ".join(sorted(str(v) for v in extra))
         raise EngineError(f"defining polynomial mentions foreign variables: {names}")
-    if minpoly.deg_in(gen) == 0:
+    degree, lead = minpoly.lead_in(gen)
+    if degree == 0:
         raise EngineError(f"defining polynomial does not involve {gen}")
-
-    lead = minpoly.leading_coeff_in(gen)
     if tower.is_zero(lead):
         raise SeparantZeroError(f"leading coefficient {lead} vanishes in the tower")
 

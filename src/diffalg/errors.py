@@ -16,10 +16,6 @@ class NotInitialError(EngineError):
 class PoleError(EngineError):
     """A denominator vanished under substitution."""
 
-    def __init__(self, message, factor=None):
-        super().__init__(message)
-        self.factor = factor
-
 
 class UncoveredVariableError(EngineError):
     """A substitution or derivation table misses a needed variable."""

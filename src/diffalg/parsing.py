@@ -34,6 +34,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from json.decoder import scanstring
+from json.scanner import py_make_scanner
 from typing import Optional, Sequence
 
 from .algebra import JetVar, Poly, RatFun, Value
@@ -596,14 +598,47 @@ def parse_triangular(text: str) -> TriangularSystem:
 # definable-set descriptions as JSON
 
 
+class _JsonText(str):
+    """A JSON string value that knows the file line and column of its first
+    character, and whether the file spells it without escapes."""
+
+
+def _located_json(text: str):
+    """json.loads, with every string value a `_JsonText`."""
+
+    def parse_string(s: str, end: int, strict: bool):
+        value, stop = scanstring(s, end, strict)
+        out = _JsonText(value)
+        out.line = s.count("\n", 0, end) + 1
+        out.column = end - s.rfind("\n", 0, end)
+        out.verbatim = "\\" not in s[end:stop]
+        return out, stop
+
+    decoder = json.JSONDecoder()
+    decoder.parse_string = parse_string
+    decoder.scan_once = py_make_scanner(decoder)
+    return decoder.decode(text)
+
+
 def parse_definable_json(text: str, mode: str = COMMUTATIVE, k: Optional[int] = None) -> DefinableSetDesc:
     try:
-        data = json.loads(text)
+        data = _located_json(text)
     except json.JSONDecodeError as err:
         raise ParseError(f"invalid JSON: {err.msg}", err.lineno, err.colno) from None
 
+    def entry(where: str, value: _JsonText, parse):
+        """parse(value), with a parse error named by the entry and placed in the file."""
+        try:
+            return parse(value)
+        except ParseError as err:
+            column = value.column + err.column - 1 if value.verbatim else value.column
+            raise ParseError(f"{where}: {err.message}", value.line, column) from None
+
     def variable(name: str) -> JetVar:
         return _whole(name, k, lambda cur, k: _ExprParser(cur, mode, k).variable())
+
+    def variables(key: str) -> tuple[JetVar, ...]:
+        return tuple(entry(f"{key}[{i}]", name, variable) for i, name in enumerate(items(key, str, "strings")))
 
     def items(key: str, kind: type, noun: str) -> list:
         value = data[key]
@@ -616,14 +651,15 @@ def parse_definable_json(text: str, mode: str = COMMUTATIVE, k: Optional[int] = 
     for key in ("indices", "atoms", "projection"):
         if key not in data:
             raise ParseError(f"missing field {key!r}", 1, 1)
-    indices = tuple(map(variable, items("indices", str, "strings")))
+    indices = variables("indices")
     atoms = []
-    for entry in items("atoms", dict, "objects"):
-        rel = entry.get("rel", "=")
+    for i, atom in enumerate(items("atoms", dict, "objects")):
+        rel = atom.get("rel", "=")
         if rel not in ("=", "!="):
-            raise ParseError(f"unknown relation {rel!r}", 1, 1)
-        if not isinstance(entry.get("poly"), str):
-            raise ParseError("every atom needs a string field 'poly'", 1, 1)
-        atoms.append(JetAtom(parse_poly(entry["poly"], mode, k), rel))
-    projection = tuple(map(variable, items("projection", str, "strings")))
-    return DefinableSetDesc(indices, tuple(atoms), projection)
+            where = (rel.line, rel.column) if isinstance(rel, _JsonText) else (1, 1)
+            raise ParseError(f"atoms[{i}].rel: unknown relation {rel!r}", *where)
+        if not isinstance(atom.get("poly"), str):
+            raise ParseError(f"atoms[{i}]: every atom needs a string field 'poly'", 1, 1)
+        poly = entry(f"atoms[{i}].poly", atom["poly"], lambda text: parse_poly(text, mode, k))
+        atoms.append(JetAtom(poly, str(rel)))
+    return DefinableSetDesc(indices, tuple(atoms), variables("projection"))

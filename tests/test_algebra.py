@@ -265,6 +265,56 @@ def test_ratfun_field_axioms_random():
             assert (a / b) * b == a
 
 
+# The rule the monomial order replaced, kept as a reference: each polynomial
+# ordered its terms by degree, then by the exponent vector over its own
+# variables, highest variable first.
+def _reference_sorted_terms(p: Poly) -> list:
+    own = sorted(p.variables(), reverse=True)
+
+    def key(term):
+        powers = dict(term[0].powers)
+        return term[0].degree, tuple(powers.get(v, 0) for v in own)
+
+    return sorted(p.terms.items(), key=key, reverse=True)
+
+
+def _reference_leading_coeff_in(p: Poly, v: JetVar) -> Poly:
+    coeffs = p.as_univariate(v)
+    return coeffs[max(coeffs)] if coeffs else Poly.zero()
+
+
+_D1, _D2 = MonoidElem.exponents((1, 0)), MonoidElem.exponents((0, 1))
+MIXED_VARS = [
+    C,
+    T,
+    X,
+    JetVar("x", MonoidElem.exponents((0, 0))),
+    JetVar("x", _D1),
+    JetVar("x", _D2),
+    JetVar("x", MonoidElem.exponents((1, 1))),
+    JetVar("x", MonoidElem.exponents((2, 0))),
+    JetVar("y", _D1),
+    JetVar("x", MonoidElem.word(2, ())),
+    JetVar("x", MonoidElem.word(2, (1,))),
+    JetVar("x", MonoidElem.word(2, (1, 2))),
+    JetVar("x", MonoidElem.word(2, (2, 1))),
+    JetVar("y", MonoidElem.word(2, (2,))),
+]
+
+
+def test_monomial_order_and_lead_in_match_the_per_polynomial_rule():
+    rng = random.Random(41)
+    for _ in range(3000):
+        vars_ = rng.sample(MIXED_VARS, rng.randint(1, 5))
+        p = rand_nonzero_poly(rng, vars_, max_terms=6, max_degree=4)
+        reference = _reference_sorted_terms(p)
+        assert sorted(p.terms, reverse=True) == [m for m, _ in reference]
+        assert p.leading_term() == reference[0]
+        for v in vars_ + [JetVar("z")]:
+            assert p.lead_in(v) == (p.deg_in(v), _reference_leading_coeff_in(p, v))
+    assert Poly.zero().lead_in(X) == (0, Poly.zero())
+
+
 def test_printing_is_canonical_and_deterministic():
     p = x * x - 1
     assert str(p) == "x^2 - 1"

@@ -250,6 +250,17 @@ def test_config_check_rejects_eta_tables_that_do_not_commute(tmp_path, capsys):
     assert "global: commutes" in out
 
 
+def test_config_check_rejects_jet_variables_in_eta_tables(tmp_path, capsys):
+    cfg = tmp_path / "eta.cfg"
+    head = "k = 2\nP: d1, d2\np[d1] = x[d1] - x[0]\np[d2] = x[d2] - c\n"
+    for table in ("eta[d1]: x[0] -> 1\n", "eta[d1]: c -> 1, x[0] -> c\n"):
+        cfg.write_text(head + table)
+        code, out, err = run(capsys, "config-check", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert "coefficient tables act on parameters, not on jet variables" in err
+
+
 def test_byte_determinism(capsys):
     args = ["config-check", os.path.join(CORPUS, "noncomm.cfg"), "--global-degree", "4", "--json"]
     code1, out1, _ = run(capsys, *args)

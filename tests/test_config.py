@@ -236,6 +236,22 @@ def test_realize_check_parameter_named_like_the_jet_base():
     assert report.ok, report.to_dict()
 
 
+def test_realize_check_reports_the_first_mismatch():
+    # d1 = d/du and d2 = u d/du do not commute on u, so b = u solves
+    # x[d2] = x[0] yet d1 d2 b = 1 where d2 d1 b = 0
+    model = DiffModel.on_parameters([U], [{U: 1}, {U: u}])
+    cfg = Configuration(2, [theta(0, 1)], {theta(0, 1): xj(0, 1) - xj(0, 0)})
+    data = cfg.realize_check(model, u, depth=3).to_dict()
+    assert (data["ok"], data["mismatch"], data["expected"], data["got"]) == (False, "d1 d2", "1", "0")
+
+
+def test_configuration_rejects_jet_variables_in_eta_tables():
+    x0 = JetVar("x", theta(0, 0))
+    for etas in ([{x0: 1}, {}], [{JetVar("c"): xj(0, 0)}, {}], [{}, {JetVar("c"): RatFun(1, xj(0, 0))}]):
+        with pytest.raises(ConfigurationError, match="parameters, not on jet variables"):
+            pair_config(xj(0, 0), 2 * xj(0, 0), etas=etas)
+
+
 def test_realize_depth_zero_always_passes():
     model = DiffModel.on_parameters([U], [{U: u}, {U: 2 * u}])
     cfg = pair_config(xj(0, 0), 2 * xj(0, 0))

@@ -16,6 +16,7 @@ from diffalg.derivation import (
     twisted_lift,
 )
 from diffalg.errors import (
+    EngineError,
     NonInvertibleError,
     SeparantZeroError,
     UncoveredVariableError,
@@ -379,3 +380,33 @@ def test_extend_rejects_zero_divisor_over_a_reducible_stage():
         with pytest.raises(NonInvertibleError):
             extend_to_algebraic(reducible, minpoly, E)
     extend_to_algebraic(reducible, e**2 - t, E)
+
+
+def test_extend_rejects_a_generator_already_in_the_tower():
+    tower = sqrt_t_tower()
+    for gen in (C, T, "c"):
+        with pytest.raises(EngineError, match="already a tower variable"):
+            extend_to_algebraic(tower, var(str(gen)) ** 2 - 2, gen)
+
+
+def test_extend_rejects_foreign_variables():
+    with pytest.raises(EngineError, match="foreign variables: u, x"):
+        extend_to_algebraic(sqrt_t_tower(), e**2 - u * x, E)
+
+
+def test_extend_rejects_a_defining_polynomial_free_of_its_generator():
+    with pytest.raises(EngineError, match="does not involve e"):
+        extend_to_algebraic(sqrt_t_tower(), c**2 - 2, E)
+
+
+def test_extend_rejects_a_leading_coefficient_that_vanishes_in_the_tower():
+    # c^2 - t is zero over c^2 = t, so the degree in e is not 2 there
+    with pytest.raises(SeparantZeroError, match="leading coefficient c\\^2 - t vanishes"):
+        extend_to_algebraic(sqrt_t_tower(), (c**2 - t) * e**2 + e - 1, E)
+
+
+def test_reduce_refuses_a_denominator_that_vanishes_in_the_tower():
+    tower = sqrt_t_tower()
+    with pytest.raises(NonInvertibleError, match="vanishes in the tower"):
+        tower.reduce(RatFun(c, c**2 - t))
+    assert tower.reduce(RatFun(c, c**2 + t)) == RatFun(c, 2 * t)

@@ -252,6 +252,41 @@ def test_parse_definable_json():
             parse_definable_json(f'{{"indices": ["z1", "{entry}"], "atoms": [], "projection": ["z1"]}}')
 
 
+DEFINABLE_ERRORS = [
+    # (file text, message, line and column of the offending character)
+    (
+        '{"indices": ["z1", "z2"],\n "atoms": [\n  {"poly": "z1 + @"}],\n "projection": ["z1"]}\n',
+        "atoms[0].poly: unexpected character '@'",
+        (3, 18),
+    ),
+    (
+        '{"indices": ["z1",\n   "2*z2"],\n "atoms": [], "projection": ["z1"]}\n',
+        "indices[1]: expected a name, found '2'",
+        (2, 5),
+    ),
+    (
+        '{"indices": ["z1"],\n "atoms": [{"poly": "z1", "rel": "<"}],\n "projection": ["z1"]}',
+        "atoms[0].rel: unknown relation '<'",
+        (2, 35),
+    ),
+    # an entry spelled with escapes is placed at its first character
+    (
+        '{"indices": ["z1"], "atoms": [],\n "projection": ["z\\u0031 +"]}',
+        "projection[0]: unexpected trailing input '+'",
+        (2, 18),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message, where", DEFINABLE_ERRORS, ids=["atom-poly", "index", "atom-rel", "escaped-projection"]
+)
+def test_definable_json_errors_name_the_entry_and_its_place_in_the_file(text, message, where):
+    with pytest.raises(ParseError) as info:
+        parse_definable_json(text)
+    assert (info.value.message, (info.value.line, info.value.column)) == (message, where)
+
+
 # ----------------------------------------------------------------------
 # canonical-form round trips: print . parse . print == print
 

@@ -6,6 +6,7 @@ PYTHONPATH, as their docstrings tell a user to run them.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -13,8 +14,8 @@ import sys
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 
 
-def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+def run_script(name: str, *args: str, **env_vars: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), **env_vars)
     return subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", name), *args],
         cwd=ROOT,
@@ -35,3 +36,24 @@ def test_jet_oracle_experiment_finds_no_mismatch():
     proc = run_script("jet_oracle_experiment.py", "--count", "3", "--depth", "3")
     assert proc.returncode == 0, proc.stderr
     assert "mismatches    : 0\n" in proc.stdout
+
+
+def test_job_recordings_compare_equal_across_hash_seeds_and_name_a_changed_job(tmp_path):
+    recordings = []
+    for seed in ("0", "3"):
+        proc = run_script("job_outputs.py", "--seeds", "1", PYTHONHASHSEED=seed)
+        assert proc.returncode == 0, proc.stderr
+        recordings.append(tmp_path / f"hashseed{seed}.json")
+        recordings[-1].write_text(proc.stdout)
+    proc = run_script("job_outputs.py", "--compare", *map(str, recordings))
+    assert proc.returncode == 0, proc.stdout
+    assert proc.stdout == "28 of 28 jobs identical\n"
+
+    outputs = json.loads(recordings[0].read_text())
+    job = sorted(outputs)[len(outputs) // 2]
+    outputs[job][1] += "one more line\n"
+    altered = tmp_path / "altered.json"
+    altered.write_text(json.dumps(outputs))
+    proc = run_script("job_outputs.py", "--compare", str(recordings[1]), str(altered))
+    assert proc.returncode == 1
+    assert proc.stdout == f"differs: {job}\n27 of 28 jobs identical\n"
