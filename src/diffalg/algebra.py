@@ -35,8 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd
-from typing import Mapping, Optional, Sequence, Union
+from operator import add, sub
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import PoleError, UncoveredVariableError
 from .monoid import MonoidElem
@@ -373,10 +375,15 @@ class Poly:
         return {e: Poly(t) for e, t in out.items()}
 
     def lead_in(self, v: JetVar) -> tuple[int, "Poly"]:
-        """The degree in v and its coefficient, from one split; (0, 0) for zero."""
-        coeffs = self.as_univariate(v)
-        d = max(coeffs, default=0)
-        return d, coeffs.get(d, Poly.zero())
+        """The degree in v and its coefficient, in one pass; (0, 0) for zero."""
+        d, top = 0, {}
+        for m, c in self.terms.items():
+            e = m.deg_in(v)
+            if e > d:
+                d, top = e, {}
+            if e == d:
+                top[m.without(v)] = c
+        return d, Poly(top)
 
     # ------------------------------------------------------------------
     # printing: terms in decreasing monomial order
@@ -591,6 +598,94 @@ def as_value(x) -> Value:
     if out is None:
         raise TypeError(f"cannot interpret {x!r} as a rational function")
     return out.num if out.den.is_constant else out
+
+
+class Frac(NamedTuple):
+    """num / prod_j b_j ** exps[j] over the factors b_j of a `FactorBase`."""
+
+    num: Poly
+    exps: tuple[int, ...]
+
+
+class FactorBase:
+    """Fractions N / B^e over fixed factors b_j, with B^e = prod_j b_j ** e_j.
+
+    Each denominator the base is built from is divided exactly by the factors
+    before it as often as they go; a non-constant rest becomes a factor.  A
+    derivation D extends to the fractions by one rule (Kolchin 1973, ch. I),
+    D(N / B^e) = D(N) / B^e - sum_j e_j * N * D(b_j) / (b_j * B^e), and a sum
+    goes over the elementwise largest exponent vector: exponents grow
+    linearly with the number of derivations, and no gcd is ever taken.
+    """
+
+    def __init__(self, denominators: Iterable[Poly]):
+        self.factors: list[Poly] = []
+        for den in denominators:
+            rest, _ = self.split(den)
+            if not rest.is_constant:
+                self.factors.append(rest)
+        self.zero = (0,) * len(self.factors)
+        self._powers: dict[tuple[int, ...], Poly] = {}
+
+    def split(self, den: Poly) -> tuple[Poly, tuple[int, ...]]:
+        """(rest, e) with den = rest * B^e and no factor dividing rest."""
+        exps = []
+        for b in self.factors:
+            e = 0
+            while not den.is_constant and (q := divide_exact(den, b)) is not None:
+                den, e = q, e + 1
+            exps.append(e)
+        return den, tuple(exps)
+
+    def frac(self, value: "Value") -> Frac:
+        """value over the base; its denominator must split over the factors."""
+        rest, exps = self.split(value.den)
+        c = rest.constant_value()
+        return Frac(value.num if c == 1 else value.num * (1 / c), exps)
+
+    def power(self, exps: tuple[int, ...]) -> Poly:
+        """B^exps, cached per exponent vector."""
+        out = self._powers.get(exps)
+        if out is None:
+            out = _ONE
+            for b, e in zip(self.factors, exps):
+                if e:
+                    out = out * b ** e
+            self._powers[exps] = out
+        return out
+
+    def lift(self, f: Frac, exps: tuple[int, ...]) -> Poly:
+        """The numerator of f over B^exps, for exps >= f.exps elementwise."""
+        return f.num if f.exps == exps else f.num * self.power(tuple(map(sub, exps, f.exps)))
+
+    def value(self, f: Frac) -> "Value":
+        return f.num / self.power(f.exps) if any(f.exps) else f.num
+
+    def derive(self, f: Frac, image: Callable[[JetVar], Optional[Frac]], memo: dict[int, Frac]) -> Frac:
+        """D(f) for the D sending each variable v to image(v), or to 0 where
+        that is None; memo keeps D(b_j) / b_j per factor for this one D.
+
+        The sum goes over the elementwise largest exponent vector of its
+        nonzero terms, and each term is built only when it is added.
+        """
+        if f.num.is_zero:
+            return f
+        pairs = ((v, image(v)) for v in sorted(f.num.variables()))
+        images = [(v, dv) for v, dv in pairs if dv is not None and not dv.num.is_zero]
+        for j, e in enumerate(f.exps):
+            if e and j not in memo:
+                db = self.derive(Frac(self.factors[j], self.zero), image, memo)
+                memo[j] = Frac(db.num, db.exps[:j] + (db.exps[j] + 1,) + db.exps[j + 1:])
+        bumps = [(e, memo[j]) for j, e in enumerate(f.exps) if e and not memo[j].num.is_zero]
+        top = tuple(map(max, zip(self.zero, *(g.exps for _, g in images + bumps))))
+        terms = chain(
+            (self.lift(Frac(f.num.partial(v) * dv.num, dv.exps), top) for v, dv in images),
+            (self.lift(Frac(-e * f.num * g.num, g.exps), top) for e, g in bumps),
+        )
+        num = next(terms, Poly.zero())
+        for term in terms:
+            num = num + term
+        return Frac(num, tuple(map(add, top, f.exps)))
 
 
 def pseudo_remainder(f: Poly, p: Poly, main: JetVar) -> tuple[Poly, Poly, Poly]:

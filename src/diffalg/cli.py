@@ -16,7 +16,6 @@ import sys
 from typing import Optional
 
 from .axioms import triangular_dimension_certificate, wide_from_deep
-from .config import Configuration
 from .derivation import apply_derivation
 from .errors import EngineError, ParseError
 from .jet import rewrite_atom, rewrite_term
@@ -66,13 +65,13 @@ def _cmd_jet(args) -> int:
     return 0
 
 
-def _load_config(path: str) -> Configuration:
+def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read())
+        return handle.read()
 
 
 def _cmd_config_check(args) -> int:
-    cfg = _load_config(args.file)
+    cfg = parse_config(_read(args.file))
     rng = random.Random(args.seed)
     local = cfg.check_local(rng)
     reports = [local]
@@ -94,7 +93,7 @@ def _cmd_config_check(args) -> int:
 
 
 def _cmd_config_g(args) -> int:
-    cfg = _load_config(args.file)
+    cfg = parse_config(_read(args.file))
     if args.word is not None or args.leader is not None:
         if args.word is None or args.leader is None:
             raise EngineError("--word and --leader must be given together")
@@ -114,8 +113,7 @@ def _cmd_config_g(args) -> int:
 
 
 def _cmd_prolong(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as handle:
-        data = parse_variety(handle.read())
+    data = parse_variety(_read(args.file))
     variety = VarietyPresentation(data.variables, data.gens)
     bundle = twisted_bundle(variety, data.spec)
     payload = {
@@ -140,8 +138,7 @@ def _cmd_prolong(args) -> int:
 
 
 def _cmd_axiom_wide(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as handle:
-        deep = parse_definable_json(handle.read())
+    deep = parse_definable_json(_read(args.file))
     result = wide_from_deep(deep, args.n)
     payload = {
         "wide": result.wide.to_dict(),
@@ -155,8 +152,7 @@ def _cmd_axiom_wide(args) -> int:
 
 
 def _cmd_dim_cert(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as handle:
-        system = parse_triangular(handle.read())
+    system = parse_triangular(_read(args.file))
     cert = triangular_dimension_certificate(system)
     text = f"dimension {cert.free_count}; solve order: " + ", ".join(str(v) for v in cert.solve_order)
     _emit(cert.to_dict(), text, args.json)

@@ -15,20 +15,15 @@ For a single derivation symbol d and a leader pi:
 and longer words w extend this through the derivation R_d that sends each
 x_mu to f at d.mu.
 
-Every f is kept as a polynomial numerator N over a product of powers of a
-fixed factor base b_1, ..., b_m: the non-constant separants of the leaders
-and the non-constant denominators of the coefficient tables (constant ones
-fold into the coefficients, so a configuration with constant separants
-computes plain polynomials).  With B^e = prod_j b_j^e_j,
-
-    R_d(N / B^e) = R_d(N) / B^e - sum_j e_j * N * R_d(b_j) / (b_j * B^e),
-
-where R_d on a polynomial is the coefficient part plus the sum of
-(dN/dx_mu) * f at d.mu, brought over the elementwise largest exponent
-vector of its terms.  So the exponents grow linearly with the word length
-and no gcd is ever taken: this is the bookkeeping of the product of
-initials and separants in Ritt-Kolchin reduction.  Values leave this
-module as `Value`s: a `Poly` over a constant denominator, else a `RatFun`.
+Every f is kept as an `algebra.Frac`, a polynomial numerator over a
+product of powers of the factors of an `algebra.FactorBase` built from the
+separants of the leaders and then the denominators of the coefficient
+tables (constant ones fold into the coefficients, so a configuration with
+constant separants computes plain polynomials).  R_d is that base's one
+derivation rule, `FactorBase.derive`, with R_d on a variable given by the
+coefficient table on a parameter and by f at d.mu on x_mu; so the
+exponents grow linearly with the word length.  Values leave this module
+as `Value`s: a `Poly` over a constant denominator, else a `RatFun`.
 
 A configuration commutes at a tuple alpha when all its word/leader
 factorizations produce functions that agree on the locus.  Agreement is
@@ -45,10 +40,12 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from functools import partial
+from math import gcd, isqrt
+from operator import add
+from typing import Mapping, Optional, Sequence, Union
 
-from .algebra import JetVar, Poly, Value, as_value, pseudo_reduce
+from .algebra import FactorBase, Frac, JetVar, Poly, Value, as_value, pseudo_reduce
 from .derivation import DerSpec, apply_derivation
 from .errors import ConfigurationError, PoleError
 from .jet import DiffModel, jet_binding
@@ -150,13 +147,6 @@ class RealizeReport:
         return out
 
 
-class _Frac(NamedTuple):
-    """num / prod_j base[j] ** exps[j] over a configuration's factor base."""
-
-    num: Poly
-    exps: tuple[int, ...]
-
-
 class Configuration:
     """Anti-chain of minimal leaders with one defining relation per leader."""
 
@@ -197,30 +187,13 @@ class Configuration:
             for i, table in enumerate(self.etas)
         )
 
-        # the factor base: non-constant separants, then non-constant eta denominators
-        factors: list[Poly] = []
-
-        def slot(poly: Poly) -> Optional[int]:
-            if poly.is_constant:
-                return None
-            if poly not in factors:
-                factors.append(poly)
-            return factors.index(poly)
-
-        self._sep_slots = {pi: slot(self.separant(pi)) for pi in self.leaders}
-        eta_slots = [{c: slot(v.den) for c, v in spec.eta.items()} for spec in self.derspecs]
-        self._factors = tuple(factors)
-        self._zero = (0,) * len(factors)
-        # eta_i(c) as a fraction; a Poly value has the denominator 1
-        self._eta_images = tuple(
-            {c: _Frac(v.num, self._bump(self._zero, slots[c])) for c, v in spec.eta.items() if not v.is_zero}
-            for spec, slots in zip(self.derspecs, eta_slots)
-        )
-
-        self._powers: dict[tuple[int, ...], Poly] = {}
-        self._r_factor_cache: dict[tuple[int, int], _Frac] = {}
-        self._word_cache: dict[tuple[tuple[int, ...], MonoidElem], _Frac] = {}
-        self._theta_cache: dict[MonoidElem, tuple[_Frac, Union[tuple, str]]] = {}
+        # the factor base: the separants, then the eta denominators
+        dens = [v.den for spec in self.derspecs for v in spec.eta.values()]
+        self._base = FactorBase([self.separant(pi) for pi in self.leaders] + dens)
+        self._eta_images = tuple({c: self._base.frac(v) for c, v in d.eta.items()} for d in self.derspecs)
+        self._memos: tuple[dict[int, Frac], ...] = tuple({} for _ in range(k))
+        self._word_cache: dict[tuple[tuple[int, ...], MonoidElem], Frac] = {}
+        self._theta_cache: dict[MonoidElem, tuple[Frac, Union[tuple, str]]] = {}
 
     # ------------------------------------------------------------------
 
@@ -284,44 +257,6 @@ class Configuration:
         return self.relations[pi].partial(self.jet_var(pi))
 
     # ------------------------------------------------------------------
-    # fractions over the factor base
-
-    @staticmethod
-    def _bump(exps: tuple[int, ...], j: Optional[int]) -> tuple[int, ...]:
-        """exps with one more power of factor j (unchanged for j None)."""
-        if j is None:
-            return exps
-        return exps[:j] + (exps[j] + 1,) + exps[j + 1:]
-
-    def _power(self, exps: tuple[int, ...]) -> Poly:
-        """prod_j base[j] ** exps[j], cached per exponent vector."""
-        out = self._powers.get(exps)
-        if out is None:
-            out = Poly.const(1)
-            for factor, e in zip(self._factors, exps):
-                if e:
-                    out = out * factor ** e
-            self._powers[exps] = out
-        return out
-
-    def _lift(self, f: _Frac, exps: tuple[int, ...]) -> Poly:
-        """The numerator of f over B^exps, for exps >= f.exps elementwise."""
-        extra = tuple(a - b for a, b in zip(exps, f.exps))
-        return f.num * self._power(extra) if any(extra) else f.num
-
-    def _sum(self, fracs: list[_Frac]) -> _Frac:
-        """The sum, over the elementwise largest exponent vector of the nonzero terms."""
-        fracs = [f for f in fracs if not f.num.is_zero]
-        top = tuple(map(max, zip(self._zero, *(f.exps for f in fracs))))
-        num = Poly.zero()
-        for f in fracs:
-            num = num + self._lift(f, top)
-        return _Frac(num, top)
-
-    def _value(self, f: _Frac) -> Value:
-        return f.num / self._power(f.exps)
-
-    # ------------------------------------------------------------------
     # the recursion for f
 
     def f_at(self, alpha: MonoidElem) -> GFun:
@@ -332,16 +267,16 @@ class Configuration:
         word of the quotient with non-increasing generator indices.
         """
         value, witness = self._f_theta(alpha)
-        return GFun(self._value(value), witness)
+        return GFun(self._base.value(value), witness)
 
     def compute_f(self, word: MonoidElem, pi: MonoidElem) -> GFun:
         if word.kind != FREE or word.k != self.k:
             raise ConfigurationError(f"{word} is not a word over k={self.k} generators")
         if pi not in self.relations:
             raise ConfigurationError(f"{pi} is not a leader")
-        return GFun(self._value(self._f_word(word.data, pi)), (word, pi))
+        return GFun(self._base.value(self._f_word(word.data, pi)), (word, pi))
 
-    def _f_theta(self, alpha: MonoidElem) -> tuple[_Frac, Union[tuple, str]]:
+    def _f_theta(self, alpha: MonoidElem) -> tuple[Frac, Union[tuple, str]]:
         if alpha not in self._theta_cache:
             if self.is_free(alpha):
                 out = self._variable(alpha), "free variable"
@@ -354,10 +289,10 @@ class Configuration:
             self._theta_cache[alpha] = out
         return self._theta_cache[alpha]
 
-    def _variable(self, mu: MonoidElem) -> _Frac:
-        return _Frac(Poly.variable(self.jet_var(mu)), self._zero)
+    def _variable(self, mu: MonoidElem) -> Frac:
+        return Frac(Poly.variable(self.jet_var(mu)), self._base.zero)
 
-    def _f_word(self, letters: tuple[int, ...], pi: MonoidElem) -> _Frac:
+    def _f_word(self, letters: tuple[int, ...], pi: MonoidElem) -> Frac:
         key = (letters, pi)
         value = self._word_cache.get(key)
         if value is None:
@@ -366,58 +301,30 @@ class Configuration:
             elif len(letters) == 1:
                 value = self._single_letter(letters[0], pi)
             else:
-                value = self._r_frac(letters[0], self._f_word(letters[1:], pi))
+                i, rest = letters[0], self._f_word(letters[1:], pi)
+                value = self._base.derive(rest, partial(self._image, i), self._memos[i - 1])
             self._word_cache[key] = value
         return value
 
-    def _single_letter(self, i: int, pi: MonoidElem) -> _Frac:
+    def _single_letter(self, i: int, pi: MonoidElem) -> Frac:
         """f_{d_i,pi}: solve R_i(p_pi) = 0 for the image of x_pi."""
-        rest = self._r_poly(i, self.relations[pi], skip=self.jet_var(pi))
-        j = self._sep_slots[pi]
-        if j is None:
-            return _Frac(rest.num * (-1 / self.separant(pi).constant_value()), rest.exps)
-        return _Frac(-rest.num, self._bump(rest.exps, j))
+        xpi = self.jet_var(pi)
+        rest = self._base.derive(
+            Frac(self.relations[pi], self._base.zero), lambda v: None if v == xpi else self._image(i, v), {}
+        )
+        scale, exps = self._base.split(self.separant(pi))
+        return Frac(rest.num * (-1 / scale.constant_value()), tuple(map(add, rest.exps, exps)))
 
-    def _f_delta_mu(self, i: int, mu: MonoidElem) -> _Frac:
+    def _f_delta_mu(self, i: int, mu: MonoidElem) -> Frac:
         if mu in self.relations:
             return self._f_word((i,), mu)
         gen = MonoidElem.generator(COMMUTATIVE, self.k, i)
         value, _ = self._f_theta(gen.compose(mu))
         return value
 
-    def _r_poly(self, i: int, q: Poly, skip: Optional[JetVar] = None) -> _Frac:
-        """R_i on a polynomial: the eta part plus dq/dx_mu * f at d_i.mu.
-
-        Plain variables without a coefficient table entry are constants;
-        the variable `skip` is left out.
-        """
-        eta = self._eta_images[i - 1]
-        terms = []
-        for v in q.variables():
-            if v == skip:
-                continue
-            image = eta.get(v) if v.index is None else self._f_delta_mu(i, v.index)
-            if image is not None:
-                terms.append(_Frac(q.partial(v) * image.num, image.exps))
-        return self._sum(terms)
-
-    def _r_factor(self, i: int, j: int) -> _Frac:
-        """R_i(base[j]) over base[j] * B^e, ready to be scaled by e_j * N."""
-        key = (i, j)
-        if key not in self._r_factor_cache:
-            r = self._r_poly(i, self._factors[j])
-            self._r_factor_cache[key] = _Frac(r.num, self._bump(r.exps, j))
-        return self._r_factor_cache[key]
-
-    def _r_frac(self, i: int, f: _Frac) -> _Frac:
-        """R_i(N / B^e) = R_i(N) / B^e - sum_j e_j * N * R_i(b_j) / (b_j * B^e)."""
-        terms = [self._r_poly(i, f.num)]
-        for j, e in enumerate(f.exps):
-            if e:
-                r = self._r_factor(i, j)
-                terms.append(_Frac(-e * f.num * r.num, r.exps))
-        out = self._sum(terms)
-        return _Frac(out.num, tuple(a + b for a, b in zip(out.exps, f.exps)))
+    def _image(self, i: int, v: JetVar) -> Optional[Frac]:
+        """R_i(v): eta_i on a parameter (None on a constant), f at d_i.mu on x_mu."""
+        return self._eta_images[i - 1].get(v) if v.index is None else self._f_delta_mu(i, v.index)
 
     def r_apply(self, i: int, h: Value) -> Value:
         """The derivation extending d_i that sends each x_mu to f at d_i.mu."""
@@ -425,7 +332,7 @@ class Configuration:
             raise ConfigurationError(f"no derivation d{i} with k={self.k}")
         eta = self.derspecs[i - 1].eta
         images = {
-            v: eta.get(v, 0) if v.index is None else self._value(self._f_delta_mu(i, v.index))
+            v: eta.get(v, 0) if v.index is None else self._base.value(self._f_delta_mu(i, v.index))
             for v in h.variables()
         }
         return apply_derivation(h, DerSpec(f"d{i}", {}, images))
@@ -469,9 +376,9 @@ class Configuration:
         for word, pi in reps[1:]:
             value = self._f_word(word.data, pi)
             top = tuple(map(max, value.exps, base_value.exps))
-            if self.reduce_mod(self._lift(value, top) - self._lift(base_value, top)).is_zero:
+            if self.reduce_mod(self._base.lift(value, top) - self._base.lift(base_value, top)).is_zero:
                 continue
-            f1, f2 = self._value(value), self._value(base_value)
+            f1, f2 = self._base.value(value), self._base.value(base_value)
             reduced = self.reduce_mod((f1 - f2).num)
             witness = Witness(word, pi, base_word, base_pi)
             point = self._confirm_witness(f1, f2, rng or random.Random(0))
@@ -643,14 +550,7 @@ def _rational_root(p: Poly, main: JetVar) -> Optional[Fraction]:
 
     def divisors(n):
         n = abs(n)
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                out.append(n // d)
-            d += 1
-        return sorted(set(out))
+        return sorted({e for d in range(1, isqrt(n) + 1) if n % d == 0 for e in (d, n // d)})
 
     for num in divisors(a0):
         for den in divisors(an):

@@ -12,11 +12,13 @@ how a derivation extends from the coefficients to polynomials,
     d(q) = q^eta + sum_v (dq/dv) * images[v],
 
 where q^eta = sum_c (dq/dc) * eta[c] over the parameters c
-(`coeff_derivative`).  It sums the parameter terms first and then the main
-variables, each group in the variables' own order, so its output does not
-depend on set or dict iteration order.  A fraction n/m takes one quotient step,
-(d(n) * m - n * d(m)) / m^2 (Kolchin 1973, ch. I).  The other
-constructions are this rule with a particular image table:
+(`coeff_derivative`).  It sums the terms in the variables' own order, so
+its output does not depend on set or dict iteration order.  A fraction
+goes over an `algebra.FactorBase` built from the image denominators and
+then its own denominator, which splits over them, and takes that base's
+derivation rule (Kolchin 1973, ch. I): the denominator gains one power of
+each factor it holds and no more.  The other constructions are this rule
+with a particular image table:
 
 * the twisted lift sends each main variable x to a fresh partner y_x,
 
@@ -55,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
-from .algebra import JetVar, Poly, Value, as_value, pseudo_reduce, pseudo_remainder
+from .algebra import FactorBase, JetVar, Poly, Value, as_value, pseudo_reduce, pseudo_remainder
 from .errors import (
     EngineError,
     NonInvertibleError,
@@ -129,20 +131,16 @@ def twisted_lift(p: Value, spec: DerSpec) -> LiftResult:
 
 
 def apply_derivation(q: Value, spec: DerSpec) -> Value:
-    """Evaluate the derivation on q: q_eta + sum (dq/dx) * images[x], then
-    for a fraction n/m one quotient step, (d(n)*m - n*d(m)) / m^2."""
+    """Evaluate the derivation on q: q_eta + sum (dq/dx) * images[x] on a
+    polynomial, extended to a fraction by `FactorBase.derive` over the image
+    denominators of q's variables and then q's own denominator."""
     for v in sorted(q.variables() - spec.parameters):
         if v not in spec.images:
             raise UncoveredVariableError(f"derivation {spec.name} has no image for {v}")
-
-    def rule(p: Poly) -> Value:
-        out = Poly.zero()
-        for v in sorted(p.variables(), key=lambda v: (v in spec.images, v.sort_key)):
-            out = out + p.partial(v) * spec.eta.get(v, spec.images.get(v))
-        return out
-
-    n, m = q.num, q.den
-    return rule(n) if m.is_constant else (rule(n) * m - n * rule(m)) / (m * m)
+    images = {v: spec.eta.get(v, spec.images.get(v)) for v in sorted(q.variables())}
+    base = FactorBase([image.den for image in images.values()] + [q.den])
+    fracs = {v: base.frac(image) for v, image in images.items()}
+    return base.value(base.derive(base.frac(q), fracs.get, {}))
 
 
 def implicit_delta(p: Poly, main: JetVar, spec: DerSpec) -> Value:

@@ -207,11 +207,7 @@ class MonoidElem:
 
 def leq_total(a: MonoidElem, b: MonoidElem) -> int:
     """Three-way comparison in the total order: -1, 0 or 1."""
-    if a < b:
-        return -1
-    if b < a:
-        return 1
-    return 0
+    return (b < a) - (a < b)
 
 
 @dataclass(frozen=True)

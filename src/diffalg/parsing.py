@@ -34,7 +34,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from json.decoder import scanstring
+from json.decoder import JSONArray, JSONObject, scanstring
 from json.scanner import py_make_scanner
 from typing import Optional, Sequence
 
@@ -175,13 +175,8 @@ def _comma_list(cur: _Cursor, item) -> list:
 
 
 def _scan_k(tokens: Sequence[Token]) -> int:
-    best = 1
-    for tok in tokens:
-        if tok.kind == "ident":
-            m = _DNAME_RE.match(tok.text)
-            if m:
-                best = max(best, int(m.group(1)))
-    return best
+    found = (_DNAME_RE.match(tok.text) for tok in tokens if tok.kind == "ident")
+    return max([1] + [int(m.group(1)) for m in found if m])
 
 
 # ----------------------------------------------------------------------
@@ -557,11 +552,8 @@ def parse_variety(text: str) -> VarietyInput:
     if declared_vars is not None:
         variables = tuple(JetVar(name) for name in declared_vars)
     else:
-        seen: set[JetVar] = set()
-        for p in gens:
-            seen |= {v for v in p.variables() if v.index is None}
-        seen -= set(spec.eta)
-        variables = tuple(sorted(seen))
+        seen = set().union(*(p.variables() for p in gens)) - set(spec.eta)
+        variables = tuple(sorted(v for v in seen if v.index is None))
     return VarietyInput(variables, tuple(gens), spec, point)
 
 
@@ -587,10 +579,7 @@ def parse_triangular(text: str) -> TriangularSystem:
         equations.append((main, _poly(cur, COMMUTATIVE, k)))
 
     if ambient is None:
-        seen: set[JetVar] = set()
-        for _, p in equations:
-            seen |= p.variables()
-        ambient = tuple(sorted(seen))
+        ambient = tuple(sorted(set().union(*(p.variables() for _, p in equations))))
     return TriangularSystem(ambient, tuple(equations))
 
 
@@ -603,19 +592,47 @@ class _JsonText(str):
     character, and whether the file spells it without escapes."""
 
 
+class _JsonObject(dict):
+    """A JSON object; `where[key]` is the file line and column where a value starts."""
+
+
+class _JsonArray(list):
+    """A JSON array; `where[i]` is the file line and column where an item starts."""
+
+
 def _located_json(text: str):
-    """json.loads, with every string value a `_JsonText`."""
+    """json.loads, with every string a `_JsonText`, object a `_JsonObject`
+    and array a `_JsonArray`."""
+
+    def place(s: str, at: int) -> tuple[int, int]:
+        return s.count("\n", 0, at) + 1, at - s.rfind("\n", 0, at)
+
+    def noting(found: list, scan_once):
+        return lambda s, at: found.append(place(s, at)) or scan_once(s, at)
 
     def parse_string(s: str, end: int, strict: bool):
         value, stop = scanstring(s, end, strict)
         out = _JsonText(value)
-        out.line = s.count("\n", 0, end) + 1
-        out.column = end - s.rfind("\n", 0, end)
+        out.line, out.column = place(s, end)
         out.verbatim = "\\" not in s[end:stop]
         return out, stop
 
+    def parse_object(s_and_end, strict, scan_once, *_):
+        found: list = []
+        pairs, end = JSONObject(s_and_end, strict, noting(found, scan_once), None, list)
+        out = _JsonObject(pairs)
+        out.where = {key: at for (key, _), at in zip(pairs, found)}
+        return out, end
+
+    def parse_array(s_and_end, scan_once):
+        found: list = []
+        items, end = JSONArray(s_and_end, noting(found, scan_once))
+        out = _JsonArray(items)
+        out.where = found
+        return out, end
+
     decoder = json.JSONDecoder()
-    decoder.parse_string = parse_string
+    decoder.parse_string, decoder.parse_object, decoder.parse_array = parse_string, parse_object, parse_array
     decoder.scan_once = py_make_scanner(decoder)
     return decoder.decode(text)
 
@@ -642,8 +659,11 @@ def parse_definable_json(text: str, mode: str = COMMUTATIVE, k: Optional[int] = 
 
     def items(key: str, kind: type, noun: str) -> list:
         value = data[key]
-        if not isinstance(value, list) or not all(isinstance(x, kind) for x in value):
-            raise ParseError(f"field {key!r} must be a list of {noun}", 1, 1)
+        wrong = [data.where[key]] if not isinstance(value, list) else [
+            at for x, at in zip(value, value.where) if not isinstance(x, kind)
+        ]
+        if wrong:
+            raise ParseError(f"field {key!r} must be a list of {noun}", *wrong[0])
         return value
 
     if not isinstance(data, dict):
@@ -653,13 +673,15 @@ def parse_definable_json(text: str, mode: str = COMMUTATIVE, k: Optional[int] = 
             raise ParseError(f"missing field {key!r}", 1, 1)
     indices = variables("indices")
     atoms = []
-    for i, atom in enumerate(items("atoms", dict, "objects")):
+    entries = items("atoms", dict, "objects")
+    for i, atom in enumerate(entries):
         rel = atom.get("rel", "=")
         if rel not in ("=", "!="):
-            where = (rel.line, rel.column) if isinstance(rel, _JsonText) else (1, 1)
+            where = (rel.line, rel.column) if isinstance(rel, _JsonText) else atom.where["rel"]
             raise ParseError(f"atoms[{i}].rel: unknown relation {rel!r}", *where)
         if not isinstance(atom.get("poly"), str):
-            raise ParseError(f"atoms[{i}]: every atom needs a string field 'poly'", 1, 1)
+            where = atom.where.get("poly", entries.where[i])
+            raise ParseError(f"atoms[{i}]: every atom needs a string field 'poly'", *where)
         poly = entry(f"atoms[{i}].poly", atom["poly"], lambda text: parse_poly(text, mode, k))
         atoms.append(JetAtom(poly, str(rel)))
     return DefinableSetDesc(indices, tuple(atoms), variables("projection"))

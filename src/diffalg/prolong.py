@@ -46,10 +46,7 @@ class VarietyPresentation:
         return len(self.variables)
 
     def parameters(self) -> set[JetVar]:
-        out = set()
-        for p in self.gens:
-            out |= p.variables()
-        return out - set(self.variables)
+        return set().union(*(p.variables() for p in self.gens)) - set(self.variables)
 
     def point_binding(self, point: Sequence[Value]) -> dict[JetVar, Value]:
         if len(point) != self.n:
@@ -98,11 +95,8 @@ def tangent_system_at(
 ) -> tuple[list[list[Value]], list[Value]]:
     """Matrix and constant column of the fiber equations at a point of W."""
     binding = variety.point_binding(point)
-    rows = []
-    rhs = []
-    for p in variety.gens:
-        rows.append([p.partial(v).substitute(binding) for v in variety.variables])
-        rhs.append(coeff_derivative(p, spec.eta).substitute(binding))
+    rows = [[p.partial(v).substitute(binding) for v in variety.variables] for p in variety.gens]
+    rhs = [coeff_derivative(p, spec.eta).substitute(binding) for p in variety.gens]
     return rows, rhs
 
 
@@ -178,11 +172,8 @@ def extend_at_point(
             raise FiberError("tangent values do not satisfy the lifted equations")
 
     gen_names = set(tower.gens())
-    eta = {p: v for p, v in spec.eta.items()}
-    for c, y in zip(coords, tangent):
-        if c in gen_names:
-            continue
-        eta[c] = y
+    eta = dict(spec.eta)
+    eta.update((c, y) for c, y in zip(coords, tangent) if c not in gen_names)
     missing = set(tower.params) - set(eta)
     if missing:
         names = ", ".join(sorted(str(v) for v in missing))

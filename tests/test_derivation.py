@@ -22,9 +22,9 @@ from diffalg.errors import (
     UncoveredVariableError,
     UndeclaredParameterError,
 )
-from diffalg.jet import DiffModel, TDer, oracle_eval
+from diffalg.jet import DiffModel, TDer, oracle_eval, rewrite_term
 from diffalg.monoid import FREE
-from diffalg.parsing import parse_term
+from diffalg.parsing import parse_derspec, parse_expression, parse_term
 
 X, Y, T, C, U = JetVar("x"), JetVar("y"), JetVar("t"), JetVar("c"), JetVar("u")
 x, y, t, c, u = (var(n) for n in "xytcu")
@@ -128,9 +128,12 @@ def test_apply_derivation_matches_sympy_on_random_fractions(fractional):
         want_num, want_den = sympy.fraction(sympy.together(want))
         got_num, got_den = sympy.fraction(_sympy_value(sympy, got))
         assert sympy.expand(got_num * want_den - want_num * got_den) == 0, (q, spec)
-        if not fractional:
-            # one quotient step: the denominator divides m^2
-            assert divide_exact(q.den * q.den, got.den) is not None, (q, got)
+        bound = q.den * q.den
+        if fractional:
+            # each distinct image denominator enters once, over the factor base
+            for den in {image.den for image in (*spec.eta.values(), *spec.images.values())}:
+                bound = bound * den
+        assert divide_exact(bound, got.den) is not None, (q, spec, got)
 
 
 def test_coeff_derivative_of_a_fraction_takes_one_quotient_step():
@@ -141,6 +144,23 @@ def test_coeff_derivative_of_a_fraction_takes_one_quotient_step():
     assert got == RatFun(-x * (s + t), m * m)
     assert got.den.total_degree() <= 4
     assert twisted_lift(RatFun(x * y, m), DerSpec(eta=eta)).lift.den.total_degree() <= 4
+
+
+def test_iterated_derivatives_over_a_linear_denominator_grow_linearly():
+    # d1^n (t*x) with t' = 1/(t + 1): the exact denominator is (t + 1)^(2n - 1)
+    term = parse_term("t * x")
+    for n in range(1, 7):
+        term = TDer(1, term)
+        got = rewrite_term(term, eta={T: RatFun(1, t + 1)})
+        assert got.den.total_degree() == 2 * n - 1, (n, got.den)
+        assert divide_exact((t + 1) ** (2 * n - 1), got.den) is not None
+
+
+def test_derive_shares_the_image_denominator_with_the_fraction():
+    value = parse_expression("x^2*t + x/t")
+    got = apply_derivation(value, parse_derspec("eta: t -> 1/(t + 1); d: x -> u/t"))
+    assert got.den == t ** 3 + t ** 2
+    assert got == 2 * x * u + x * x / (t + 1) + RatFun(u, t * t) - RatFun(x, t * t * (t + 1))
 
 
 def test_oracle_denominators_at_most_double_per_order():

@@ -275,11 +275,24 @@ DEFINABLE_ERRORS = [
         "projection[0]: unexpected trailing input '+'",
         (2, 18),
     ),
+    # a value that is not a string is placed at its own first character
+    (
+        '{"indices": ["z1"],\n "atoms": [\n  {"poly": 5}],\n "projection": ["z1"]}\n',
+        "atoms[0]: every atom needs a string field 'poly'",
+        (3, 12),
+    ),
+    (
+        '{"indices": ["z1"],\n "atoms": [],\n "projection": ["z1", 1]}\n',
+        "field 'projection' must be a list of strings",
+        (3, 23),
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "text, message, where", DEFINABLE_ERRORS, ids=["atom-poly", "index", "atom-rel", "escaped-projection"]
+    "text, message, where",
+    DEFINABLE_ERRORS,
+    ids=["atom-poly", "index", "atom-rel", "escaped-projection", "poly-number", "projection-number"],
 )
 def test_definable_json_errors_name_the_entry_and_its_place_in_the_file(text, message, where):
     with pytest.raises(ParseError) as info:
