@@ -533,15 +533,7 @@ class RatFun:
             raise ZeroDivisionError("division by zero rational function")
         return _fraction(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
     def __pow__(self, n: int):
-        if n < 0:
-            return _fraction(self.den, self.num) ** (-n)
         return _fraction(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
@@ -750,10 +742,14 @@ class AffineSpace:
         return self.n - self.rank
 
 
-def solve_affine(rows: Sequence[Sequence], rhs: Sequence, n: Optional[int] = None) -> AffineSpace:
+def solve_affine(
+    rows: Sequence[Sequence], rhs: Sequence, n: Optional[int] = None, is_zero=lambda x: x.is_zero
+) -> AffineSpace:
     """Exact Gauss-Jordan elimination for A y + b = 0 over the fraction field.
 
-    `n` fixes the number of unknowns when the system has no rows.
+    `n` fixes the number of unknowns when the system has no rows.  `is_zero`
+    decides for pivots, elimination and consistency which entries vanish
+    (over an algebraic tower, pass the tower's).
     """
     m = len(rows)
     if m != len(rhs):
@@ -771,7 +767,7 @@ def solve_affine(rows: Sequence[Sequence], rhs: Sequence, n: Optional[int] = Non
     for col in range(n):
         pivot = None
         for r in range(row_i, m):
-            if not a[r][col].is_zero:
+            if not is_zero(a[r][col]):
                 pivot = r
                 break
         if pivot is None:
@@ -782,7 +778,7 @@ def solve_affine(rows: Sequence[Sequence], rhs: Sequence, n: Optional[int] = Non
         a[row_i] = [x * inv for x in a[row_i]]
         b[row_i] = b[row_i] * inv
         for r in range(m):
-            if r != row_i and not a[r][col].is_zero:
+            if r != row_i and not is_zero(a[r][col]):
                 factor = a[r][col]
                 a[r] = [x - factor * y for x, y in zip(a[r], a[row_i])]
                 b[r] = b[r] - factor * b[row_i]
@@ -792,7 +788,7 @@ def solve_affine(rows: Sequence[Sequence], rhs: Sequence, n: Optional[int] = Non
             break
 
     rank = len(pivots)
-    consistent = all(b[r].is_zero for r in range(rank, m))
+    consistent = all(is_zero(b[r]) for r in range(rank, m))
     pivot_cols = {col for _, col in pivots}
     free_cols = [c for c in range(n) if c not in pivot_cols]
 

@@ -38,12 +38,15 @@ and carries the forced derivative value
     d(gen) = - (defining polynomial with coefficients derived, at gen)
              / (its derivative in gen, at gen).
 
-Tower arithmetic reduces elements by pseudo-division against each stage's
-defining polynomial, highest stage first, through `algebra.pseudo_reduce`
-(each step is Knuth, TAOCP vol. 2, 4.6.1, Algorithm R).  Inverting an
-element and checking that a new defining polynomial is squarefree are both
-one pseudo-remainder sequence in the stage generator (Brown and Traub,
-JACM 1971), whose remainders are reduced over the tower and whose cofactor
+Tower arithmetic reduces the numerator of an element by pseudo-division
+against each stage's defining polynomial, highest stage first, through
+`algebra.pseudo_reduce` (each step is Knuth, TAOCP vol. 2, 4.6.1,
+Algorithm R), and keeps the denominator, a unit of the tower that the next
+derivation's factor base splits over the stage separants: iterated
+derivatives have denominators linear in the order.  Inverting an element
+and checking that a new defining polynomial is squarefree are both one
+pseudo-remainder sequence in the stage generator (Brown and Traub, JACM
+1971), whose remainders are reduced over the tower and whose cofactor
 follows them; its coefficients are never multiplied by inverses.  Only two
 kinds of value are inverted in the tower below: a leading coefficient that
 involves a lower generator (to test that it is a unit), and the last
@@ -179,6 +182,7 @@ class Tower:
         # unlisted parameters are constants for the derivation
         self.eta = {p: as_value(given.get(p, 0)) for p in self.params}
         self.stages: tuple[TowerStage, ...] = ()
+        self._chain: tuple[tuple[JetVar, Poly], ...] = ()
 
     # -- construction --------------------------------------------------
 
@@ -187,6 +191,9 @@ class Tower:
         out.params = self.params
         out.eta = dict(self.eta)
         out.stages = stages
+        # the stage relations as a triangular chain, highest stage first; its
+        # multipliers are products of stage initials, never zero in the tower
+        out._chain = tuple((s.gen, s.minpoly) for s in reversed(stages))
         return out
 
     def extend(self, minpoly: Poly, gen: Union[JetVar, str]) -> "Tower":
@@ -218,25 +225,16 @@ class Tower:
 
     # -- reduction and zero testing ------------------------------------
 
-    @property
-    def _chain(self) -> tuple[tuple[JetVar, Poly], ...]:
-        """The stage relations as a triangular chain, highest stage first;
-        its multipliers are products of stage initials, never zero in the
-        tower."""
-        return tuple((s.gen, s.minpoly) for s in reversed(self.stages))
-
     def reduce(self, x: Value) -> Value:
-        """Value-preserving normal form of a tower element: reduce numerator
-        and denominator until a pass reduces neither."""
-        for _ in range(len(self.stages) + 2):
-            rn, mn = pseudo_reduce(x.num, self._chain)
-            rd, md = pseudo_reduce(x.den, self._chain)
-            if rd.is_zero:
-                raise NonInvertibleError(f"denominator {x.den} vanishes in the tower")
-            if rn is x.num and rd is x.den:
-                return as_value(x)
-            x = (rn * md) / (rd * mn)
-        return x
+        """x with only its numerator pseudo-reduced by the chain.  The
+        denominator, which must not vanish in the tower, is a unit there and
+        is kept for the next derivation's factor base to split."""
+        if self.is_zero(x.den):
+            raise NonInvertibleError(f"denominator {x.den} vanishes in the tower")
+        rem, mult = pseudo_reduce(x.num, self._chain)
+        if rem is x.num:
+            return as_value(x)
+        return rem / (mult * x.den)
 
     def is_zero(self, x: Value) -> bool:
         rem, _ = pseudo_reduce(x.num, self._chain)

@@ -56,10 +56,9 @@ class VarietyPresentation:
             binding[p] = Poly.variable(p)
         return binding
 
-    def contains(self, point: Sequence[Value], is_zero=None) -> bool:
+    def contains(self, point: Sequence[Value], is_zero=lambda x: x.is_zero) -> bool:
         binding = self.point_binding(point)
-        test = is_zero if is_zero is not None else (lambda rf: rf.is_zero)
-        return all(test(p.evaluate(binding)) for p in self.gens)
+        return all(is_zero(p.evaluate(binding)) for p in self.gens)
 
 
 @dataclass(frozen=True)
@@ -109,14 +108,15 @@ def tangent_space_at(
     """Solve the twisted fiber at a point of the variety.
 
     Membership of the point is checked by evaluation; when the coordinates
-    live in an algebraic tower, pass it so vanishing is decided there.
+    live in an algebraic tower, pass it so vanishing, for membership and
+    for the pivots of the elimination, is decided there.
     """
     _check_parameters(variety, spec)
-    is_zero = tower.is_zero if tower is not None else None
+    is_zero = tower.is_zero if tower is not None else (lambda x: x.is_zero)
     if not variety.contains(point, is_zero=is_zero):
         raise FiberError("point does not satisfy the generators")
     rows, rhs = tangent_system_at(variety, spec, point)
-    return solve_affine(rows, rhs, n=variety.n)
+    return solve_affine(rows, rhs, n=variety.n, is_zero=is_zero)
 
 
 class RegRank(NamedTuple):

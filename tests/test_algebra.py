@@ -97,6 +97,21 @@ def test_ratfun_div_by_zero():
         RatFun(x) / RatFun.const(0)
 
 
+def test_ratfun_powers_are_nonnegative_as_for_polynomials():
+    rf = RatFun(x, y + 1)
+    assert rf ** 2 == RatFun(x * x, (y + 1) ** 2)
+    with pytest.raises(ValueError):
+        rf ** -1
+    with pytest.raises(ValueError):
+        x ** -1
+
+
+def test_a_number_over_a_ratfun_is_not_defined():
+    with pytest.raises(TypeError):
+        1 / RatFun(x, y + 1)
+    assert Poly.const(1) / RatFun(x, y + 1) == RatFun(y + 1, x)
+
+
 def test_partial_derivative_examples():
     assert (x * x * y).partial(X) == 2 * x * y
     assert Poly.const(5).partial(X) == Poly.zero()

@@ -68,6 +68,15 @@ def test_tangent_space_twisted_matches_forced_derivative():
     assert tower.equal(sol, tower.stages[0].dvalue)
 
 
+def test_tangent_space_over_a_tower_takes_its_pivots_there():
+    # V = {(x^2 - 2) y = 0} at (c, 0) over c^2 = 2: the Jacobian row is
+    # [0, c^2 - 2], zero in the tower, so two components meet in a plane
+    variety = VarietyPresentation((X, Y), ((x * x - 2) * y,))
+    tower = Tower([], {}).extend(c * c - 2, C)
+    space = tangent_space_at(variety, DerSpec(), (c, Poly.zero()), tower=tower)
+    assert space.rank == 0 and space.dimension == 2 and space.consistent
+
+
 def test_tangent_space_rejects_points_off_variety():
     with pytest.raises(FiberError):
         tangent_space_at(circle, DerSpec(), (RatFun.const(1), RatFun.const(1)))
