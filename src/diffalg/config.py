@@ -25,13 +25,13 @@ coefficient table on a parameter and by f at d.mu on x_mu; so the
 exponents grow linearly with the word length.  Values leave this module
 as `Value`s: a `Poly` over a constant denominator, else a `RatFun`.
 
-A configuration commutes at a tuple alpha when all its word/leader
-factorizations produce functions that agree on the locus.  Agreement is
-decided by bringing two values over a common B^e and pseudo-reducing the
-numerator difference against the relations; disagreement is confirmed,
-when possible, by exhibiting a rational point of the locus where the two
-functions differ.  Every denominator is a product of base factors, so it
-is nonzero almost everywhere on the locus.
+A configuration commutes at a tuple alpha when its word/leader
+factorizations agree on the locus (`_agree`).  Coherence (Rosenfeld 1959;
+Pierce 2014): with relations squarefree in their leaders and commuting eta
+tables, every tuple of degree <= D commutes once the leaders' joins of
+degree <= D agree and [R_i, R_j] vanishes on the generators of degree
+<= D - 2.  `verify_global` tests that, and compares every factorization only
+to find a witness, which a rational point of the locus confirms if it can.
 """
 
 from __future__ import annotations
@@ -41,12 +41,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import gcd, isqrt
+from itertools import chain, combinations
+from math import factorial, gcd, isqrt, prod
 from operator import add
 from typing import Mapping, Optional, Sequence, Union
 
 from .algebra import FactorBase, Frac, JetVar, Poly, Value, as_value, pseudo_reduce
-from .derivation import DerSpec, apply_derivation
+from .derivation import DerSpec, Tower, _last_remainder, apply_derivation
 from .errors import ConfigurationError, PoleError
 from .jet import DiffModel, jet_binding
 from .monoid import COMMUTATIVE, FREE, MonoidElem, antichain_minimal, theta_ball
@@ -301,10 +302,13 @@ class Configuration:
             elif len(letters) == 1:
                 value = self._single_letter(letters[0], pi)
             else:
-                i, rest = letters[0], self._f_word(letters[1:], pi)
-                value = self._base.derive(rest, partial(self._image, i), self._memos[i - 1])
+                value = self._derive(letters[0], self._f_word(letters[1:], pi))
             self._word_cache[key] = value
         return value
+
+    def _derive(self, i: int, f: Frac) -> Frac:
+        """R_i(f), by the base's derivation rule and its memo for R_i."""
+        return self._base.derive(f, partial(self._image, i), self._memos[i - 1])
 
     def _single_letter(self, i: int, pi: MonoidElem) -> Frac:
         """f_{d_i,pi}: solve R_i(p_pi) = 0 for the image of x_pi."""
@@ -350,6 +354,11 @@ class Configuration:
         """Pseudo-reduce by every relation, highest leader first."""
         return pseudo_reduce(p, self._chain)[0]
 
+    def _agree(self, f: Frac, g: Frac) -> bool:
+        """f = g on the locus: over a common B^e, the chain reduces N_f - N_g to 0."""
+        top = tuple(map(max, f.exps, g.exps))
+        return self.reduce_mod(self._base.lift(f, top) - self._base.lift(g, top)).is_zero
+
     def factorizations(self, alpha: MonoidElem) -> list[tuple[MonoidElem, MonoidElem]]:
         """All (word, leader) pairs whose composite is alpha, ordered by leader,
         then by word: Algorithm L yields each leader's words in order."""
@@ -375,8 +384,7 @@ class Configuration:
         base_value = self._f_word(base_word.data, base_pi)
         for word, pi in reps[1:]:
             value = self._f_word(word.data, pi)
-            top = tuple(map(max, value.exps, base_value.exps))
-            if self.reduce_mod(self._base.lift(value, top) - self._base.lift(base_value, top)).is_zero:
+            if self._agree(value, base_value):
                 continue
             f1, f2 = self._base.value(value), self._base.value(base_value)
             reduced = self.reduce_mod((f1 - f2).num)
@@ -446,10 +454,51 @@ class Configuration:
         return self._run_checks("local", self.local_alphas(), rng)
 
     def verify_global(self, degree_bound: int, rng: Optional[random.Random] = None) -> CommutationReport:
-        """Check every tuple of total degree at most `degree_bound`, one after another."""
+        """Check every tuple of total degree at most D = `degree_bound`.
+
+        Coherence first (Rosenfeld, "Specializations in differential
+        algebra", Trans. AMS 1959; Pierce, "Fields with several commuting
+        derivations", JSL 2014).  With squarefree relations the base factors
+        are units on the locus, where `_agree` is equality; R_i(p_pi) = 0
+        (`_single_letter`), so R_i and [R_i, R_j], 0 on the parameters
+        (`__init__`), keep the ideal of the chain.  A value of degree n holds
+        generators and base factors of degree <= n, so [R_i, R_j] kills it if
+        it kills the generators of degree <= D - 2: words for one leader
+        agree, one swap at a time, and R^(alpha - lambda) lifts agreement at
+        a join lambda to alpha.  Else every factorization is compared.
+        """
         if degree_bound < 0:
             raise ConfigurationError(f"negative degree bound {degree_bound}")
-        return self._run_checks("global", theta_ball(self.k, degree_bound), rng)
+        alphas = theta_ball(self.k, degree_bound)
+        if not self._coherent(degree_bound):
+            return self._run_checks("global", alphas, rng)
+        if rng is not None:
+            rng.randrange(2 ** 31)  # the draw `_run_checks` makes
+        checks = (CommutationCheck(a, "commutes", trivial=self._count_factorizations(a) <= 1) for a in alphas)
+        return CommutationReport("global", tuple(checks))
+
+    def _coherent(self, degree_bound: int) -> bool:
+        """The join, generator and squarefree tests in turn; False at the first failure."""
+        joins = (
+            tuple(self._f_word(lam.minus(pi).canonical_word().data, pi) for pi in pair)
+            for pair in combinations(self.leaders, 2)
+            if (lam := pair[0].lub(pair[1])).degree <= degree_bound
+        )
+        generators = (
+            (self._derive(i, self._f_delta_mu(j, nu)), self._derive(j, self._f_delta_mu(i, nu)))
+            for nu in theta_ball(self.k, degree_bound - 2)
+            if nu in self.relations or self.is_free(nu)
+            for i, j in combinations(range(1, self.k + 1), 2)
+        )
+        squarefree = (  # each separant is a unit on the locus
+            not _last_remainder(Tower(()), p.partial(v), p, v)[0].depends_on(v) for v, p in self._chain
+        )
+        return all(self._agree(f, g) for f, g in chain(joins, generators)) and all(squarefree)
+
+    def _count_factorizations(self, alpha: MonoidElem) -> int:
+        """len(self.factorizations(alpha)): a multinomial per leader below alpha."""
+        quotients = (alpha.minus(pi).data for pi in self.leaders if pi.preceq(alpha))
+        return sum(factorial(sum(q)) // prod(map(factorial, q)) for q in quotients)
 
     def _run_checks(self, kind, alphas, rng) -> CommutationReport:
         seed = rng.randrange(2 ** 31) if rng is not None else 2025

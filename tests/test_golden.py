@@ -37,6 +37,8 @@ for _name in _CONFIGS:
     for _degree in ("3", "5"):
         CASES.append(["config-check", f"corpus/{_name}.cfg", "--global-degree", _degree, "--json"])
     CASES.append(["config-check", f"corpus/{_name}.cfg", "--global-degree", "3"])
+for _flags in ([], ["--json"]):
+    CASES.append(["config-check", "corpus/separant.cfg", "--global-degree", "4", *_flags])
 for _name in _PAIR_CONFIGS:
     for _alpha in ("d1", "d1 d2", "d1^2 d2", "d1 d2^2"):
         CASES.append(["config-g", f"corpus/{_name}.cfg", _alpha])
