@@ -27,11 +27,11 @@ as `Value`s: a `Poly` over a constant denominator, else a `RatFun`.
 
 A configuration commutes at a tuple alpha when its word/leader
 factorizations agree on the locus (`_agree`).  Coherence (Rosenfeld 1959;
-Pierce 2014): with relations squarefree in their leaders and commuting eta
-tables, every tuple of degree <= D commutes once the leaders' joins of
-degree <= D agree and [R_i, R_j] vanishes on the generators of degree
-<= D - 2.  `verify_global` tests that, and compares every factorization only
-to find a witness, which a rational point of the locus confirms if it can.
+Pierce 2014): with relations squarefree in their leaders, every tuple of
+degree <= D commutes once [R_i, R_j] vanishes on the parameters and on the
+free and leader generators of degree <= D - 2; `_commutes_on` tests both.
+`verify_global` compares every factorization only to find a witness,
+which a rational point of the locus confirms if it can.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, combinations
+from itertools import combinations
 from math import factorial, gcd, isqrt, prod
 from operator import add
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .algebra import FactorBase, Frac, JetVar, Poly, Value, as_value, pseudo_reduce
 from .derivation import DerSpec, Tower, _last_remainder, apply_derivation
@@ -181,20 +181,18 @@ class Configuration:
             for value in table.values():
                 params |= value.variables()
         self.params = tuple(sorted(params))
-        if self.params and not DiffModel.on_parameters(self.params, self.etas).commutes_on_generators():
-            raise ConfigurationError("the eta tables do not commute on the parameters")
-        self.derspecs = tuple(
-            DerSpec(f"d{i + 1}", {p: table.get(p, Poly.zero()) for p in self.params}, {})
-            for i, table in enumerate(self.etas)
-        )
 
         # the factor base: the separants, then the eta denominators
-        dens = [v.den for spec in self.derspecs for v in spec.eta.values()]
+        dens = [v.den for table in self.etas for _, v in sorted(table.items())]
         self._base = FactorBase([self.separant(pi) for pi in self.leaders] + dens)
-        self._eta_images = tuple({c: self._base.frac(v) for c, v in d.eta.items()} for d in self.derspecs)
+        self._eta_images = tuple(
+            {p: self._base.frac(table.get(p, Poly.zero())) for p in self.params} for table in self.etas
+        )
         self._memos: tuple[dict[int, Frac], ...] = tuple({} for _ in range(k))
         self._word_cache: dict[tuple[tuple[int, ...], MonoidElem], Frac] = {}
         self._theta_cache: dict[MonoidElem, tuple[Frac, Union[tuple, str]]] = {}
+        if not self._commutes_on(self.params):
+            raise ConfigurationError("the eta tables do not commute on the parameters")
 
     # ------------------------------------------------------------------
 
@@ -334,7 +332,7 @@ class Configuration:
         """The derivation extending d_i that sends each x_mu to f at d_i.mu."""
         if not 1 <= i <= self.k:
             raise ConfigurationError(f"no derivation d{i} with k={self.k}")
-        eta = self.derspecs[i - 1].eta
+        eta = self.etas[i - 1]
         images = {
             v: eta.get(v, 0) if v.index is None else self._base.value(self._f_delta_mu(i, v.index))
             for v in h.variables()
@@ -458,14 +456,31 @@ class Configuration:
 
         Coherence first (Rosenfeld, "Specializations in differential
         algebra", Trans. AMS 1959; Pierce, "Fields with several commuting
-        derivations", JSL 2014).  With squarefree relations the base factors
-        are units on the locus, where `_agree` is equality; R_i(p_pi) = 0
-        (`_single_letter`), so R_i and [R_i, R_j], 0 on the parameters
-        (`__init__`), keep the ideal of the chain.  A value of degree n holds
-        generators and base factors of degree <= n, so [R_i, R_j] kills it if
-        it kills the generators of degree <= D - 2: words for one leader
-        agree, one swap at a time, and R^(alpha - lambda) lifts agreement at
-        a join lambda to alpha.  Else every factorization is compared.
+        derivations", JSL 2014): `_coherent` asks for relations squarefree
+        in their leaders and for [R_i, R_j] x_nu = 0 on the locus for every
+        free or leader nu with |nu| <= D - 2.  Squarefree relations make the
+        base factors units on the locus, where `_agree` is equality.
+        R_i(p_pi) = 0 (`_single_letter`), so R_i and [R_i, R_j], which is 0
+        on the parameters (`__init__`), keep the ideal of the chain.  A value
+        of degree m holds generators and base factors of degree <= m, so
+        [R_i, R_j] kills every value of degree <= D - 2.
+
+        Then, by induction on n = |alpha| <= D, all factorizations of alpha
+        agree.  Two words for one leader differ by swaps of adjacent
+        letters, each applied to a value of degree <= n - 2.  For leaders
+        pi != pi' below alpha, with join lambda = pi v pi':
+        - lambda < alpha: agreement at lambda (induction) lifts to alpha
+          by R^(alpha - lambda).
+        - lambda = alpha: take i with pi_i > pi'_i, j with pi'_j > pi_j,
+          and mu = lambda - d_i - d_j.  If mu is free, the generator test
+          at mu compares R_i(f at lambda - d_i) with R_j(f at lambda - d_j),
+          which by induction at n - 1 are the factorizations through pi'
+          and through pi.  Else mu lies above a leader pi'' outside
+          {pi, pi'}, as mu_i < pi_i and mu_j < pi'_j; pi v pi'' and
+          pi' v pi'' lie strictly below lambda, in coordinates j and i, so
+          agreement passes through pi'' by the first case.
+
+        If the test fails, every factorization is compared.
         """
         if degree_bound < 0:
             raise ConfigurationError(f"negative degree bound {degree_bound}")
@@ -478,22 +493,24 @@ class Configuration:
         return CommutationReport("global", tuple(checks))
 
     def _coherent(self, degree_bound: int) -> bool:
-        """The join, generator and squarefree tests in turn; False at the first failure."""
-        joins = (
-            tuple(self._f_word(lam.minus(pi).canonical_word().data, pi) for pi in pair)
-            for pair in combinations(self.leaders, 2)
-            if (lam := pair[0].lub(pair[1])).degree <= degree_bound
-        )
+        """The generator and squarefree tests in turn; False at the first failure."""
         generators = (
-            (self._derive(i, self._f_delta_mu(j, nu)), self._derive(j, self._f_delta_mu(i, nu)))
+            self.jet_var(nu)
             for nu in theta_ball(self.k, degree_bound - 2)
             if nu in self.relations or self.is_free(nu)
-            for i, j in combinations(range(1, self.k + 1), 2)
         )
         squarefree = (  # each separant is a unit on the locus
             not _last_remainder(Tower(()), p.partial(v), p, v)[0].depends_on(v) for v, p in self._chain
         )
-        return all(self._agree(f, g) for f, g in chain(joins, generators)) and all(squarefree)
+        return self._commutes_on(generators) and all(squarefree)
+
+    def _commutes_on(self, variables: Iterable[JetVar]) -> bool:
+        """R_i(R_j v) agrees with R_j(R_i v) for every parameter or jet variable v and i < j."""
+        return all(
+            self._agree(self._derive(i, self._image(j, v)), self._derive(j, self._image(i, v)))
+            for v in variables
+            for i, j in combinations(range(1, self.k + 1), 2)
+        )
 
     def _count_factorizations(self, alpha: MonoidElem) -> int:
         """len(self.factorizations(alpha)): a multinomial per leader below alpha."""
@@ -524,7 +541,7 @@ class Configuration:
             if p not in model_vars:
                 raise ConfigurationError(f"model does not interpret parameter {p}")
             for i in range(1, self.k + 1):
-                expected = self.derspecs[i - 1].eta[p]
+                expected = self.etas[i - 1].get(p, Poly.zero())
                 if not model.equal(model.apply(i, Poly.variable(p)), expected):
                     raise ConfigurationError(
                         f"model derivation d{i} disagrees with the coefficient table on {p}"

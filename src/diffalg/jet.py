@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from functools import partial
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .algebra import JetVar, Poly, Value, as_value
 from .derivation import DerSpec, Tower, apply_derivation
@@ -115,6 +116,28 @@ class JetAtom:
         return f"{self.poly} {self.rel} 0"
 
 
+def _evaluate(t: DiffTerm, leaf: Callable[[str], Value], der: Callable[[int], Callable]) -> Value:
+    """A term's value: `leaf` values a variable by name, `der(i)` gives the
+    operator for di before its argument is evaluated."""
+
+    def rec(node: DiffTerm) -> Value:
+        if isinstance(node, TConst):
+            return Poly.const(node.value)
+        if isinstance(node, TVar):
+            return leaf(node.name)
+        if isinstance(node, TAdd):
+            return rec(node.left) + rec(node.right)
+        if isinstance(node, TMul):
+            return rec(node.left) * rec(node.right)
+        if isinstance(node, TNeg):
+            return -rec(node.arg)
+        if isinstance(node, TDer):
+            return der(node.index)(rec(node.arg))
+        raise TypeError(f"unknown term node: {node!r}")
+
+    return rec(t)
+
+
 def _eta_tables(eta, k: int) -> list[dict[JetVar, object]]:
     """Normalize the parameter-table argument to one table per derivation symbol."""
     if eta is None:
@@ -129,17 +152,23 @@ def _eta_tables(eta, k: int) -> list[dict[JetVar, object]]:
     return tables
 
 
-def _jet_shift(value, i: int, mode: str, k: int, eta: Mapping[JetVar, object]):
-    """Apply the i-th derivation symbol formally: bump jet indices, derive parameters."""
-    gen = MonoidElem.generator(mode, k, i)
-    images = {}
-    for v in sorted(value.variables() - set(eta)):
-        if v.index is None:
-            raise UncoveredVariableError(
-                f"variable {v} is neither a declared parameter nor a jet variable"
-            )
-        images[v] = Poly.variable(JetVar(v.base, gen.compose(v.index)))
-    return apply_derivation(value, DerSpec(f"d{i}", eta, images))
+def _jet_shift(i: int, mode: str, k: int, tables: Sequence[Mapping[JetVar, object]]) -> Callable:
+    """The i-th derivation symbol, applied formally: bump jet indices, derive parameters."""
+    if not 1 <= i <= k:
+        raise EngineError(f"derivation index d{i} exceeds k={k}")
+    gen, eta = MonoidElem.generator(mode, k, i), tables[i - 1]
+
+    def shift(value: Value) -> Value:
+        images = {}
+        for v in sorted(value.variables() - set(eta)):
+            if v.index is None:
+                raise UncoveredVariableError(
+                    f"variable {v} is neither a declared parameter nor a jet variable"
+                )
+            images[v] = Poly.variable(JetVar(v.base, gen.compose(v.index)))
+        return apply_derivation(value, DerSpec(f"d{i}", eta, images))
+
+    return shift
 
 
 def rewrite_term(
@@ -168,27 +197,11 @@ def rewrite_term(
 
     identity = MonoidElem.identity(mode, k)
 
-    def rec(node: DiffTerm):
-        if isinstance(node, TConst):
-            return Poly.const(node.value)
-        if isinstance(node, TVar):
-            plain = JetVar(node.name)
-            if plain in params:
-                return Poly.variable(plain)
-            return Poly.variable(JetVar(node.name, identity))
-        if isinstance(node, TAdd):
-            return rec(node.left) + rec(node.right)
-        if isinstance(node, TMul):
-            return rec(node.left) * rec(node.right)
-        if isinstance(node, TNeg):
-            return -rec(node.arg)
-        if isinstance(node, TDer):
-            if not 1 <= node.index <= k:
-                raise EngineError(f"derivation index d{node.index} exceeds k={k}")
-            return _jet_shift(rec(node.arg), node.index, mode, k, tables[node.index - 1])
-        raise TypeError(f"unknown term node: {node!r}")
+    def leaf(name: str) -> Poly:
+        plain = JetVar(name)
+        return Poly.variable(plain if plain in params else JetVar(name, identity))
 
-    return rec(t)
+    return _evaluate(t, leaf, partial(_jet_shift, mode=mode, k=k, tables=tables))
 
 
 def rewrite_atom(
@@ -302,26 +315,14 @@ def oracle_eval(
         raise KindMismatchError("model derivations do not commute; free mode only")
     model_vars = {v.base: v for v in model.variables()}
 
-    def rec(node: DiffTerm) -> Value:
-        if isinstance(node, TConst):
-            return Poly.const(node.value)
-        if isinstance(node, TVar):
-            if node.name in sigma:
-                return as_value(sigma[node.name])
-            if node.name in model_vars:
-                return Poly.variable(model_vars[node.name])
-            raise UncoveredVariableError(f"no model value for variable {node.name}")
-        if isinstance(node, TAdd):
-            return rec(node.left) + rec(node.right)
-        if isinstance(node, TMul):
-            return rec(node.left) * rec(node.right)
-        if isinstance(node, TNeg):
-            return -rec(node.arg)
-        if isinstance(node, TDer):
-            return model.apply(node.index, rec(node.arg))
-        raise TypeError(f"unknown term node: {node!r}")
+    def leaf(name: str) -> Value:
+        if name in sigma:
+            return as_value(sigma[name])
+        if name in model_vars:
+            return Poly.variable(model_vars[name])
+        raise UncoveredVariableError(f"no model value for variable {name}")
 
-    return model.reduce(rec(t))
+    return model.reduce(_evaluate(t, leaf, lambda i: partial(model.apply, i)))
 
 
 def jet_binding(

@@ -192,6 +192,20 @@ def test_config_g_refuses_a_monomial_together_with_a_word(capsys):
     assert err == "error: give an exponent monomial or --word with --leader, not both\n"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--word", "d1"], "--word and --leader must be given together"),
+        ([], "give an exponent monomial, or --word together with --leader"),
+    ],
+)
+def test_config_g_needs_a_monomial_or_a_word_with_a_leader(capsys, flags, message):
+    code, out, err = run(capsys, "config-g", os.path.join(CORPUS, "commuting.cfg"), *flags)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_a_relation_declared_twice_is_a_parse_error(tmp_path, capsys):
     cfg = tmp_path / "twice.cfg"
     cfg.write_text("k = 2\nP: d1\np[d1] = x[d1] - x[0]\np[d1] = x[d1] - 5*x[0]\n")

@@ -1,10 +1,12 @@
 """The coherence test of `Configuration.verify_global` against enumeration.
 
-`verify_global` decides commutation by the joins of the leaders and the
-commutators on the generators, and compares every factorization of every
+`verify_global` decides commutation by the commutators [R_i, R_j] on the
+free and leader generators, and compares every factorization of every
 tuple only when that test fails.  The reports must be the ones full
 enumeration (`_run_checks`) gives: the same dicts, the same `trivial`
-flags, and the caller's random stream left in the same state.
+flags, and the caller's random stream left in the same state.  The same
+commutator test decides whether the eta tables commute on the
+parameters; `DiffModel` is the reference there.
 """
 
 from __future__ import annotations
@@ -12,13 +14,16 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from conftest import rand_poly
-from diffalg.algebra import JetVar, Poly
+from diffalg.algebra import JetVar, Poly, RatFun
 from diffalg.config import Configuration
-from diffalg.monoid import MonoidElem, theta_ball
+from diffalg.errors import ConfigurationError
+from diffalg.jet import DiffModel
+from diffalg.monoid import COMMUTATIVE, MonoidElem, antichain_minimal, theta_ball
 from diffalg.parsing import parse_config
 
 CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "corpus")
@@ -121,7 +126,7 @@ def test_coherence_matches_enumeration_on_random_families():
 
 def test_a_relation_with_a_multiple_root_is_enumerated():
     # the separant of (x[d1] - x[0])^2 (x[d1] + 1) is a zero divisor modulo the relation
-    rels = {theta(1, 0): (x(1, 0) - x(0, 0)) ** 2 * (x(1, 0) + 1)}  # one leader: joins and generators pass
+    rels = {theta(1, 0): (x(1, 0) - x(0, 0)) ** 2 * (x(1, 0) + 1)}  # one leader: the generators pass
     assert not _assert_same_reports(lambda: Configuration(2, list(rels), rels), 3)
 
 
@@ -134,9 +139,9 @@ def test_coherence_matches_enumeration_on_the_corpus(name):
 
 
 def test_coherent_cost_does_not_grow_with_the_degree():
+    # one comparison each at nu = 0, d1 and d2, for [R_1, R_2], and nothing else
     with open(os.path.join(CORPUS, "scaled.cfg"), encoding="utf-8") as handle:
         text = handle.read()
-    counts = []
     for degree in (6, 10):
         cfg = parse_config(text)
         calls, reduce_mod = [], cfg.reduce_mod
@@ -147,5 +152,76 @@ def test_coherent_cost_does_not_grow_with_the_degree():
 
         cfg.reduce_mod = counted
         assert cfg.verify_global(degree).commutes
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+        assert len(calls) == 3, (degree, len(calls))
+
+
+def _q_power(q: Poly, x0: JetVar, n: int) -> Poly:
+    """The n-th derivative of a solution of x' = q(x), as a polynomial in x."""
+    out = q
+    for _ in range(n - 1):
+        out = out.partial(x0) * q
+    return out
+
+
+def _model_configuration(rng: random.Random) -> Configuration:
+    """Leaders of degree <= 3 for x along d_i = c_i q(x): x[pi] = c^pi * q_|pi|(x[0]),
+    each relation broken with probability 1/4."""
+    k = rng.choice([2, 3])
+    x0 = JetVar("x", theta(*(0,) * k))
+    q = rand_poly(rng, [x0], max_terms=2, max_degree=2)
+    c = [rng.randint(-2, 2) for _ in range(k)]
+    pool = [mu for mu in theta_ball(k, 3) if mu.degree]
+    leaders = sorted(antichain_minimal(rng.sample(pool, rng.randint(1, 4))))
+    rels = {}
+    for pi in leaders:
+        scale = prod(ci ** e for ci, e in zip(c, pi.data)) + (rng.random() < 0.25)
+        rels[pi] = x(*pi.data) - scale * _q_power(q, x0, pi.degree)
+    return Configuration(k, leaders, rels)
+
+
+def test_coherence_matches_enumeration_on_the_model_family():
+    rng, paths = random.Random(14), []
+    for _ in range(100):
+        state = rng.getstate()
+        _model_configuration(rng)
+        paths.append(_assert_same_reports(lambda: _model_configuration(_replay(state)), 4))
+    assert 20 <= paths.count(True) <= 90, paths.count(True)  # both paths are exercised
+
+
+def _random_tables(rng: random.Random) -> tuple[list[JetVar], list[dict]]:
+    """Parameters and one eta table per derivation: polynomial and fractional
+    entries, commuting by construction half of the time."""
+    k, params = rng.choice([2, 3]), [JetVar(name) for name in "tuv"[: rng.randint(1, 3)]]
+
+    def entry(over):
+        num = rand_poly(rng, over, max_terms=2, max_degree=2, span=3)
+        if rng.random() < 0.4:
+            return num
+        return RatFun(num, Poly.variable(rng.choice(over)) + rng.randint(1, 3))
+
+    shape = rng.randrange(3)
+    if shape == 0:  # proportional tables: d_i = c_i d
+        base = {p: entry(params) for p in params}
+        return params, [{p: rng.randint(-2, 2) * v for p, v in base.items()} for _ in range(k)]
+    if shape == 1:  # d_i moves parameter i only, by a function of it alone
+        return params, [{params[i]: entry(params[i:i + 1])} if i < len(params) else {} for i in range(k)]
+    tables = [{p: entry(params) for p in rng.sample(params, rng.randint(1, len(params)))} for _ in range(k)]
+    return params, tables
+
+
+def test_eta_check_matches_the_model_on_random_tables():
+    rng, verdicts = random.Random(15), []
+    for _ in range(150):
+        params, tables = _random_tables(rng)
+        k = len(tables)
+        want = DiffModel.on_parameters(params, tables).commutes_on_generators()
+        leaders = [MonoidElem.generator(COMMUTATIVE, k, i) for i in range(1, k + 1)]
+        rels = {pi: x(*pi.data) - i * x(*(0,) * k) for i, pi in enumerate(leaders, 1)}
+        try:
+            Configuration(k, leaders, rels, etas=tables)
+            verdicts.append(True)
+        except ConfigurationError as err:
+            assert str(err) == "the eta tables do not commute on the parameters"
+            verdicts.append(False)
+        assert verdicts[-1] == want, (params, tables)
+    assert 30 <= verdicts.count(True) <= 120, verdicts.count(True)

@@ -324,7 +324,7 @@ class QuotientRuleReference:
         return self.theta(MonoidElem.generator(COMMUTATIVE, self.cfg.k, i).compose(mu))
 
     def r(self, i, h: RatFun) -> RatFun:
-        out = coeff_derivative(h, self.cfg.derspecs[i - 1].eta)
+        out = coeff_derivative(h, self.cfg.etas[i - 1])
         n, m = h.num, h.den
         for v in h.variables():
             if v.index is not None:
@@ -341,7 +341,7 @@ class QuotientRuleReference:
                 value = RatFun.variable(cfg.jet_var(pi))
             elif len(letters) == 1:
                 p = cfg.relations[pi]
-                num = coeff_derivative(p, cfg.derspecs[letters[0] - 1].eta)
+                num = coeff_derivative(p, cfg.etas[letters[0] - 1])
                 for v in p.variables():
                     if v.index is not None and v.index != pi:
                         num = num + p.partial(v) * self.delta(letters[0], v.index)
@@ -405,3 +405,76 @@ def test_rational_eta_iteration_identity_and_violations():
     bad = [str(c.alpha) for c in report.checks if not c.commutes]
     assert bad == ["d1 d2", "d1^2 d2", "d1 d2^2"]
     assert all(c.status == "violation" and c.point is not None for c in report.checks if not c.commutes)
+
+
+@pytest.mark.parametrize(
+    "k, leaders, relations, etas, message",
+    [
+        (2, [theta(1, 0)], {theta(1, 0): xj(1, 0)}, [{}], "need 2 coefficient tables, got 1"),
+        (2, [word(1)], {word(1): xj(1, 0)}, None, "leader d1 is not an exponent tuple over k=2"),
+        (2, [theta(1, 0, 0)], {theta(1, 0, 0): xj(1, 0, 0)}, None, "is not an exponent tuple over k=2"),
+        (2, [theta(0, 0)], {theta(0, 0): xj(0, 0)}, None, "the identity cannot be a leader"),
+        (2, [theta(1, 0), theta(1, 0)], {theta(1, 0): xj(1, 0)}, None, "duplicate leaders"),
+        (2, [theta(1, 0)], {theta(0, 1): xj(0, 1)}, None, "relations must be given exactly for the leaders"),
+        (
+            2,
+            [theta(1, 0)],
+            {theta(1, 0): xj(1, 0) - Poly.variable(JetVar("y", theta(0, 0)))},
+            None,
+            "foreign jet variable y",
+        ),
+        (2, [theta(1, 0)], {theta(1, 0): xj(1, 0) - xj(0, 1)}, None, "which is not below d1"),
+    ],
+)
+def test_configuration_rejects_malformed_input(k, leaders, relations, etas, message):
+    with pytest.raises(ConfigurationError, match=message):
+        Configuration(k, leaders, relations, etas=etas)
+
+
+def test_compute_f_and_r_apply_reject_bad_arguments():
+    cfg = pair_config(xj(0, 0), 2 * xj(0, 0))
+    for bad in (theta(1, 0), word(1, k=3)):
+        with pytest.raises(ConfigurationError, match="is not a word over k=2 generators"):
+            cfg.compute_f(bad, theta(1, 0))
+    with pytest.raises(ConfigurationError, match="is not a leader"):
+        cfg.compute_f(word(1), theta(1, 1))
+    for i in (0, 3):
+        with pytest.raises(ConfigurationError, match=f"no derivation d{i} with k=2"):
+            cfg.r_apply(i, xj(0, 0))
+
+
+def test_realize_check_rejects_a_model_that_misses_the_coefficient_tables():
+    C = JetVar("c")
+    cfg = pair_config(xj(0, 0), 2 * xj(0, 0), etas=[{C: 0}, {C: 0}])
+    with pytest.raises(ConfigurationError, match="model does not interpret parameter c"):
+        cfg.realize_check(DiffModel.on_parameters([U], [{U: u}, {U: 2 * u}]), RatFun(u), depth=1)
+    model = DiffModel.on_parameters([U, C], [{U: u}, {U: 2 * u, C: 1}])
+    with pytest.raises(ConfigurationError, match="model derivation d2 disagrees with the coefficient table on c"):
+        cfg.realize_check(model, RatFun(u), depth=1)
+
+
+POLE_AT_ZERO = """
+k = 2
+P: d1, d2
+p[d1] = x[d1] - t*x[0]
+p[d2] = x[d2] - t*x[0]
+eta[d1]: t -> 1/t
+eta[d2]: t -> 0
+"""
+
+
+def test_witness_draws_skip_a_point_at_a_pole():
+    # the routes to d1 d2 differ by x[0]/t, so a drawn t = 0 is a pole
+    T = JetVar("t")
+    for seed in range(100):
+        cfg, drawn = parse_config(POLE_AT_ZERO), []
+        sample = cfg.sample_point
+        cfg.sample_point = lambda rng, needed: drawn.append(sample(rng, needed)) or drawn[-1]
+        check = cfg.check_commutation_at(theta(1, 1), random.Random(seed))
+        if drawn[0][T] == 0:
+            break
+    else:
+        pytest.fail("no seed draws t = 0 first")
+    assert check.status == "violation"
+    assert str(check.reduced_difference) == "x[0]"
+    assert check.point == drawn[-1] and len(drawn) > 1 and check.point[T] != 0

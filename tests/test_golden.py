@@ -39,6 +39,8 @@ for _name in _CONFIGS:
     CASES.append(["config-check", f"corpus/{_name}.cfg", "--global-degree", "3"])
 for _flags in ([], ["--json"]):
     CASES.append(["config-check", "corpus/separant.cfg", "--global-degree", "4", *_flags])
+    for _name in ("three", "param"):
+        CASES.append(["config-check", f"corpus/{_name}.cfg", "--global-degree", "5", *_flags])
 for _name in _PAIR_CONFIGS:
     for _alpha in ("d1", "d1 d2", "d1^2 d2", "d1 d2^2"):
         CASES.append(["config-g", f"corpus/{_name}.cfg", _alpha])
