@@ -15,9 +15,9 @@ The value rule, decided here and nowhere else: a value with a constant
 denominator is a `Poly`, and a `RatFun` value has a non-constant one.  A
 `Poly` answers `num` (itself) and `den` (1), so code reading `num`, `den`,
 `variables`, `is_zero`, `evaluate` or `substitute` takes either type
-(`Value`).  `RatFun` arithmetic, `substitute` and `Poly / x` end in one
-normalising step (`_fraction`); entry points that take numbers from
-callers normalise them once with `as_value`.  So `Poly.evaluate`,
+(`Value`).  `RatFun` arithmetic, `substitute` and `Poly / x` end in the
+one normalising step, `as_value`, which entry points that take numbers from
+callers also apply once.  So `Poly.evaluate`,
 `solve_affine` entries, `parse_ratfun`, `Tower.reduce`/`apply`/`invert`,
 `DiffModel.apply` and the `f_at`/`compute_f` values may be a `Poly`.
 
@@ -40,7 +40,7 @@ from math import gcd
 from operator import add, sub
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .errors import PoleError, UncoveredVariableError
+from .errors import PoleError, UncoveredVariableError, listing
 from .monoid import MonoidElem
 
 
@@ -362,17 +362,8 @@ class Poly:
     def evaluate(self, binding: Mapping[JetVar, "Poly | RatFun | int | Fraction"]) -> "Value":
         missing = self.variables() - set(binding)
         if missing:
-            names = ", ".join(sorted(str(v) for v in missing))
-            raise UncoveredVariableError(f"binding misses variables: {names}")
+            raise UncoveredVariableError(f"binding misses variables: {listing(missing)}")
         return self.substitute(binding)
-
-    def as_univariate(self, v: JetVar) -> dict[int, "Poly"]:
-        """Coefficient map degree -> Poly of self viewed as univariate in v."""
-        out: dict[int, dict[Monomial, Fraction]] = {}
-        for m, c in self.terms.items():
-            e = m.deg_in(v)
-            out.setdefault(e, {})[m.without(v)] = c
-        return {e: Poly(t) for e, t in out.items()}
 
     def lead_in(self, v: JetVar) -> tuple[int, "Poly"]:
         """The degree in v and its coefficient, in one pass; (0, 0) for zero."""
@@ -498,7 +489,7 @@ class RatFun:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return _fraction(self.num * other.den + other.num * self.den, self.den * other.den)
+        return as_value(RatFun(self.num * other.den + other.num * self.den, self.den * other.den))
 
     __radd__ = __add__
 
@@ -521,7 +512,7 @@ class RatFun:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return _fraction(self.num * other.num, self.den * other.den)
+        return as_value(RatFun(self.num * other.num, self.den * other.den))
 
     __rmul__ = __mul__
 
@@ -531,10 +522,10 @@ class RatFun:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by zero rational function")
-        return _fraction(self.num * other.den, self.den * other.num)
+        return as_value(RatFun(self.num * other.den, self.den * other.num))
 
     def __pow__(self, n: int):
-        return _fraction(self.num ** n, self.den ** n)
+        return as_value(RatFun(self.num ** n, self.den ** n))
 
     def __eq__(self, other):
         other = _coerce(other)
@@ -575,12 +566,6 @@ def _coerce(x) -> Optional[Value]:
     if isinstance(x, (int, Fraction)):
         return Poly.const(x)
     return None
-
-
-def _fraction(num: Poly, den: Poly) -> Value:
-    """num / den normalised: a Poly when the denominator cancels to a constant."""
-    out = RatFun(num, den)
-    return out.num if out.den.is_constant else out
 
 
 def as_value(x) -> Value:

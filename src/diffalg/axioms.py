@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .algebra import JetVar, Poly
 from .config import Configuration
-from .errors import EngineError, NotTriangularError
+from .errors import EngineError, NotTriangularError, listing
 from .jet import JetAtom
 from .monoid import InitialSet, MonoidElem, minimal_leaders
 
@@ -36,8 +36,7 @@ class DefinableSetDesc:
         for atom in self.atoms:
             extra = atom.poly.variables() - index_set
             if extra:
-                names = ", ".join(sorted(str(v) for v in extra))
-                raise EngineError(f"atom mentions undeclared coordinates: {names}")
+                raise EngineError(f"atom mentions undeclared coordinates: {listing(extra)}")
         if not set(self.projection) <= index_set:
             raise EngineError("projection target must be a subset of the coordinates")
 

@@ -405,8 +405,8 @@ class Configuration:
             if point is None:
                 continue
             try:
-                v1 = f1.evaluate({v: point[v] for v in f1.variables()})
-                v2 = f2.evaluate({v: point[v] for v in f2.variables()})
+                v1 = f1.evaluate(point)
+                v2 = f2.evaluate(point)
             except PoleError:
                 continue
             if v1 != v2:
@@ -449,6 +449,10 @@ class Configuration:
         return [a for a in theta_ball(self.k, theta.degree) if a <= theta]
 
     def check_local(self, rng: Optional[random.Random] = None) -> CommutationReport:
+        """Check every tuple of degree at most |theta| that precedes theta, the
+        join of the leaders, in the total order of `MonoidElem` (degree, then
+        the lexicographic tie-break), not only those below theta
+        componentwise: for P = d1, d2 that is 0, d1, d2, d1^2 and d1 d2."""
         return self._run_checks("local", self.local_alphas(), rng)
 
     def verify_global(self, degree_bound: int, rng: Optional[random.Random] = None) -> CommutationReport:
@@ -595,8 +599,8 @@ def _multiset_permutations(items: Sequence[int]):
 
 
 def _rational_root(p: Poly, main: JetVar) -> Optional[Fraction]:
-    """A rational root of a univariate polynomial, or None."""
-    coeffs_by_deg = {e: c.constant_value() for e, c in p.as_univariate(main).items()}
+    """A rational root of a polynomial in `main` alone, or None."""
+    coeffs_by_deg = {m.deg_in(main): c for m, c in p.terms.items()}
     degree = max(coeffs_by_deg, default=0)
     if degree == 0:
         return None

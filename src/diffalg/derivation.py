@@ -67,6 +67,7 @@ from .errors import (
     SeparantZeroError,
     UncoveredVariableError,
     UndeclaredParameterError,
+    listing,
 )
 
 
@@ -85,14 +86,10 @@ class DerSpec:
         for p, value in self.eta.items():
             extra = value.variables() - declared
             if extra:
-                names = ", ".join(sorted(str(v) for v in extra))
-                raise UndeclaredParameterError(
-                    f"eta image of {p} mentions undeclared parameters: {names}"
-                )
+                raise UndeclaredParameterError(f"eta image of {p} mentions undeclared parameters: {listing(extra)}")
         overlap = declared & set(self.images)
         if overlap:
-            names = ", ".join(sorted(str(v) for v in overlap))
-            raise UndeclaredParameterError(f"variables both parameter and main: {names}")
+            raise UndeclaredParameterError(f"variables both parameter and main: {listing(overlap)}")
 
     @property
     def parameters(self) -> set[JetVar]:
@@ -187,9 +184,7 @@ class Tower:
     # -- construction --------------------------------------------------
 
     def _with_stages(self, stages: tuple[TowerStage, ...]) -> "Tower":
-        out = Tower.__new__(Tower)
-        out.params = self.params
-        out.eta = dict(self.eta)
+        out = Tower(self.params, self.eta)
         out.stages = stages
         # the stage relations as a triangular chain, highest stage first; its
         # multipliers are products of stage initials, never zero in the tower
@@ -220,8 +215,8 @@ class Tower:
             raise UncoveredVariableError(f"{v} is not a tower variable")
         return Poly.variable(v)
 
-    def derspec(self, name: str = "d") -> DerSpec:
-        return DerSpec(name, dict(self.eta), {s.gen: s.dvalue for s in self.stages})
+    def derspec(self) -> DerSpec:
+        return DerSpec(eta=dict(self.eta), images={s.gen: s.dvalue for s in self.stages})
 
     # -- reduction and zero testing ------------------------------------
 
@@ -314,8 +309,7 @@ def extend_to_algebraic(tower: Tower, minpoly: Poly, gen: Union[JetVar, str]) ->
         raise EngineError(f"{gen} is already a tower variable")
     extra = minpoly.variables() - set(tower.variables()) - {gen}
     if extra:
-        names = ", ".join(sorted(str(v) for v in extra))
-        raise EngineError(f"defining polynomial mentions foreign variables: {names}")
+        raise EngineError(f"defining polynomial mentions foreign variables: {listing(extra)}")
     degree, lead = minpoly.lead_in(gen)
     if degree == 0:
         raise EngineError(f"defining polynomial does not involve {gen}")
@@ -330,9 +324,7 @@ def extend_to_algebraic(tower: Tower, minpoly: Poly, gen: Union[JetVar, str]) ->
     tower.invert(gcd)  # a zero divisor raises NonInvertibleError
 
     dvalue = implicit_delta(minpoly, gen, tower.derspec())
-    stage = TowerStage(gen, minpoly, dvalue)
-    out = tower._with_stages(tower.stages + (stage,))
-    stage = TowerStage(gen, minpoly, out.reduce(dvalue))
-    out = tower._with_stages(tower.stages + (stage,))
+    out = tower._with_stages(tower.stages + (TowerStage(gen, minpoly, dvalue),))
+    out = tower._with_stages(tower.stages + (TowerStage(gen, minpoly, out.reduce(dvalue)),))
     assert out.is_zero(apply_derivation(minpoly, out.derspec()))
     return out

@@ -1,4 +1,9 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine, and the one way messages list variables."""
+
+
+def listing(variables) -> str:
+    """The variables' names, sorted and comma-separated, for an error message."""
+    return ", ".join(sorted(map(str, variables)))
 
 
 class EngineError(Exception):

@@ -142,11 +142,9 @@ def _eta_tables(eta, k: int) -> list[dict[JetVar, object]]:
     """Normalize the parameter-table argument to one table per derivation symbol."""
     if eta is None:
         return [{} for _ in range(k)]
-    if isinstance(eta, DerSpec):
-        return [dict(eta.eta) for _ in range(k)]
     if isinstance(eta, Mapping):
         return [dict(eta) for _ in range(k)]
-    tables = [dict(table.eta) if isinstance(table, DerSpec) else dict(table) for table in eta]
+    tables = [dict(table) for table in eta]
     if len(tables) != k:
         raise EngineError(f"expected {k} parameter tables, got {len(tables)}")
     return tables
@@ -174,7 +172,7 @@ def _jet_shift(i: int, mode: str, k: int, tables: Sequence[Mapping[JetVar, objec
 def rewrite_term(
     t: DiffTerm,
     mode: str = COMMUTATIVE,
-    eta: Optional[Union[DerSpec, Mapping[JetVar, object]]] = None,
+    eta: Optional[Union[Mapping[JetVar, object], Sequence[Mapping[JetVar, object]]]] = None,
     k: Optional[int] = None,
 ):
     """Eliminate derivation symbols, returning a polynomial in jet variables.

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.decoder import JSONArray, JSONObject, scanstring
 from json.scanner import py_make_scanner
+from operator import add, mul, sub, truediv
 from typing import Optional, Sequence
 
 from .algebra import JetVar, Poly, RatFun, Value
@@ -161,6 +162,16 @@ def _once(declared: set, key, tok: Token, what: str) -> None:
     declared.add(key)
 
 
+def _fold(cur: _Cursor, ops: dict, operand):
+    """operand (op operand)*, combined from the left by ops[op](left, right);
+    each right operand is parsed after its operator is consumed."""
+    value = operand()
+    while cur.at_op(*ops):
+        combine = ops[cur.advance().text]
+        value = combine(value, operand())
+    return value
+
+
 def _comma_list(cur: _Cursor, item) -> list:
     """Comma-separated items up to the end of the line; empty items are skipped."""
     out = []
@@ -244,20 +255,10 @@ class _ExprParser:
         self.k = k
 
     def expr(self):
-        value = self.term()
-        while self.cur.at_op("+", "-"):
-            op = self.cur.advance().text
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+        return _fold(self.cur, {"+": add, "-": sub}, self.term)
 
     def term(self):
-        value = self.factor()
-        while self.cur.at_op("*", "/"):
-            op = self.cur.advance().text
-            rhs = self.factor()
-            value = value * rhs if op == "*" else value / rhs
-        return value
+        return _fold(self.cur, {"*": mul, "/": truediv}, self.factor)
 
     def factor(self):
         negate = False
@@ -331,19 +332,10 @@ class _TermParser:
         self.cur = cur
 
     def expr(self) -> DiffTerm:
-        value = self.term()
-        while self.cur.at_op("+", "-"):
-            op = self.cur.advance().text
-            rhs = self.term()
-            value = TAdd(value, rhs if op == "+" else TNeg(rhs))
-        return value
+        return _fold(self.cur, {"+": TAdd, "-": lambda a, b: TAdd(a, TNeg(b))}, self.term)
 
     def term(self) -> DiffTerm:
-        value = self.factor()
-        while self.cur.at_op("*"):
-            self.cur.advance()
-            value = TMul(value, self.factor())
-        return value
+        return _fold(self.cur, {"*": TMul}, self.factor)
 
     def factor(self) -> DiffTerm:
         tok = self.cur.peek()
@@ -419,7 +411,7 @@ def _table(cur: _Cursor, mode: str, k: int, table: dict[JetVar, Value]) -> None:
         cur.advance()
 
 
-def _derspec(cur: _Cursor, mode: str, k: int, name: str = "d") -> DerSpec:
+def _derspec(cur: _Cursor, mode: str, k: int) -> DerSpec:
     """Sections `eta: ...; d: ...` running to the end of the input."""
     eta: dict[JetVar, Value] = {}
     images: dict[JetVar, Value] = {}
@@ -431,12 +423,12 @@ def _derspec(cur: _Cursor, mode: str, k: int, name: str = "d") -> DerSpec:
             break
         cur.advance()
     cur.expect_eof()
-    return DerSpec(name, eta, images)
+    return DerSpec(eta=eta, images=images)
 
 
-def parse_derspec(text: str, mode: str = COMMUTATIVE, k: Optional[int] = None, name: str = "d") -> DerSpec:
+def parse_derspec(text: str, mode: str = COMMUTATIVE, k: Optional[int] = None) -> DerSpec:
     """`eta: t -> 1; d: x -> u, y -> v`; either section may be `none`."""
-    return _whole(text, k, lambda cur, k: _derspec(cur, mode, k, name))
+    return _whole(text, k, lambda cur, k: _derspec(cur, mode, k))
 
 
 # ----------------------------------------------------------------------
@@ -637,7 +629,7 @@ def _located_json(text: str):
     return decoder.decode(text)
 
 
-def parse_definable_json(text: str, mode: str = COMMUTATIVE, k: Optional[int] = None) -> DefinableSetDesc:
+def parse_definable_json(text: str) -> DefinableSetDesc:
     try:
         data = _located_json(text)
     except json.JSONDecodeError as err:
@@ -652,7 +644,7 @@ def parse_definable_json(text: str, mode: str = COMMUTATIVE, k: Optional[int] = 
             raise ParseError(f"{where}: {err.message}", value.line, column) from None
 
     def variable(name: str) -> JetVar:
-        return _whole(name, k, lambda cur, k: _ExprParser(cur, mode, k).variable())
+        return _whole(name, None, lambda cur, k: _ExprParser(cur, COMMUTATIVE, k).variable())
 
     def variables(key: str) -> tuple[JetVar, ...]:
         return tuple(entry(f"{key}[{i}]", name, variable) for i, name in enumerate(items(key, str, "strings")))
@@ -682,6 +674,6 @@ def parse_definable_json(text: str, mode: str = COMMUTATIVE, k: Optional[int] = 
         if not isinstance(atom.get("poly"), str):
             where = atom.where.get("poly", entries.where[i])
             raise ParseError(f"atoms[{i}]: every atom needs a string field 'poly'", *where)
-        poly = entry(f"atoms[{i}].poly", atom["poly"], lambda text: parse_poly(text, mode, k))
+        poly = entry(f"atoms[{i}].poly", atom["poly"], parse_poly)
         atoms.append(JetAtom(poly, str(rel)))
     return DefinableSetDesc(indices, tuple(atoms), variables("projection"))

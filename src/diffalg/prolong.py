@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from .algebra import AffineSpace, JetVar, Poly, Value, as_value, solve_affine
 from .derivation import DerSpec, Tower, coeff_derivative, partner_var, twisted_lift
-from .errors import FiberError, UndeclaredParameterError
+from .errors import FiberError, UndeclaredParameterError, listing
 
 
 @dataclass(frozen=True)
@@ -74,12 +74,10 @@ class Prolongation:
 def _check_parameters(variety: VarietyPresentation, spec: DerSpec) -> None:
     undeclared = variety.parameters() - spec.parameters
     if undeclared:
-        names = ", ".join(sorted(str(v) for v in undeclared))
-        raise UndeclaredParameterError(f"parameters not covered by the derivation: {names}")
+        raise UndeclaredParameterError(f"parameters not covered by the derivation: {listing(undeclared)}")
     clash = spec.parameters & set(variety.variables)
     if clash:
-        names = ", ".join(sorted(str(v) for v in clash))
-        raise UndeclaredParameterError(f"ambient variables declared as parameters: {names}")
+        raise UndeclaredParameterError(f"ambient variables declared as parameters: {listing(clash)}")
 
 
 def twisted_bundle(variety: VarietyPresentation, spec: DerSpec) -> Prolongation:
@@ -176,8 +174,7 @@ def extend_at_point(
     eta.update((c, y) for c, y in zip(coords, tangent) if c not in gen_names)
     missing = set(tower.params) - set(eta)
     if missing:
-        names = ", ".join(sorted(str(v) for v in missing))
-        raise UndeclaredParameterError(f"tower transcendentals without derivative values: {names}")
+        raise UndeclaredParameterError(f"tower transcendentals without derivative values: {listing(missing)}")
 
     extended = tower.with_eta(eta)
     images = {stage.gen: stage.dvalue for stage in extended.stages}

@@ -294,8 +294,8 @@ def _reference_sorted_terms(p: Poly) -> list:
 
 
 def _reference_leading_coeff_in(p: Poly, v: JetVar) -> Poly:
-    coeffs = p.as_univariate(v)
-    return coeffs[max(coeffs)] if coeffs else Poly.zero()
+    top = max((m.deg_in(v) for m in p.terms), default=0)
+    return Poly({m.without(v): c for m, c in p.terms.items() if m.deg_in(v) == top})
 
 
 _D1, _D2 = MonoidElem.exponents((1, 0)), MonoidElem.exponents((0, 1))

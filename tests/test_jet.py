@@ -66,7 +66,7 @@ def test_rewrite_parameter_table():
     x0 = Poly.variable(jv("x", 0))
     x1 = Poly.variable(jv("x", 1))
     assert got == x0 + var("c") * x1
-    from_text = rewrite_term(term, COMMUTATIVE, eta=parse_derspec("eta: c -> 1"), k=1)
+    from_text = rewrite_term(term, COMMUTATIVE, eta=parse_derspec("eta: c -> 1").eta, k=1)
     assert isinstance(from_text, Poly) and from_text == got
 
 

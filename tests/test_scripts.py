@@ -57,3 +57,28 @@ def test_job_recordings_compare_equal_across_hash_seeds_and_name_a_changed_job(t
     proc = run_script("job_outputs.py", "--compare", str(recordings[1]), str(altered))
     assert proc.returncode == 1
     assert proc.stdout == f"differs: {job}\n27 of 28 jobs identical\n"
+
+
+def test_code_lines_counts_code_only_and_compares_with_a_ref():
+    sys.path.insert(0, os.path.join(ROOT, "scripts"))
+    try:
+        from code_lines import code_lines
+    finally:
+        sys.path.pop(0)
+    source = '"""Module docstring,\n\nover three lines."""\n\n# a comment\ndef f(x):\n    """Doc."""\n    s = """two\nlines"""\n    return (x +\n            1)  # trailing\n'
+    assert code_lines(source) == 5
+
+    proc = run_script("code_lines.py")
+    assert proc.returncode == 0, proc.stderr
+    counts = dict(line.split() for line in proc.stdout.splitlines())
+    assert int(counts["total"]) == sum(int(n) for name, n in counts.items() if name != "total")
+    assert {"algebra.py", "config.py", "parsing.py"} <= set(counts)
+
+    in_git = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True).returncode == 0
+    if in_git:
+        proc = run_script("code_lines.py", "--against", "HEAD")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1].split()[0] == "total"
+    proc = run_script("code_lines.py", "--against", "no-such-ref")
+    assert proc.returncode == 2
+    assert "cannot read no-such-ref" in proc.stderr
