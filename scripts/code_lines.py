@@ -25,18 +25,24 @@ PACKAGE = "src/diffalg"
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
 
-def code_lines(source: str) -> int:
-    docstrings = set()
-    for node in ast.walk(ast.parse(source)):
+def docstrings(tree: ast.AST) -> list[ast.Expr]:
+    """The string statements that open a module, class or function body."""
+    out = []
+    for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
             first = node.body[0]
             if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and isinstance(first.value.value, str):
-                docstrings.update(range(first.lineno, first.end_lineno + 1))
+                out.append(first)
+    return out
+
+
+def code_lines(source: str) -> int:
+    skipped = {line for doc in docstrings(ast.parse(source)) for line in range(doc.lineno, doc.end_lineno + 1)}
     lines = set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type not in _LAYOUT:
             lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - docstrings)
+    return len(lines - skipped)
 
 
 def working_tree() -> dict[str, str]:

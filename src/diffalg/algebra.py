@@ -409,8 +409,6 @@ def divide_exact(a: Poly, b: Poly) -> Optional[Poly]:
     """Exact quotient a/b, or None when b does not divide a."""
     if b.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
-    if a.is_zero:
-        return Poly.zero()
     lead_m, lead_c = b.leading_term()
     quotient = Poly.zero()
     rest = a

@@ -67,10 +67,10 @@ class WideFromDeepResult:
     jet_recovery: tuple[tuple[JetVar, JetVar], ...]  # (y_i, x_{i+1}) couplings
 
 
-def _fresh_base(taken: set[str], seed: str = "y") -> str:
-    base = seed
+def _fresh_base(taken: set[str]) -> str:
+    base = "y"
     while any(name == base or name.startswith(base + "_") for name in taken):
-        base += seed
+        base += "y"
     return base
 
 
@@ -174,9 +174,9 @@ def triangular_dimension_certificate(
 ) -> DimensionCertificate:
     """Count free coordinates of a triangular system, with the solve order.
 
-    Each equation must involve its main variable with positive degree, a
-    not-identically-zero separant, and otherwise only variables strictly
-    below the main in the coordinate order.  Anything else is rejected:
+    Each equation must involve its main variable with positive degree (over
+    Q its separant is then not identically zero), and otherwise only
+    variables strictly below the main in the coordinate order.  Anything else is rejected:
     dimensions of general systems are out of scope.
     """
     if isinstance(system, Configuration):
@@ -198,8 +198,6 @@ def triangular_dimension_certificate(
             raise NotTriangularError(f"main variable {m} is not an ambient coordinate")
         if not p.depends_on(m):
             raise NotTriangularError(f"equation for {m} does not involve it")
-        if p.partial(m).is_zero:
-            raise NotTriangularError(f"equation for {m} has identically zero separant")
         for v in p.variables():
             if v == m or v not in position:
                 continue

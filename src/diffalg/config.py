@@ -337,7 +337,7 @@ class Configuration:
             v: eta.get(v, 0) if v.index is None else self._base.value(self._f_delta_mu(i, v.index))
             for v in h.variables()
         }
-        return apply_derivation(h, DerSpec(f"d{i}", {}, images))
+        return apply_derivation(h, DerSpec({}, images))
 
     def r_apply_word(self, word: MonoidElem, h: Value) -> Value:
         out = h
@@ -373,11 +373,9 @@ class Configuration:
         rng: Optional[random.Random] = None,
     ) -> CommutationCheck:
         """Decide whether all factorizations of alpha agree on the locus."""
-        if self.is_free(alpha):
+        if self._count_factorizations(alpha) <= 1:
             return CommutationCheck(alpha, "commutes", trivial=True)
         reps = self.factorizations(alpha)
-        if len(reps) <= 1:
-            return CommutationCheck(alpha, "commutes", trivial=True)
         base_word, base_pi = reps[0]
         base_value = self._f_word(base_word.data, base_pi)
         for word, pi in reps[1:]:
@@ -444,16 +442,13 @@ class Configuration:
     # ------------------------------------------------------------------
     # local and global checks
 
-    def local_alphas(self) -> list[MonoidElem]:
-        theta = self.theta
-        return [a for a in theta_ball(self.k, theta.degree) if a <= theta]
-
     def check_local(self, rng: Optional[random.Random] = None) -> CommutationReport:
         """Check every tuple of degree at most |theta| that precedes theta, the
         join of the leaders, in the total order of `MonoidElem` (degree, then
         the lexicographic tie-break), not only those below theta
         componentwise: for P = d1, d2 that is 0, d1, d2, d1^2 and d1 d2."""
-        return self._run_checks("local", self.local_alphas(), rng)
+        theta = self.theta
+        return self._run_checks("local", [a for a in theta_ball(self.k, theta.degree) if a <= theta], rng)
 
     def verify_global(self, degree_bound: int, rng: Optional[random.Random] = None) -> CommutationReport:
         """Check every tuple of total degree at most D = `degree_bound`.

@@ -75,7 +75,6 @@ from .errors import (
 class DerSpec:
     """A derivation: coefficient action on parameters plus variable images."""
 
-    name: str = "d"
     eta: dict[JetVar, Value] = field(default_factory=dict)
     images: dict[JetVar, Value] = field(default_factory=dict)
 
@@ -101,7 +100,7 @@ class DerSpec:
 
         eta_part = table(self.eta) if self.eta else "none"
         if self.images:
-            return f"eta: {eta_part}; {self.name}: {table(self.images)}"
+            return f"eta: {eta_part}; d: {table(self.images)}"
         return f"eta: {eta_part}"
 
 
@@ -126,7 +125,7 @@ def twisted_lift(p: Value, spec: DerSpec) -> LiftResult:
     for v in mains:
         if partner_var(v) in p.variables():
             raise EngineError(f"reserved partner name {partner_var(v)} already occurs in {p}")
-    partners = DerSpec(spec.name, spec.eta, {v: Poly.variable(partner_var(v)) for v in mains})
+    partners = DerSpec(spec.eta, {v: Poly.variable(partner_var(v)) for v in mains})
     return LiftResult(apply_derivation(p, partners), coeff_derivative(p, spec.eta))
 
 
@@ -136,7 +135,7 @@ def apply_derivation(q: Value, spec: DerSpec) -> Value:
     denominators of q's variables and then q's own denominator."""
     for v in sorted(q.variables() - spec.parameters):
         if v not in spec.images:
-            raise UncoveredVariableError(f"derivation {spec.name} has no image for {v}")
+            raise UncoveredVariableError(f"derivation d has no image for {v}")
     images = {v: spec.eta.get(v, spec.images.get(v)) for v in sorted(q.variables())}
     base = FactorBase([image.den for image in images.values()] + [q.den])
     fracs = {v: base.frac(image) for v, image in images.items()}
@@ -152,7 +151,7 @@ def implicit_delta(p: Poly, main: JetVar, spec: DerSpec) -> Value:
     separant = p.partial(main)
     if separant.is_zero:
         raise SeparantZeroError(f"constraint does not depend on {main}")
-    total = apply_derivation(p, DerSpec(spec.name, spec.eta, {**spec.images, main: Poly.zero()}))
+    total = apply_derivation(p, DerSpec(spec.eta, {**spec.images, main: Poly.zero()}))
     return -total / separant
 
 
@@ -224,15 +223,16 @@ class Tower:
         """x with only its numerator pseudo-reduced by the chain.  The
         denominator, which must not vanish in the tower, is a unit there and
         is kept for the next derivation's factor base to split."""
+        x = as_value(x)
         if self.is_zero(x.den):
             raise NonInvertibleError(f"denominator {x.den} vanishes in the tower")
         rem, mult = pseudo_reduce(x.num, self._chain)
         if rem is x.num:
-            return as_value(x)
+            return x
         return rem / (mult * x.den)
 
     def is_zero(self, x: Value) -> bool:
-        rem, _ = pseudo_reduce(x.num, self._chain)
+        rem, _ = pseudo_reduce(as_value(x).num, self._chain)
         return rem.is_zero
 
     def equal(self, a: Value, b: Value) -> bool:
@@ -241,7 +241,7 @@ class Tower:
     # -- derivation ----------------------------------------------------
 
     def apply(self, x: Value) -> Value:
-        return self.reduce(apply_derivation(x, self.derspec()))
+        return self.reduce(apply_derivation(as_value(x), self.derspec()))
 
     # -- inversion by the pseudo-remainder sequence ----------------------
 

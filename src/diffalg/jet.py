@@ -157,14 +157,9 @@ def _jet_shift(i: int, mode: str, k: int, tables: Sequence[Mapping[JetVar, objec
     gen, eta = MonoidElem.generator(mode, k, i), tables[i - 1]
 
     def shift(value: Value) -> Value:
-        images = {}
-        for v in sorted(value.variables() - set(eta)):
-            if v.index is None:
-                raise UncoveredVariableError(
-                    f"variable {v} is neither a declared parameter nor a jet variable"
-                )
-            images[v] = Poly.variable(JetVar(v.base, gen.compose(v.index)))
-        return apply_derivation(value, DerSpec(f"d{i}", eta, images))
+        # `rewrite_term` gives every table every parameter, so the other variables are jet variables
+        images = {v: Poly.variable(JetVar(v.base, gen.compose(v.index))) for v in value.variables() - set(eta)}
+        return apply_derivation(value, DerSpec(eta, images))
 
     return shift
 
@@ -188,7 +183,7 @@ def rewrite_term(
     if k is None:
         k = max(max_der_index(t), 1)
     tables = _eta_tables(eta, k)
-    params = set().union(*tables) if tables else set()
+    params = set().union(*tables)
     # every table covers every parameter, so each symbol derives them all
     ordered = sorted(params)
     tables = [{p: table.get(p, Poly.zero()) for p in ordered} for table in tables]

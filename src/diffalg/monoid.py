@@ -106,9 +106,6 @@ class MonoidElem:
             return MonoidElem(FREE, self.k, self.data + other.data)
         return MonoidElem(COMMUTATIVE, self.k, tuple(a + b for a, b in zip(self.data, other.data)))
 
-    def __mul__(self, other: "MonoidElem") -> "MonoidElem":
-        return self.compose(other)
-
     def preceq(self, other: "MonoidElem") -> bool:
         """Canonical partial order: suffix order on words, componentwise on tuples."""
         self._check_compatible(other)
@@ -234,15 +231,6 @@ class InitialSet:
             raise ValueError("cannot infer kind and k from an empty set; use InitialSet directly")
         sample = next(iter(elements))
         return InitialSet(sample.kind, sample.k, elements)
-
-    def __contains__(self, el: MonoidElem) -> bool:
-        return el in self.elements
-
-    def __iter__(self) -> Iterator[MonoidElem]:
-        return iter(sorted(self.elements))
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
     def maximal_elements(self) -> frozenset[MonoidElem]:
         return frozenset(

@@ -347,9 +347,10 @@ class _TermParser:
             num = int(tok.text)
             if self.cur.at_op("/"):
                 self.cur.advance()
+                den_tok = self.cur.peek()
                 den = self.cur.expect_int()
                 if den == 0:
-                    raise ParseError("zero denominator", tok.line, tok.column)
+                    raise ParseError("zero denominator", den_tok.line, den_tok.column)
                 return TConst(Fraction(num, den))
             return TConst(Fraction(num))
         if tok.kind == "ident":

@@ -181,4 +181,4 @@ def extend_at_point(
     for c, y in zip(coords, tangent):
         if c in gen_names and not extended.equal(images[c], y):
             raise FiberError(f"prescribed value for {c} is not the forced derivative")
-    return DerSpec(spec.name, eta, images)
+    return DerSpec(eta, images)

@@ -1,3 +1,4 @@
+import operator
 import os
 import random
 import subprocess
@@ -88,6 +89,20 @@ def test_substitution_does_not_depend_on_the_hash_seed(seed):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "(t^4 + 6*t^3 + 14*t^2 + 16*t + 7) / (t^3 + 6*t^2 + 11*t + 6)\n"
+
+
+def test_protocol_corners_of_poly_and_ratfun():
+    assert Poly.zero().content() == 1
+    assert str(1 - x) == "-x + 1"
+    assert repr(x + 1) == "Poly(x + 1)"
+    assert repr(RatFun(x, y)) == "RatFun((x) / (y))"
+    # the constructor keeps a constant denominator, and prints the numerator alone
+    assert str(RatFun(x)) == "x"
+    rf = RatFun(x, y)
+    assert (rf == "a") is False
+    for combine in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            combine(rf, "a")
 
 
 def test_ratfun_div_by_zero():

@@ -44,6 +44,11 @@ def test_wide_from_deep_degenerate_n1():
     assert len(result.wide.atoms) == 1  # no couplings for n = 1
 
 
+def test_wide_from_deep_velocities_avoid_taken_names():
+    deep = DefinableSetDesc((JetVar("y"), JetVar("yy_1"), Z1), (), ())
+    assert [str(v) for v in wide_from_deep(deep, 2).y_vars] == ["yyy1", "yyy2"]
+
+
 def test_wide_from_deep_arity_mismatch():
     deep = DefinableSetDesc((Z1, Z2), (), (Z1,))
     with pytest.raises(EngineError):

@@ -227,6 +227,14 @@ def test_dim_cert(capsys):
     assert data["solve_order"] == ["x1", "x2"]
 
 
+def test_dim_cert_without_ambient_line_orders_the_equation_variables(tmp_path, capsys):
+    system = tmp_path / "chain.tri"
+    system.write_text("x1 : x1 - x0^2\nx2 : x2^2 - x1\n")
+    code, out, _ = run(capsys, "dim-cert", str(system))
+    assert code == 0
+    assert out == "dimension 1; solve order: x1, x2\n"
+
+
 def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "broken.cfg"
     bad.write_text("k = 2\nP: d1\np[d1] = x[\neta: none\n")

@@ -198,7 +198,24 @@ def test_single_derivation_always_commutes():
         {theta(1): Poly.variable(JetVar("x", theta(1))) - Poly.variable(x0) ** 2},
     )
     assert cfg.check_local().commutes
+    assert cfg.check_local().first_violation() is None
     assert cfg.verify_global(6).commutes
+
+
+class _ZeroDraws(random.Random):
+    """Draws every free value of `sample_point` as 0."""
+
+    def randint(self, a, b):
+        return min(max(0, a), b)
+
+
+def test_sample_point_gives_up_where_no_rational_root_is_sought():
+    # at x[0] = 0 the relation no longer involves its leader
+    vanishing = parse_config("k = 1\nP: d1\np[d1] = x[0]*x[d1] - 1\n")
+    assert vanishing.sample_point(_ZeroDraws(), set()) is None
+    # coefficients beyond 10^9 are not factored
+    huge = parse_config("k = 1\nP: d1\np[d1] = x[d1]^2 - 10000000000\n")
+    assert huge.sample_point(random.Random(0), set()) is None
 
 
 def test_local_pass_implies_global_pass_on_random_family():

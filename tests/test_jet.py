@@ -188,6 +188,9 @@ def test_jet_binding_binds_parameters_to_themselves():
 def test_max_der_index():
     assert max_der_index(TDer(2, TDer(1, xt))) == 2
     assert max_der_index(xt) == 0
+    # through a negation, as `jet` without --k infers k from "-d2(x)"
+    assert max_der_index(TNeg(TDer(2, xt))) == 2
+    assert rewrite_term(TNeg(TDer(2, xt))) == -var("x", MonoidElem.exponents((0, 1)))
 
 
 def test_rewrite_term_rejects_undeclared_parameter_in_table():

@@ -261,3 +261,6 @@ def test_text_forms():
 def test_canonical_word_and_commutative_image():
     assert e(2, 1).canonical_word() == w(2, 1, 1)
     assert w(1, 2, 1).commutative_image() == e(2, 1)
+    # each is the identity on its own kind
+    assert e(2, 1).commutative_image() == e(2, 1)
+    assert w(2, 1, 1).canonical_word() == w(2, 1, 1)

@@ -84,6 +84,7 @@ def test_parse_derspec_round_trip():
     assert spec.images[JetVar("x")] == RatFun(var("u"))
     again = parse_derspec(str(spec))
     assert again.eta == spec.eta and again.images == spec.images
+    assert str(parse_derspec("eta: t -> 1")) == "eta: t -> 1"
 
 
 def test_parse_config():

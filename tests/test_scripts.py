@@ -82,3 +82,19 @@ def test_code_lines_counts_code_only_and_compares_with_a_ref():
     proc = run_script("code_lines.py", "--against", "no-such-ref")
     assert proc.returncode == 2
     assert "cannot read no-such-ref" in proc.stderr
+
+
+def test_unrun_lines_lists_the_statements_a_test_file_leaves_unrun():
+    proc = run_script("unrun_lines.py", "--", "tests/test_messages.py", "-q")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    *output, total = proc.stdout.splitlines()
+    rows = dict(line.split(": ", 1) for line in output if line.split(":")[0].isidentifier())
+    assert total == f"total: {sum(len(lines.split(', ')) for lines in rows.values())} unrun statements"
+    # the command line is never imported there, and every message helper runs
+    with open(os.path.join(ROOT, "src", "diffalg", "cli.py"), encoding="utf-8") as fh:
+        main_call = fh.read().splitlines().index("    sys.exit(main())") + 1
+    assert str(main_call) in rows["cli"].split(", ")
+    assert "errors" not in rows
+
+    proc = run_script("unrun_lines.py", "--", "tests/no_such_file.py", "-q")
+    assert proc.returncode == 4
