@@ -32,34 +32,48 @@ step, so its printed form depends on the order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from math import gcd
 from operator import add, sub
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import PoleError, UncoveredVariableError, listing
-from .monoid import MonoidElem
+from .monoid import MonoidElem, Record
 
 
-@dataclass(frozen=True)
-class JetVar:
+class JetVar(Record):
     """A variable: base name plus an optional monoid index.
 
     Plain variables (index None) play the role of parameters and auxiliary
-    unknowns; indexed variables stand for iterated derivatives.
+    unknowns; indexed variables stand for iterated derivatives.  The hash is
+    computed when the variable is made.
     """
 
-    base: str
-    index: Optional[MonoidElem] = None
+    __slots__ = ("base", "index", "_hash", "sort_key")
 
-    @cached_property
-    def sort_key(self):
+    def __init__(self, base: str, index: MonoidElem | None = None):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "_hash", hash((base, index)))
+
+    def _sort_key(self):
         if self.index is None:
             return (self.base, 0, ())
         return (self.base, 1, self.index.sort_key)
+
+    _lazy = {"sort_key": _sort_key}
+
+    def __eq__(self, other):
+        if other.__class__ is JetVar:
+            return self._hash == other._hash and self.base == other.base and self.index == other.index
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"JetVar(base={self.base!r}, index={self.index!r})"
 
     def __str__(self) -> str:
         if self.index is None:
@@ -70,11 +84,8 @@ class JetVar:
         return self.sort_key < other.sort_key
 
 
-def var(name: str, index: Optional[MonoidElem] = None) -> "Poly":
+def var(name: str, index: MonoidElem | None = None) -> "Poly":
     return Poly.variable(JetVar(name, index))
-
-
-Coefficient = Union[int, Fraction]
 
 
 def _as_fraction(c) -> Fraction:
@@ -85,12 +96,34 @@ def _as_fraction(c) -> Fraction:
     raise TypeError(f"not an exact coefficient: {c!r}")
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Record):
     """A product of variable powers: an unordered set of (variable, exponent)
     pairs with positive exponents."""
 
-    powers: frozenset[tuple[JetVar, int]]
+    __slots__ = ("powers", "sort_key", "sorted_powers")
+
+    def __init__(self, powers: frozenset[tuple[JetVar, int]]):
+        object.__setattr__(self, "powers", powers)
+
+    def _sort_key(self) -> tuple:
+        # the degree, then the powers from the highest variable down
+        return self.degree, tuple(sorted(((v.sort_key, e) for v, e in self.powers), reverse=True))
+
+    def _sorted_powers(self) -> tuple[tuple[JetVar, int], ...]:
+        return tuple(sorted(self.powers, key=lambda p: p[0].sort_key))
+
+    _lazy = {"sort_key": _sort_key, "sorted_powers": _sorted_powers}
+
+    def __eq__(self, other):
+        if other.__class__ is Monomial:
+            return self.powers == other.powers
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.powers)  # a frozenset keeps its hash once computed
+
+    def __repr__(self) -> str:
+        return f"Monomial(powers={self.powers!r})"
 
     @staticmethod
     def make(powers: Mapping[JetVar, int]) -> "Monomial":
@@ -110,15 +143,6 @@ class Monomial:
     @property
     def degree(self) -> int:
         return sum(e for _, e in self.powers)
-
-    @cached_property
-    def sorted_powers(self) -> tuple[tuple[JetVar, int], ...]:
-        return tuple(sorted(self.powers, key=lambda p: p[0].sort_key))
-
-    @cached_property
-    def sort_key(self) -> tuple:
-        # the degree, then the powers from the highest variable down
-        return self.degree, tuple(sorted(((v.sort_key, e) for v, e in self.powers), reverse=True))
 
     def __lt__(self, other: "Monomial") -> bool:
         return self.sort_key < other.sort_key
@@ -161,7 +185,7 @@ class Poly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[Mapping[Monomial, Fraction]] = None):
+    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
         clean = {}
         if terms:
             for m, c in terms.items():
@@ -405,7 +429,7 @@ class Poly:
 _ONE = Poly.const(1)
 
 
-def divide_exact(a: Poly, b: Poly) -> Optional[Poly]:
+def divide_exact(a: Poly, b: Poly) -> Poly | None:
     """Exact quotient a/b, or None when b does not divide a."""
     if b.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -555,10 +579,10 @@ class RatFun:
         return f"RatFun({self})"
 
 
-Value = Union[Poly, RatFun]
+Value = Poly | RatFun
 
 
-def _coerce(x) -> Optional[Value]:
+def _coerce(x) -> Value | None:
     if isinstance(x, (Poly, RatFun)):
         return x
     if isinstance(x, (int, Fraction)):
@@ -575,11 +599,16 @@ def as_value(x) -> Value:
     return out.num if out.den.is_constant else out
 
 
-class Frac(NamedTuple):
+class Frac(Record):
     """num / prod_j b_j ** exps[j] over the factors b_j of a `FactorBase`."""
 
+    __slots__ = ("num", "exps")
     num: Poly
     exps: tuple[int, ...]
+
+    def __init__(self, num: Poly, exps: tuple[int, ...]):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "exps", exps)
 
 
 class FactorBase:
@@ -636,7 +665,7 @@ class FactorBase:
     def value(self, f: Frac) -> "Value":
         return f.num / self.power(f.exps) if any(f.exps) else f.num
 
-    def derive(self, f: Frac, image: Callable[[JetVar], Optional[Frac]], memo: dict[int, Frac]) -> Frac:
+    def derive(self, f: Frac, image: Callable[[JetVar], Frac | None], memo: dict[int, Frac]) -> Frac:
         """D(f) for the D sending each variable v to image(v), or to 0 where
         that is None; memo keeps D(b_j) / b_j per factor for this one D.
 
@@ -709,14 +738,14 @@ def pseudo_reduce(p: Poly, chain: Sequence[tuple[JetVar, Poly]]) -> tuple[Poly, 
     return p, mult
 
 
-@dataclass(frozen=True)
-class AffineSpace:
+class AffineSpace(Record):
     """Solutions of A y + b = 0: rank data, one solution, and a kernel basis."""
 
+    __slots__ = ("n", "rank", "consistent", "particular", "kernel")
     n: int
     rank: int
     consistent: bool
-    particular: Optional[tuple[Value, ...]]
+    particular: tuple[Value, ...] | None
     kernel: tuple[tuple[Value, ...], ...]
 
     @property
@@ -726,7 +755,7 @@ class AffineSpace:
 
 
 def solve_affine(
-    rows: Sequence[Sequence], rhs: Sequence, n: Optional[int] = None, is_zero=lambda x: x.is_zero
+    rows: Sequence[Sequence], rhs: Sequence, n: int | None = None, is_zero=lambda x: x.is_zero
 ) -> AffineSpace:
     """Exact Gauss-Jordan elimination for A y + b = 0 over the fraction field.
 

@@ -10,37 +10,37 @@ is forced by the shape of the equations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
 
 from .algebra import JetVar, Poly
 from .config import Configuration
 from .errors import EngineError, NotTriangularError, listing
 from .jet import JetAtom
-from .monoid import InitialSet, MonoidElem, minimal_leaders
+from .monoid import InitialSet, MonoidElem, Record, minimal_leaders
 
 
-@dataclass(frozen=True)
-class DefinableSetDesc:
+class DefinableSetDesc(Record):
     """Coordinates, polynomial atoms, and a projection target."""
 
+    __slots__ = ("indices", "atoms", "projection")
     indices: tuple[JetVar, ...]
     atoms: tuple[JetAtom, ...]
     projection: tuple[JetVar, ...]
 
-    def __post_init__(self):
-        index_set = set(self.indices)
-        if len(index_set) != len(self.indices):
+    def __init__(self, indices, atoms, projection):
+        index_set = set(indices)
+        if len(index_set) != len(indices):
             raise EngineError("duplicate coordinates")
-        for atom in self.atoms:
+        for atom in atoms:
             extra = atom.poly.variables() - index_set
             if extra:
                 raise EngineError(f"atom mentions undeclared coordinates: {listing(extra)}")
-        if not set(self.projection) <= index_set:
+        if not set(projection) <= index_set:
             raise EngineError("projection target must be a subset of the coordinates")
+        super().__init__(indices, atoms, projection)
 
-    def contains(self, point: Mapping[JetVar, Union[int, Fraction]]) -> bool:
+    def contains(self, point: Mapping[JetVar, int | Fraction]) -> bool:
         binding = {v: Fraction(point[v]) for v in self.indices}
         for atom in self.atoms:
             value = atom.poly.evaluate(binding)
@@ -58,8 +58,8 @@ class DefinableSetDesc:
         }
 
 
-@dataclass(frozen=True)
-class WideFromDeepResult:
+class WideFromDeepResult(Record):
+    __slots__ = ("wide", "x_vars", "y_vars", "projection_note", "jet_recovery")
     wide: DefinableSetDesc
     x_vars: tuple[JetVar, ...]
     y_vars: tuple[JetVar, ...]
@@ -107,8 +107,8 @@ def wide_from_deep(deep: DefinableSetDesc, n: int) -> WideFromDeepResult:
     return WideFromDeepResult(wide, tuple(x_vars), y_vars, note, tuple(couplings))
 
 
-@dataclass(frozen=True)
-class NcNormalizeResult:
+class NcNormalizeResult(Record):
+    __slots__ = ("v_prime", "z_prime", "added", "projection_note")
     v_prime: InitialSet
     z_prime: DefinableSetDesc
     added: frozenset[MonoidElem]
@@ -147,16 +147,16 @@ def nc_normalize(initial: InitialSet, desc: DefinableSetDesc) -> NcNormalizeResu
 # triangular dimension certificates
 
 
-@dataclass(frozen=True)
-class TriangularSystem:
+class TriangularSystem(Record):
     """Equations with designated main variables over strictly smaller ones."""
 
+    __slots__ = ("ambient", "equations")
     ambient: tuple[JetVar, ...]
     equations: tuple[tuple[JetVar, Poly], ...]
 
 
-@dataclass(frozen=True)
-class DimensionCertificate:
+class DimensionCertificate(Record):
+    __slots__ = ("free_count", "solve_order", "free_vars")
     free_count: int
     solve_order: tuple[JetVar, ...]
     free_vars: tuple[JetVar, ...]
@@ -170,7 +170,7 @@ class DimensionCertificate:
 
 
 def triangular_dimension_certificate(
-    system: Union[Configuration, TriangularSystem],
+    system: Configuration | TriangularSystem,
 ) -> DimensionCertificate:
     """Count free coordinates of a triangular system, with the solve order.
 

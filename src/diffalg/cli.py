@@ -13,7 +13,6 @@ import functools
 import json
 import random
 import sys
-from typing import Optional
 
 from .axioms import triangular_dimension_certificate, wide_from_deep
 from .derivation import apply_derivation
@@ -218,10 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "k", None) is not None and args.k < 1:
+            raise EngineError("k must be at least 1")
         return args.handler(args)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)

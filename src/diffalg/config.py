@@ -38,34 +38,33 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from math import factorial, gcd, isqrt, prod
 from operator import add
-from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .algebra import FactorBase, Frac, JetVar, Poly, Value, as_value, pseudo_reduce
 from .derivation import DerSpec, Tower, _last_remainder, apply_derivation
 from .errors import ConfigurationError, PoleError
 from .jet import DiffModel, jet_binding
-from .monoid import COMMUTATIVE, FREE, MonoidElem, antichain_minimal, theta_ball
+from .monoid import COMMUTATIVE, FREE, MonoidElem, Record, antichain_minimal, theta_ball
 
 # random points tried before a violation is reported unconfirmed
 _WITNESS_DRAWS = 40
 
 
-@dataclass(frozen=True)
-class GFun:
+class GFun(Record):
     """A computed jet function together with the factorization it came from."""
 
+    __slots__ = ("value", "witness")
     value: Value
-    witness: Union[tuple[MonoidElem, MonoidElem], str]
+    witness: tuple[MonoidElem, MonoidElem] | str
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
+    __slots__ = ("word1", "leader1", "word2", "leader2")
     word1: MonoidElem
     leader1: MonoidElem
     word2: MonoidElem
@@ -80,14 +79,17 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class CommutationCheck:
+class CommutationCheck(Record):
+    __slots__ = ("alpha", "status", "trivial", "witness", "reduced_difference", "point")
     alpha: MonoidElem
     status: str  # "commutes" | "violation" | "violation-unconfirmed"
-    trivial: bool = False
-    witness: Optional[Witness] = None
-    reduced_difference: Optional[Poly] = None
-    point: Optional[dict] = None
+    trivial: bool
+    witness: Witness | None
+    reduced_difference: Poly | None
+    point: dict | None
+
+    def __init__(self, alpha, status, trivial=False, witness=None, reduced_difference=None, point=None):
+        super().__init__(alpha, status, trivial, witness, reduced_difference, point)
 
     @property
     def commutes(self) -> bool:
@@ -104,8 +106,8 @@ class CommutationCheck:
         return out
 
 
-@dataclass(frozen=True)
-class CommutationReport:
+class CommutationReport(Record):
+    __slots__ = ("kind", "checks")
     kind: str  # "local" | "global"
     checks: tuple[CommutationCheck, ...]
 
@@ -113,7 +115,7 @@ class CommutationReport:
     def commutes(self) -> bool:
         return all(c.commutes for c in self.checks)
 
-    def first_violation(self) -> Optional[CommutationCheck]:
+    def first_violation(self) -> CommutationCheck | None:
         for c in self.checks:
             if not c.commutes:
                 return c
@@ -130,14 +132,17 @@ class CommutationReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-@dataclass(frozen=True)
-class RealizeReport:
+class RealizeReport(Record):
+    __slots__ = ("ok", "depth", "checked", "mismatch", "expected", "got")
     ok: bool
     depth: int
     checked: int
-    mismatch: Optional[MonoidElem] = None
-    expected: Optional[str] = None
-    got: Optional[str] = None
+    mismatch: MonoidElem | None
+    expected: str | None
+    got: str | None
+
+    def __init__(self, ok, depth, checked, mismatch=None, expected=None, got=None):
+        super().__init__(ok, depth, checked, mismatch, expected, got)
 
     def to_dict(self):
         out = {"ok": self.ok, "depth": self.depth, "checked": self.checked}
@@ -156,7 +161,7 @@ class Configuration:
         k: int,
         leaders: Sequence[MonoidElem],
         relations: Mapping[MonoidElem, Poly],
-        etas: Optional[Sequence[Mapping[JetVar, Value]]] = None,
+        etas: Sequence[Mapping[JetVar, Value]] | None = None,
         base: str = "x",
     ):
         self.k = k
@@ -190,7 +195,7 @@ class Configuration:
         )
         self._memos: tuple[dict[int, Frac], ...] = tuple({} for _ in range(k))
         self._word_cache: dict[tuple[tuple[int, ...], MonoidElem], Frac] = {}
-        self._theta_cache: dict[MonoidElem, tuple[Frac, Union[tuple, str]]] = {}
+        self._theta_cache: dict[MonoidElem, tuple[Frac, tuple | str]] = {}
         if not self._commutes_on(self.params):
             raise ConfigurationError("the eta tables do not commute on the parameters")
 
@@ -275,7 +280,7 @@ class Configuration:
             raise ConfigurationError(f"{pi} is not a leader")
         return GFun(self._base.value(self._f_word(word.data, pi)), (word, pi))
 
-    def _f_theta(self, alpha: MonoidElem) -> tuple[Frac, Union[tuple, str]]:
+    def _f_theta(self, alpha: MonoidElem) -> tuple[Frac, tuple | str]:
         if alpha not in self._theta_cache:
             if self.is_free(alpha):
                 out = self._variable(alpha), "free variable"
@@ -324,7 +329,7 @@ class Configuration:
         value, _ = self._f_theta(gen.compose(mu))
         return value
 
-    def _image(self, i: int, v: JetVar) -> Optional[Frac]:
+    def _image(self, i: int, v: JetVar) -> Frac | None:
         """R_i(v): eta_i on a parameter (None on a constant), f at d_i.mu on x_mu."""
         return self._eta_images[i - 1].get(v) if v.index is None else self._f_delta_mu(i, v.index)
 
@@ -370,7 +375,7 @@ class Configuration:
     def check_commutation_at(
         self,
         alpha: MonoidElem,
-        rng: Optional[random.Random] = None,
+        rng: random.Random | None = None,
     ) -> CommutationCheck:
         """Decide whether all factorizations of alpha agree on the locus."""
         if self._count_factorizations(alpha) <= 1:
@@ -442,7 +447,7 @@ class Configuration:
     # ------------------------------------------------------------------
     # local and global checks
 
-    def check_local(self, rng: Optional[random.Random] = None) -> CommutationReport:
+    def check_local(self, rng: random.Random | None = None) -> CommutationReport:
         """Check every tuple of degree at most |theta| that precedes theta, the
         join of the leaders, in the total order of `MonoidElem` (degree, then
         the lexicographic tie-break), not only those below theta
@@ -450,7 +455,7 @@ class Configuration:
         theta = self.theta
         return self._run_checks("local", [a for a in theta_ball(self.k, theta.degree) if a <= theta], rng)
 
-    def verify_global(self, degree_bound: int, rng: Optional[random.Random] = None) -> CommutationReport:
+    def verify_global(self, degree_bound: int, rng: random.Random | None = None) -> CommutationReport:
         """Check every tuple of total degree at most D = `degree_bound`.
 
         Coherence first (Rosenfeld, "Specializations in differential
@@ -593,7 +598,7 @@ def _multiset_permutations(items: Sequence[int]):
         a[j + 1:] = a[:j:-1]
 
 
-def _rational_root(p: Poly, main: JetVar) -> Optional[Fraction]:
+def _rational_root(p: Poly, main: JetVar) -> Fraction | None:
     """A rational root of a polynomial in `main` alone, or None."""
     coeffs_by_deg = {m.deg_in(main): c for m, c in p.terms.items()}
     degree = max(coeffs_by_deg, default=0)

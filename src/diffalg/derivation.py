@@ -57,8 +57,7 @@ remainder once it is free of the stage generator.  Degenerate elements
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Optional, Union
+from collections.abc import Iterable, Mapping
 
 from .algebra import FactorBase, JetVar, Poly, Value, as_value, pseudo_reduce, pseudo_remainder
 from .errors import (
@@ -69,18 +68,25 @@ from .errors import (
     UndeclaredParameterError,
     listing,
 )
+from .monoid import Record
 
 
-@dataclass
-class DerSpec:
-    """A derivation: coefficient action on parameters plus variable images."""
+class DerSpec(Record):
+    """A derivation: coefficient action on parameters plus variable images.
 
-    eta: dict[JetVar, Value] = field(default_factory=dict)
-    images: dict[JetVar, Value] = field(default_factory=dict)
+    Its fields may be reassigned, so it is not hashable.
+    """
 
-    def __post_init__(self):
-        self.eta = {p: as_value(value) for p, value in self.eta.items()}
-        self.images = {v: as_value(value) for v, value in self.images.items()}
+    __slots__ = ("eta", "images")
+    eta: dict[JetVar, Value]
+    images: dict[JetVar, Value]
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, eta: Mapping[JetVar, Value] | None = None, images: Mapping[JetVar, Value] | None = None):
+        self.eta = {p: as_value(value) for p, value in (eta or {}).items()}
+        self.images = {v: as_value(value) for v, value in (images or {}).items()}
         declared = set(self.eta)
         for p, value in self.eta.items():
             extra = value.variables() - declared
@@ -114,9 +120,13 @@ def partner_var(v: JetVar) -> JetVar:
     return JetVar("y_" + v.base, v.index)
 
 
-class LiftResult(NamedTuple):
+class LiftResult(Record):
+    __slots__ = ("lift", "coeff_only")
     lift: Value
     coeff_only: Value
+
+    def __iter__(self):
+        return iter(self._fields())
 
 
 def twisted_lift(p: Value, spec: DerSpec) -> LiftResult:
@@ -159,8 +169,8 @@ def implicit_delta(p: Poly, main: JetVar, spec: DerSpec) -> Value:
 # towers of algebraic extensions
 
 
-@dataclass(frozen=True)
-class TowerStage:
+class TowerStage(Record):
+    __slots__ = ("gen", "minpoly", "dvalue")
     gen: JetVar
     minpoly: Poly
     dvalue: Value
@@ -169,7 +179,7 @@ class TowerStage:
 class Tower:
     """Q(params) extended by a chain of algebraic generators, with a derivation."""
 
-    def __init__(self, params: Iterable[JetVar], eta: Optional[Mapping[JetVar, Value]] = None):
+    def __init__(self, params: Iterable[JetVar], eta: Mapping[JetVar, Value] | None = None):
         self.params = tuple(params)
         given = dict(eta) if eta else {}
         for p in given:
@@ -190,7 +200,7 @@ class Tower:
         out._chain = tuple((s.gen, s.minpoly) for s in reversed(stages))
         return out
 
-    def extend(self, minpoly: Poly, gen: Union[JetVar, str]) -> "Tower":
+    def extend(self, minpoly: Poly, gen: JetVar | str) -> "Tower":
         return extend_to_algebraic(self, minpoly, gen)
 
     def with_eta(self, eta: Mapping[JetVar, Value]) -> "Tower":
@@ -208,7 +218,7 @@ class Tower:
     def gens(self) -> tuple[JetVar, ...]:
         return tuple(s.gen for s in self.stages)
 
-    def element(self, name: Union[JetVar, str]) -> Poly:
+    def element(self, name: JetVar | str) -> Poly:
         v = JetVar(name) if isinstance(name, str) else name
         if v not in self.variables():
             raise UncoveredVariableError(f"{v} is not a tower variable")
@@ -296,7 +306,7 @@ def _last_remainder(tower: Tower, a: Poly, modulus: Poly, gen: JetVar) -> tuple[
     return (r0, s0) if r1.is_zero else (r1, s1)
 
 
-def extend_to_algebraic(tower: Tower, minpoly: Poly, gen: Union[JetVar, str]) -> Tower:
+def extend_to_algebraic(tower: Tower, minpoly: Poly, gen: JetVar | str) -> Tower:
     """Adjoin an algebraic generator and the derivative value it forces.
 
     The defining polynomial must be univariate in `gen` over the current

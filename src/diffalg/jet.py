@@ -17,41 +17,40 @@ which is what the rewriting is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .algebra import JetVar, Poly, Value, as_value
 from .derivation import DerSpec, Tower, apply_derivation
 from .errors import EngineError, KindMismatchError, UncoveredVariableError
-from .monoid import COMMUTATIVE, FREE, MonoidElem
+from .monoid import COMMUTATIVE, FREE, MonoidElem, Record
 
 
-class DiffTerm:
+class DiffTerm(Record):
     """Base class of term nodes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class TConst(DiffTerm):
+    __slots__ = ("value",)
     value: Fraction
 
     def __str__(self):
         return str(self.value)
 
 
-@dataclass(frozen=True)
 class TVar(DiffTerm):
+    __slots__ = ("name",)
     name: str
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
 class TAdd(DiffTerm):
+    __slots__ = ("left", "right")
     left: DiffTerm
     right: DiffTerm
 
@@ -59,8 +58,8 @@ class TAdd(DiffTerm):
         return f"{self.left} + {self.right}"
 
 
-@dataclass(frozen=True)
 class TMul(DiffTerm):
+    __slots__ = ("left", "right")
     left: DiffTerm
     right: DiffTerm
 
@@ -68,16 +67,16 @@ class TMul(DiffTerm):
         return f"{_factor_str(self.left)} * {_factor_str(self.right)}"
 
 
-@dataclass(frozen=True)
 class TNeg(DiffTerm):
+    __slots__ = ("arg",)
     arg: DiffTerm
 
     def __str__(self):
         return f"-{_factor_str(self.arg)}"
 
 
-@dataclass(frozen=True)
 class TDer(DiffTerm):
+    __slots__ = ("index", "arg")
     index: int
     arg: DiffTerm
 
@@ -105,10 +104,10 @@ def max_der_index(t: DiffTerm) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class JetAtom:
+class JetAtom(Record):
     """A rewritten polynomial (in)equation: `poly rel 0` with rel in {=, !=}."""
 
+    __slots__ = ("poly", "rel")
     poly: Poly
     rel: str
 
@@ -167,8 +166,8 @@ def _jet_shift(i: int, mode: str, k: int, tables: Sequence[Mapping[JetVar, objec
 def rewrite_term(
     t: DiffTerm,
     mode: str = COMMUTATIVE,
-    eta: Optional[Union[Mapping[JetVar, object], Sequence[Mapping[JetVar, object]]]] = None,
-    k: Optional[int] = None,
+    eta: Mapping[JetVar, object] | Sequence[Mapping[JetVar, object]] | None = None,
+    k: int | None = None,
 ):
     """Eliminate derivation symbols, returning a polynomial in jet variables.
 
@@ -203,7 +202,7 @@ def rewrite_atom(
     rhs: DiffTerm,
     mode: str = COMMUTATIVE,
     eta=None,
-    k: Optional[int] = None,
+    k: int | None = None,
 ) -> JetAtom:
     """Rewrite `lhs rel rhs` to a polynomial atom `p rel 0`.
 

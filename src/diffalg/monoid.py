@@ -17,14 +17,16 @@ tuples so that a higher exponent on an earlier generator comes first
 (d1^2 sorts before d1 d2).  The two tie-break conventions agree through
 the abelianization word -> exponent tuple, and both are compatible with
 the partial order and with translation.
+
+`Record`, the base of the engine's value classes, lives here with the first
+of them, `MonoidElem`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property, total_ordering
-from typing import Iterable, Iterator, NamedTuple, Optional
+from collections.abc import Iterable, Iterator
+from functools import total_ordering
 
 from .errors import KindMismatchError, NotInitialError
 
@@ -32,28 +34,89 @@ FREE = "free"
 COMMUTATIVE = "commutative"
 
 
+class Record:
+    """A value named by the fields in a subclass's `__slots__`.
+
+    Equality (within one class), hash and repr go by the fields in slot
+    order, and a field refuses assignment once `__init__` has set it through
+    `object.__setattr__`.  The default `__init__` takes every field in order.
+    A slot that `__init__` leaves unset and `_lazy` names is computed on
+    first use by the function `_lazy` maps it to, once.
+    """
+
+    __slots__ = ()
+    _lazy = {}
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __getattr__(self, name):
+        # reached only when the ordinary lookup fails, as for an unset slot
+        compute = self._lazy.get(name)
+        if compute is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = compute(self)
+        object.__setattr__(self, name, value)
+        return value
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 @total_ordering
-@dataclass(frozen=True)
-class MonoidElem:
+class MonoidElem(Record):
     """A word over d1..dk (kind 'free') or a tuple in N^k (kind 'commutative')."""
 
-    kind: str
-    k: int
-    data: tuple[int, ...]
+    __slots__ = ("kind", "k", "data", "sort_key")
 
-    def __post_init__(self):
-        if self.kind not in (FREE, COMMUTATIVE):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.k < 1:
+    def __init__(self, kind: str, k: int, data: tuple[int, ...]):
+        if kind not in (FREE, COMMUTATIVE):
+            raise ValueError(f"unknown kind {kind!r}")
+        if k < 1:
             raise ValueError("k must be at least 1")
-        if self.kind == FREE:
-            if any(not 1 <= g <= self.k for g in self.data):
-                raise ValueError(f"word letters must lie in 1..{self.k}: {self.data}")
+        if kind == FREE:
+            if any(not 1 <= g <= k for g in data):
+                raise ValueError(f"word letters must lie in 1..{k}: {data}")
         else:
-            if len(self.data) != self.k:
-                raise ValueError(f"exponent tuple must have length {self.k}: {self.data}")
-            if any(e < 0 for e in self.data):
-                raise ValueError(f"exponents must be nonnegative: {self.data}")
+            if len(data) != k:
+                raise ValueError(f"exponent tuple must have length {k}: {data}")
+            if any(e < 0 for e in data):
+                raise ValueError(f"exponents must be nonnegative: {data}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "data", data)
+
+    def __eq__(self, other):
+        if other.__class__ is MonoidElem:
+            return self.data == other.data and self.k == other.k and self.kind == other.kind
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.data)
+
+    def __repr__(self) -> str:
+        return f"MonoidElem(kind={self.kind!r}, k={self.k!r}, data={self.data!r})"
 
     # ------------------------------------------------------------------
     # constructors
@@ -133,12 +196,13 @@ class MonoidElem:
     # ------------------------------------------------------------------
     # total order: degree first, then the fixed lexicographic tie-break
 
-    @cached_property
-    def sort_key(self):
+    def _sort_key(self):
         if self.kind == FREE:
             return (self.kind, self.k, len(self.data), self.data)
         # higher exponent on an earlier generator wins "smaller"
         return (self.kind, self.k, sum(self.data), tuple(-e for e in self.data))
+
+    _lazy = {"sort_key": _sort_key}
 
     def __lt__(self, other: "MonoidElem") -> bool:
         self._check_compatible(other)
@@ -207,22 +271,20 @@ def leq_total(a: MonoidElem, b: MonoidElem) -> int:
     return (b < a) - (a < b)
 
 
-@dataclass(frozen=True)
-class InitialSet:
+class InitialSet(Record):
     """A finite downward-closed set of monoid elements (all of one kind and k)."""
 
-    kind: str
-    k: int
-    elements: frozenset[MonoidElem]
+    __slots__ = ("kind", "k", "elements")
 
-    def __post_init__(self):
-        for el in self.elements:
-            if el.kind != self.kind or el.k != self.k:
-                raise KindMismatchError(f"element {el} does not match ({self.kind}, k={self.k})")
-        for el in self.elements:
+    def __init__(self, kind: str, k: int, elements: frozenset[MonoidElem]):
+        for el in elements:
+            if el.kind != kind or el.k != k:
+                raise KindMismatchError(f"element {el} does not match ({kind}, k={k})")
+        for el in elements:
             for pred in el.immediate_predecessors():
-                if pred not in self.elements:
+                if pred not in elements:
                     raise NotInitialError(f"{el} is present but its predecessor {pred} is not")
+        super().__init__(kind, k, elements)
 
     @staticmethod
     def of(elements: Iterable[MonoidElem]) -> "InitialSet":
@@ -240,9 +302,10 @@ class InitialSet:
         )
 
 
-class MinimalLeaders(NamedTuple):
+class MinimalLeaders(Record):
+    __slots__ = ("elements", "length_bound")
     elements: frozenset[MonoidElem]
-    length_bound: Optional[int]
+    length_bound: int | None
 
 
 def antichain_minimal(elements: Iterable[MonoidElem]) -> frozenset[MonoidElem]:

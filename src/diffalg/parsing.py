@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from json.decoder import JSONArray, JSONObject, scanstring
 from json.scanner import py_make_scanner
 from operator import add, mul, sub, truediv
-from typing import Optional, Sequence
 
 from .algebra import JetVar, Poly, RatFun, Value
 from .axioms import DefinableSetDesc, TriangularSystem
@@ -45,7 +44,7 @@ from .config import Configuration
 from .derivation import DerSpec
 from .errors import ParseError
 from .jet import DiffTerm, JetAtom, TAdd, TConst, TDer, TMul, TNeg, TVar
-from .monoid import COMMUTATIVE, FREE, MonoidElem
+from .monoid import COMMUTATIVE, FREE, MonoidElem, Record
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
@@ -58,8 +57,8 @@ _TOKEN_RE = re.compile(
 _DNAME_RE = re.compile(r"^d(\d+)$")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record):
+    __slots__ = ("kind", "text", "line", "column")
     kind: str  # 'int' | 'ident' | 'op' | 'eof'
     text: str
     line: int
@@ -231,7 +230,7 @@ def _parse_index(cur: _Cursor, mode: str, k: int) -> MonoidElem:
     return MonoidElem.exponents(exps)
 
 
-def _whole(text: str, k: Optional[int], parse):
+def _whole(text: str, k: int | None, parse):
     """parse(cursor, k) over all of the text; k is scanned from the text when not given."""
     tokens = tokenize(text)
     cur = _Cursor(tokens)
@@ -240,7 +239,7 @@ def _whole(text: str, k: Optional[int], parse):
     return out
 
 
-def parse_index_text(text: str, mode: str = COMMUTATIVE, k: Optional[int] = None) -> MonoidElem:
+def parse_index_text(text: str, mode: str = COMMUTATIVE, k: int | None = None) -> MonoidElem:
     return _whole(text, k, lambda cur, k: _parse_index(cur, mode, k))
 
 
@@ -299,7 +298,7 @@ class _ExprParser:
         return JetVar(tok.text)
 
 
-def parse_expression(text: str, mode: str = COMMUTATIVE, k: Optional[int] = None):
+def parse_expression(text: str, mode: str = COMMUTATIVE, k: int | None = None):
     """A Poly, or a RatFun when the denominator does not cancel to a constant."""
     return _whole(text, k, lambda cur, k: _ExprParser(cur, mode, k).expr())
 
@@ -314,11 +313,11 @@ def _poly(cur: _Cursor, mode: str, k: int) -> Poly:
     return value
 
 
-def parse_poly(text: str, mode: str = COMMUTATIVE, k: Optional[int] = None) -> Poly:
+def parse_poly(text: str, mode: str = COMMUTATIVE, k: int | None = None) -> Poly:
     return _whole(text, k, lambda cur, k: _poly(cur, mode, k))
 
 
-def parse_ratfun(text: str, mode: str = COMMUTATIVE, k: Optional[int] = None) -> Value:
+def parse_ratfun(text: str, mode: str = COMMUTATIVE, k: int | None = None) -> Value:
     """A rational expression; a Poly when its denominator cancels to a constant."""
     return parse_expression(text, mode, k)
 
@@ -427,7 +426,7 @@ def _derspec(cur: _Cursor, mode: str, k: int) -> DerSpec:
     return DerSpec(eta=eta, images=images)
 
 
-def parse_derspec(text: str, mode: str = COMMUTATIVE, k: Optional[int] = None) -> DerSpec:
+def parse_derspec(text: str, mode: str = COMMUTATIVE, k: int | None = None) -> DerSpec:
     """`eta: t -> 1; d: x -> u, y -> v`; either section may be `none`."""
     return _whole(text, k, lambda cur, k: _derspec(cur, mode, k))
 
@@ -437,7 +436,7 @@ def parse_derspec(text: str, mode: str = COMMUTATIVE, k: Optional[int] = None) -
 
 
 def parse_config(text: str) -> Configuration:
-    k: Optional[int] = None
+    k: int | None = None
     base = "x"
     leaders: list[MonoidElem] = []
     relation_lines: list[_Cursor] = []  # parsed once k is known
@@ -512,19 +511,22 @@ def _eta_slot(cur: _Cursor, k: int) -> int:
 # variety files: polynomials, optional derivation and point lines
 
 
-@dataclass
-class VarietyInput:
+class VarietyInput(Record):
+    __slots__ = ("variables", "gens", "spec", "point")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
     variables: tuple[JetVar, ...]
     gens: tuple[Poly, ...]
     spec: DerSpec
-    point: Optional[tuple[Value, ...]]
+    point: tuple[Value, ...] | None
 
 
 def parse_variety(text: str) -> VarietyInput:
     gens: list[Poly] = []
     spec = DerSpec()
     point = None
-    declared_vars: Optional[list[str]] = None
+    declared_vars: list[str] | None = None
     declared: set = set()
 
     for _, cur in _lines(text):
@@ -555,7 +557,7 @@ def parse_variety(text: str) -> VarietyInput:
 
 
 def parse_triangular(text: str) -> TriangularSystem:
-    ambient: Optional[tuple[JetVar, ...]] = None
+    ambient: tuple[JetVar, ...] | None = None
     equations: list[tuple[JetVar, Poly]] = []
     declared: set = set()
     for _, cur in _lines(text):

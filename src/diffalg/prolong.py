@@ -22,24 +22,25 @@ generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from collections.abc import Sequence
 
 from .algebra import AffineSpace, JetVar, Poly, Value, as_value, solve_affine
 from .derivation import DerSpec, Tower, coeff_derivative, partner_var, twisted_lift
 from .errors import FiberError, UndeclaredParameterError, listing
+from .monoid import Record
 
 
-@dataclass(frozen=True)
-class VarietyPresentation:
+class VarietyPresentation(Record):
     """Ambient variables plus generators assumed to generate the full ideal."""
 
+    __slots__ = ("variables", "gens")
     variables: tuple[JetVar, ...]
     gens: tuple[Poly, ...]
 
-    def __post_init__(self):
-        if len(set(self.variables)) != len(self.variables):
+    def __init__(self, variables, gens):
+        if len(set(variables)) != len(variables):
             raise ValueError("duplicate ambient variables")
+        super().__init__(variables, gens)
 
     @property
     def n(self) -> int:
@@ -61,8 +62,8 @@ class VarietyPresentation:
         return all(is_zero(p.evaluate(binding)) for p in self.gens)
 
 
-@dataclass(frozen=True)
-class Prolongation:
+class Prolongation(Record):
+    __slots__ = ("source", "spec", "equations")
     source: VarietyPresentation
     spec: DerSpec
     equations: tuple[Value, ...]
@@ -101,7 +102,7 @@ def tangent_space_at(
     variety: VarietyPresentation,
     spec: DerSpec,
     point: Sequence[Value],
-    tower: Optional[Tower] = None,
+    tower: Tower | None = None,
 ) -> AffineSpace:
     """Solve the twisted fiber at a point of the variety.
 
@@ -117,13 +118,14 @@ def tangent_space_at(
     return solve_affine(rows, rhs, n=variety.n, is_zero=is_zero)
 
 
-class RegRank(NamedTuple):
+class RegRank(Record):
+    __slots__ = ("dimension", "in_reg")
     dimension: int
-    in_reg: Optional[bool]
+    in_reg: bool | None
 
 
 def reg_rank_at(
-    variety: VarietyPresentation, point: Sequence[Value], d: Optional[int] = None
+    variety: VarietyPresentation, point: Sequence[Value], d: int | None = None
 ) -> RegRank:
     """Ordinary tangent dimension at a point, and membership in the d-stratum."""
     space = tangent_space_at(variety, DerSpec(eta={p: Poly.zero() for p in variety.parameters()}), point)
@@ -135,7 +137,7 @@ def extend_at_point(
     variety: VarietyPresentation,
     spec: DerSpec,
     tower: Tower,
-    point: Sequence[Union[JetVar, str]],
+    point: Sequence[JetVar | str],
     tangent: Sequence[Value],
 ) -> DerSpec:
     """Extend the coefficient derivation so the point moves along the fiber.

@@ -8,6 +8,7 @@ import pytest
 
 from diffalg.algebra import JetVar, Monomial, Poly, RatFun, as_value, divide_exact, solve_affine, var
 from diffalg.axioms import DefinableSetDesc, TriangularSystem, nc_normalize, triangular_dimension_certificate
+from diffalg.cli import main
 from diffalg.derivation import DerSpec, Tower, twisted_lift
 from diffalg.errors import (
     ConfigurationError,
@@ -273,3 +274,16 @@ def test_guarded_input_messages(call, error, expected):
     with pytest.raises(error) as err:
         call()
     assert str(err.value) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["derive", "x", "--spec", "d: x -> 1", "--k", "0"],
+        ["derive", "x[d2]", "--spec", "d: x -> 1", "--k", "-2"],
+        ["jet", "d1(x)", "--k", "0"],
+    ],
+)
+def test_k_below_one_is_refused_where_it_enters(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: k must be at least 1\n")
