@@ -1,7 +1,7 @@
 """Exact symbolic differential algebra: jets, derivations, configurations.
 
-The package works over Q throughout (fractions.Fraction coefficients); no
-floating point anywhere.  Modules:
+The package works over Q throughout (int coefficients, fractions.Fraction
+where not integral); no floating point anywhere.  Modules:
 
 - monoid: words / exponent tuples over derivation generators, their orders
 - algebra: sparse polynomials, rational functions, pseudo-division, exact

@@ -2,8 +2,18 @@
 
 Variables are `JetVar`s: a base name plus an optional monoid index, so the
 same engine serves plain parameters (no index), jet variables indexed by
-words, and jet variables indexed by exponent tuples.  Coefficients are
-`fractions.Fraction` throughout; nothing here is ever approximate.
+words, and jet variables indexed by exponent tuples.  Variables are
+interned: equal ones are the same object, so they compare and hash by
+identity.
+
+The coefficient rule: a coefficient is a nonzero rational, held as an `int`
+when it is integral and as a `fractions.Fraction` only when it is not, and
+never as a float; nothing here is ever approximate.  So a quotient of two
+coefficients is always taken as `Fraction(a, b)`, never as `a / b`.  The
+`Poly` constructor checks and normalises the coefficients it is given; the
+ring operations build their results unchecked, since a sum, difference or
+product of such coefficients is one again once zero sums are dropped and an
+integral `Fraction` is made an `int`.
 
 Rational functions are kept as normalized numerator/denominator pairs.
 Equality is decided by cross-multiplication, so no multivariate gcd engine
@@ -42,20 +52,34 @@ from .errors import PoleError, UncoveredVariableError, listing
 from .monoid import MonoidElem, Record
 
 
+# (base, index) -> its one JetVar, for the life of the process
+_JETVARS: dict[tuple, "JetVar"] = {}
+
+
 class JetVar(Record):
     """A variable: base name plus an optional monoid index.
 
     Plain variables (index None) play the role of parameters and auxiliary
-    unknowns; indexed variables stand for iterated derivatives.  The hash is
-    computed when the variable is made.
+    unknowns; indexed variables stand for iterated derivatives.  Variables
+    are interned: `JetVar(base, index)` returns the one variable made from an
+    equal (base, index) pair, kept in a module table that lives for the
+    process, so equality and hash are those of the object itself.
     """
 
-    __slots__ = ("base", "index", "_hash", "sort_key")
+    __slots__ = ("base", "index", "sort_key")
 
-    def __init__(self, base: str, index: MonoidElem | None = None):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "_hash", hash((base, index)))
+    def __new__(cls, base: str, index: MonoidElem | None = None):
+        v = _JETVARS.get((base, index))
+        if v is None:
+            v = _JETVARS[base, index] = object.__new__(cls)
+            object.__setattr__(v, "base", base)
+            object.__setattr__(v, "index", index)
+        return v
+
+    # __new__ sets the fields once; object's __init__ takes the arguments and does nothing
+    __init__ = object.__init__
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def _sort_key(self):
         if self.index is None:
@@ -63,14 +87,6 @@ class JetVar(Record):
         return (self.base, 1, self.index.sort_key)
 
     _lazy = {"sort_key": _sort_key}
-
-    def __eq__(self, other):
-        if other.__class__ is JetVar:
-            return self._hash == other._hash and self.base == other.base and self.index == other.index
-        return NotImplemented
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self) -> str:
         return f"JetVar(base={self.base!r}, index={self.index!r})"
@@ -88,12 +104,18 @@ def var(name: str, index: MonoidElem | None = None) -> "Poly":
     return Poly.variable(JetVar(name, index))
 
 
-def _as_fraction(c) -> Fraction:
+def _coefficient(c) -> int | Fraction:
+    """c under the coefficient rule: an `int` when integral, refusing floats."""
     if isinstance(c, Fraction):
-        return c
+        return _lean(c)
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"not an exact coefficient: {c!r}")
+
+
+def _lean(c: Fraction) -> int | Fraction:
+    """c, or its numerator when c is integral."""
+    return c.numerator if c.denominator == 1 else c
 
 
 class Monomial(Record):
@@ -149,7 +171,7 @@ class Monomial(Record):
 
     def deg_in(self, v: JetVar) -> int:
         for w, e in self.powers:
-            if w == v:
+            if w is v:
                 return e
         return 0
 
@@ -157,10 +179,15 @@ class Monomial(Record):
         return {v for v, _ in self.powers}
 
     def __mul__(self, other: "Monomial") -> "Monomial":
+        # exponents are positive, so every sum is one too
+        if not other.powers:
+            return self
+        if not self.powers:
+            return other
         d = dict(self.powers)
         for v, e in other.powers:
             d[v] = d.get(v, 0) + e
-        return Monomial.make(d)
+        return Monomial(frozenset(d.items()))
 
     def divides(self, other: "Monomial") -> bool:
         other_d = dict(other.powers)
@@ -173,7 +200,7 @@ class Monomial(Record):
         return Monomial.make(d)
 
     def without(self, v: JetVar) -> "Monomial":
-        return Monomial(frozenset((w, e) for w, e in self.powers if w != v))
+        return Monomial(frozenset((w, e) for w, e in self.powers if w is not v))
 
     def gcd(self, other: "Monomial") -> "Monomial":
         other_d = dict(other.powers)
@@ -181,15 +208,16 @@ class Monomial(Record):
 
 
 class Poly:
-    """Sparse multivariate polynomial with Fraction coefficients."""
+    """Sparse multivariate polynomial over Q; `terms` maps each monomial to
+    its nonzero coefficient, an `int` or a non-integral `Fraction`."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
+    def __init__(self, terms: Mapping[Monomial, int | Fraction] | None = None):
         clean = {}
         if terms:
             for m, c in terms.items():
-                c = _as_fraction(c)
+                c = _coefficient(c)
                 if c != 0:
                     clean[m] = c
         self.terms = clean
@@ -207,7 +235,7 @@ class Poly:
 
     @staticmethod
     def variable(v: JetVar) -> "Poly":
-        return Poly({Monomial.of(v): Fraction(1)})
+        return _poly({Monomial.of(v): 1})
 
     # ------------------------------------------------------------------
     # structure
@@ -218,7 +246,8 @@ class Poly:
 
     @property
     def is_constant(self) -> bool:
-        return all(not m.powers for m in self.terms)
+        terms = self.terms
+        return not terms or (len(terms) == 1 and not next(iter(terms)).powers)
 
     # a polynomial is a fraction over 1
     @property
@@ -229,9 +258,9 @@ class Poly:
     def den(self) -> "Poly":
         return _ONE
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if self.is_zero:
-            return Fraction(0)
+            return 0
         if not self.is_constant:
             raise ValueError(f"not a constant: {self}")
         return next(iter(self.terms.values()))
@@ -251,7 +280,7 @@ class Poly:
     def depends_on(self, v: JetVar) -> bool:
         return any(m.deg_in(v) > 0 for m in self.terms)
 
-    def leading_term(self) -> tuple[Monomial, Fraction]:
+    def leading_term(self) -> tuple[Monomial, int | Fraction]:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading term")
         m = max(self.terms, key=lambda m: m.sort_key)
@@ -278,7 +307,7 @@ class Poly:
         return out if out is not None else Monomial.one()
 
     def divide_monomial(self, m: Monomial) -> "Poly":
-        return Poly({mm / m: c for mm, c in self.terms.items()})
+        return _poly({mm / m: c for mm, c in self.terms.items()})
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -290,13 +319,18 @@ class Poly:
         out = dict(self.terms)
         for m, c in other.terms.items():
             prev = out.get(m)
-            out[m] = c if prev is None else prev + c
-        return Poly(out)
+            if prev is None:
+                out[m] = c
+            elif s := prev + c:
+                out[m] = s if s.__class__ is int else _lean(s)
+            else:
+                del out[m]
+        return _poly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()})
+        return _poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -316,14 +350,14 @@ class Poly:
             self, other = other, self
         if other.is_constant:
             c = other.constant_value()
-            return self if c == 1 else Poly({m: c * d for m, d in self.terms.items()})
-        out: dict[Monomial, Fraction] = {}
+            return self if c == 1 else _ring({m: c * d for m, d in self.terms.items()})
+        out: dict[Monomial, int | Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = m1 * m2
                 prev = out.get(m)
                 out[m] = c1 * c2 if prev is None else prev + c1 * c2
-        return Poly(out)
+        return _ring(out)
 
     __rmul__ = __mul__
 
@@ -359,13 +393,13 @@ class Poly:
 
     def partial(self, v: JetVar) -> "Poly":
         # m -> m / v is one-to-one on the terms that involve v: nothing merges
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int | Fraction] = {}
         dv = Monomial.of(v)
         for m, c in self.terms.items():
             e = m.deg_in(v)
             if e:
                 out[m / dv] = c * e
-        return Poly(out)
+        return _ring(out)
 
     def substitute(self, binding: Mapping[JetVar, "Poly | RatFun | int | Fraction"]):
         """Replace the bound variables, leaving the others alone."""
@@ -376,7 +410,7 @@ class Poly:
                 if v in binding:
                     factor = _coerce(binding[v]) ** e
                 else:
-                    factor = Poly({Monomial.of(v, e): Fraction(1)})
+                    factor = _poly({Monomial.of(v, e): 1})
                 term = factor * term
             result = term if result is None else result + term
         if result is None:
@@ -398,7 +432,7 @@ class Poly:
                 d, top = e, {}
             if e == d:
                 top[m.without(v)] = c
-        return d, Poly(top)
+        return d, _poly(top)
 
     # ------------------------------------------------------------------
     # printing: terms in decreasing monomial order
@@ -426,6 +460,19 @@ class Poly:
         return f"Poly({self})"
 
 
+def _poly(terms: dict[Monomial, int | Fraction]) -> Poly:
+    """A Poly of terms that already keep the coefficient rule, unchecked."""
+    out = object.__new__(Poly)
+    out.terms = terms
+    return out
+
+
+def _ring(terms: dict[Monomial, int | Fraction]) -> Poly:
+    """A Poly of ring results on coefficients that keep the coefficient rule:
+    zero sums are dropped and integral Fractions made ints."""
+    return _poly({m: c if c.__class__ is int else _lean(c) for m, c in terms.items() if c})
+
+
 _ONE = Poly.const(1)
 
 
@@ -440,7 +487,7 @@ def divide_exact(a: Poly, b: Poly) -> Poly | None:
         m, c = rest.leading_term()
         if not lead_m.divides(m):
             return None
-        t = Poly({m / lead_m: c / lead_c})
+        t = Poly({m / lead_m: Fraction(c, lead_c)})
         quotient = quotient + t
         rest = rest - t * b
     return quotient
@@ -645,7 +692,7 @@ class FactorBase:
         """value over the base; its denominator must split over the factors."""
         rest, exps = self.split(value.den)
         c = rest.constant_value()
-        return Frac(value.num if c == 1 else value.num * (1 / c), exps)
+        return Frac(value.num if c == 1 else value.num * Fraction(1, c), exps)
 
     def power(self, exps: tuple[int, ...]) -> Poly:
         """B^exps, cached per exponent vector."""
@@ -713,7 +760,7 @@ def pseudo_remainder(f: Poly, p: Poly, main: JetVar) -> tuple[Poly, Poly, Poly]:
         e, top = rem.lead_in(main)  # (0, 0) once rem is zero
         if e < d:
             break
-        shift = Poly({Monomial.of(main, e - d): Fraction(1)}) if e > d else _ONE
+        shift = _poly({Monomial.of(main, e - d): 1}) if e > d else _ONE
         rem = lead * rem - top * shift * p
         quotient = lead * quotient + top * shift
         multiplier = multiplier * lead

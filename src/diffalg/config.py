@@ -320,7 +320,7 @@ class Configuration:
             Frac(self.relations[pi], self._base.zero), lambda v: None if v == xpi else self._image(i, v), {}
         )
         scale, exps = self._base.split(self.separant(pi))
-        return Frac(rest.num * (-1 / scale.constant_value()), tuple(map(add, rest.exps, exps)))
+        return Frac(rest.num * Fraction(-1, scale.constant_value()), tuple(map(add, rest.exps, exps)))
 
     def _f_delta_mu(self, i: int, mu: MonoidElem) -> Frac:
         if mu in self.relations:
@@ -605,7 +605,7 @@ def _rational_root(p: Poly, main: JetVar) -> Fraction | None:
     if degree == 0:
         return None
     if degree == 1:
-        return -coeffs_by_deg.get(0, Fraction(0)) / coeffs_by_deg[1]
+        return Fraction(-coeffs_by_deg.get(0, 0), coeffs_by_deg[1])
     # clear denominators, then try divisor-quotient candidates
     denom_lcm = 1
     for c in coeffs_by_deg.values():

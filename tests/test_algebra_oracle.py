@@ -4,14 +4,32 @@ SymPy is used by the tests only; the engine never imports it.  Values go to
 SymPy's sparse polynomial ring over QQ and its field of fractions, whose
 elements are kept in lowest terms (as `sympy.cancel` would), so equal
 values compare equal.
+
+Every result the oracle sees is also held to the coefficient rule of
+`diffalg.algebra` (`assert_lean`): each coefficient is a nonzero `int`, or a
+`Fraction` whose denominator is not 1, and never a float.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import rand_nonzero_poly, rand_poly, rand_ratfun
-from diffalg.algebra import JetVar, Poly, RatFun, divide_exact, pseudo_remainder
+from diffalg.algebra import (
+    FactorBase,
+    Frac,
+    JetVar,
+    Monomial,
+    Poly,
+    RatFun,
+    divide_exact,
+    pseudo_remainder,
+    solve_affine,
+)
+from diffalg.config import _rational_root
+from diffalg.derivation import Tower
+from diffalg.errors import NonInvertibleError
 from diffalg.monoid import MonoidElem
 
 sympy = pytest.importorskip("sympy")
@@ -36,17 +54,28 @@ def to_field(value):
     return FIELD(to_ring(value.num)) / FIELD(to_ring(value.den))
 
 
+def assert_lean(*values):
+    """Each coefficient of each `Poly` or `RatFun` keeps the coefficient rule."""
+    for value in values:
+        for poly in (value.num, value.den):
+            for c in poly.terms.values():
+                assert c.__class__ is int or (c.__class__ is Fraction and c.denominator != 1), (value, c)
+                assert c != 0, value
+
+
 def test_field_operations_match_sympy():
     rng = random.Random(2024)
     for _ in range(40):
         a = rand_ratfun(rng, VARS, max_terms=3, max_degree=2)
         b = rand_ratfun(rng, VARS, max_terms=3, max_degree=2) if rng.random() < 0.5 else rand_poly(rng, VARS, max_terms=3)
+        assert_lean(a, b)
         fa, fb = to_field(a), to_field(b)
-        assert to_field(a + b) == fa + fb, (a, b)
-        assert to_field(a - b) == fa - fb, (a, b)
-        assert to_field(a * b) == fa * fb, (a, b)
+        results = [(a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb), (a ** 2, fa ** 2), (b ** 3, fb ** 3)]
         if not b.is_zero:
-            assert to_field(a / b) == fa / fb, (a, b)
+            results.append((a / b, fa / fb))
+        for got, want in results:
+            assert_lean(got)
+            assert to_field(got) == want, (a, b)
 
 
 def test_pseudo_remainder_matches_sympy_prem():
@@ -61,6 +90,7 @@ def test_pseudo_remainder_matches_sympy_prem():
             continue
         checked += 1
         rem, mult, quo = pseudo_remainder(f, p, main)
+        assert_lean(rem, mult, quo)
         assert mult * f == quo * p + rem
         assert rem.deg_in(main) < d
         # mult = lead^k after the k steps taken; sympy.prem multiplies by lead^(delta + 1)
@@ -83,6 +113,8 @@ def test_divide_exact_matches_sympy_div():
         else:
             a = rand_poly(rng, VARS, max_terms=4, max_degree=3)
         got = divide_exact(a, b)
+        if got is not None:
+            assert_lean(got)
         # one divisor is a Groebner basis of its ideal: the remainder is 0 exactly when b divides a
         quotient, remainder = to_ring(a).div(to_ring(b))
         if remainder == 0:
@@ -99,6 +131,7 @@ def test_lead_in_matches_sympy_leading_coefficient():
         p = rand_poly(rng, VARS, max_terms=5, max_degree=4)
         for v in VARS:
             degree, lead = p.lead_in(v)
+            assert_lean(lead)
             sp = to_ring(p)
             assert degree == max(sp.degree(GENS[v]), 0)
             assert to_ring(lead) == sp.coeff_wrt(GENS[v], degree), (p, v)
@@ -109,3 +142,74 @@ def test_to_field_reads_a_fraction():
     gx, gt = GENS[VARS[0]], GENS[VARS[2]]
     assert to_field(RatFun(x * t - 1, t + 1)) == FIELD(gx * gt - 1) / FIELD(gt + 1)
     assert to_field(RatFun(x * x - 1, x - 1)) == FIELD(gx + 1)
+
+
+def test_fraction_layer_results_keep_the_coefficient_rule():
+    # FactorBase.frac/derive against SymPy's derivative, solve_affine and Tower.invert
+    rng = random.Random(19)
+    x, t = VARS[0], VARS[2]
+    one = Poly.const(1)
+    for _ in range(30):
+        # a constant term keeps RatFun from cancelling a monomial factor off a denominator
+        dens = [
+            rand_poly(rng, VARS, max_terms=2, max_degree=2) * Poly.variable(x) + rng.choice([1, -2, Fraction(3, 2)])
+            for _ in range(2)
+        ]
+        base = FactorBase(dens)
+        assert_lean(*base.factors)
+        value = RatFun(rand_poly(rng, VARS, max_terms=3, max_degree=2), dens[0] * dens[1])
+        f = base.frac(value)
+        assert_lean(f.num)
+        assert to_field(base.value(f)) == to_field(value)
+        df = base.derive(f, lambda v: Frac(one, base.zero) if v == x else None, {})
+        assert_lean(df.num)
+        assert to_field(base.value(df)) == to_field(value).diff(FIELD(GENS[x])), value
+
+        rows = [[rand_ratfun(rng, VARS, max_terms=2, max_degree=1) for _ in range(2)] for _ in range(2)]
+        space = solve_affine(rows, [rand_poly(rng, VARS, max_terms=2, max_degree=1) for _ in range(2)])
+        assert_lean(*(space.particular or ()), *(y for vec in space.kernel for y in vec))
+
+    c = JetVar("c")
+    tower = Tower([t], {t: one}).extend(Poly.variable(c) ** 2 - Poly.variable(t) * Fraction(1, 2) - 3, c)
+    inverted = 0
+    for _ in range(20):
+        num = rand_nonzero_poly(rng, [t, c], max_terms=3, max_degree=2)
+        elem = RatFun(num, rand_nonzero_poly(rng, [t], max_degree=1))
+        try:
+            inv = tower.invert(elem)
+        except NonInvertibleError:
+            continue
+        assert_lean(inv)
+        assert tower.is_zero(inv * elem - 1), elem
+        inverted += 1
+    assert inverted >= 15
+
+
+def test_divisions_of_coefficients_stay_exact():
+    x, y = (Poly.variable(v) for v in VARS[:2])
+    quotient = divide_exact(2 * x, Poly.const(4))
+    assert quotient.terms == {Monomial.of(VARS[0]): Fraction(1, 2)}
+    assert_lean(quotient)
+
+    root = _rational_root(2 * x + 1, VARS[0])
+    assert root == Fraction(-1, 2) and root.__class__ is Fraction
+
+    # the factor x/3 + 1/3 splits x + 1 with a constant rest of 3
+    base = FactorBase([(x + 1) * Fraction(1, 3)])
+    f = base.frac(RatFun(y, x + 1))
+    assert f.exps == (1,) and f.num.terms == {Monomial.of(VARS[1]): Fraction(1, 3)}
+    assert_lean(f.num)
+
+
+def test_the_constructor_normalises_coefficients():
+    one = Monomial.one()
+    assert Poly({one: Fraction(4, 2)}).terms[one].__class__ is int
+    assert Poly({one: Fraction(1, 2)}).terms[one] == Fraction(1, 2)
+    assert Poly({one: True}).terms[one].__class__ is int
+    assert Poly({one: Fraction(0), Monomial.of(VARS[0]): 0}).is_zero
+    with pytest.raises(TypeError, match="not an exact coefficient"):
+        Poly({one: 0.5})
+    # integral results of Fraction arithmetic are ints again
+    half = Poly.const(Fraction(1, 2))
+    assert_lean(half + half, half * 2, (half * Poly.variable(VARS[0])).partial(VARS[0]) * 2)
+    assert (half + half).terms[one].__class__ is int

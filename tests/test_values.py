@@ -1,12 +1,13 @@
 """Value semantics of the engine's record classes.
 
-Each class is built twice from equal fields.  The two values are equal,
-they hash equal where the class is hashable, and `repr` gives the text
-pinned below.  Frozen classes refuse assignment; `DerSpec` and
-`VarietyInput` stay mutable and unhashable.  `JetVar`, `Monomial` and
-`MonoidElem` keep their total order.
+Each class is built twice from equal fields.  The two values are equal
+(for the interned `JetVar`, one object), they hash equal where the class is
+hashable, and `repr` gives the text pinned below.  Frozen classes refuse
+assignment; `DerSpec` and `VarietyInput` stay mutable and unhashable.
+`JetVar`, `Monomial` and `MonoidElem` keep their total order.
 """
 
+import inspect
 import re
 from fractions import Fraction
 
@@ -183,7 +184,9 @@ UNHASHABLE = {"DerSpec", "VarietyInput", "Prolongation", "TowerStage"}
 def test_equal_values_are_equal_and_hash_equal(name):
     a, b = SAMPLES[name](), SAMPLES[name]()
     assert type(a).__name__ == name
-    assert a is not b and a == b and not a != b
+    # variables are interned: equal ones are one object
+    assert (a is b) if name == "JetVar" else (a is not b)
+    assert a == b and not a != b
     if name in UNHASHABLE:
         with pytest.raises(TypeError):
             hash(a)
@@ -204,6 +207,19 @@ def test_frozen_classes_refuse_assignment(name):
         setattr(value, field, None)
     with pytest.raises(AttributeError):
         delattr(value, field)
+
+
+def test_equal_variables_are_one_object():
+    # the table of variables lives for the process; order and repr stay as pinned above
+    assert x_at(1, 0) is JetVar("x", MonoidElem.exponents((1, 0))) is JetVar(base="x", index=e(1, 0))
+    assert JetVar("x", word(1, 2)) is JetVar("x", MonoidElem.word(2, (1, 2)))
+    assert JetVar("x") is JetVar("x", None) and JetVar("x") is not JetVar("y")
+    assert x_at(1, 0) is not x_at(0, 1)
+    assert JetVar("x", e(1, 0)) is not JetVar("x", MonoidElem(COMMUTATIVE, 3, (1, 0, 0)))
+    params = inspect.signature(JetVar).parameters
+    assert list(params) == ["base", "index"] and params["index"].default is None
+    with pytest.raises(TypeError):
+        JetVar()
 
 
 def test_derspec_is_unhashable_and_mutable():
