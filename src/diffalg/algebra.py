@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
-from itertools import chain
 from math import gcd
 from operator import add, sub
 
@@ -66,7 +65,7 @@ class JetVar(Record):
     process, so equality and hash are those of the object itself.
     """
 
-    __slots__ = ("base", "index", "sort_key")
+    __slots__ = ("base", "index", "sort_key", "text")
 
     def __new__(cls, base: str, index: MonoidElem | None = None):
         v = _JETVARS.get((base, index))
@@ -86,15 +85,18 @@ class JetVar(Record):
             return (self.base, 0, ())
         return (self.base, 1, self.index.sort_key)
 
-    _lazy = {"sort_key": _sort_key}
+    def _text(self) -> str:
+        if self.index is None:
+            return self.base
+        return f"{self.base}[{self.index}]"
+
+    _lazy = {"sort_key": _sort_key, "text": _text}
 
     def __repr__(self) -> str:
         return f"JetVar(base={self.base!r}, index={self.index!r})"
 
     def __str__(self) -> str:
-        if self.index is None:
-            return self.base
-        return f"{self.base}[{self.index}]"
+        return self.text
 
     def __lt__(self, other: "JetVar") -> bool:
         return self.sort_key < other.sort_key
@@ -667,6 +669,9 @@ class FactorBase:
     D(N / B^e) = D(N) / B^e - sum_j e_j * N * D(b_j) / (b_j * B^e), and a sum
     goes over the elementwise largest exponent vector: exponents grow
     linearly with the number of derivations, and no gcd is ever taken.
+    D(N) is summed term by term, in one pass of the Leibniz rule over N's
+    terms, each monomial's powers in variable order: `JetVar`s hash by
+    identity, and the order of the result's terms reaches `Poly.substitute`.
     """
 
     def __init__(self, denominators: Iterable[Poly]):
@@ -717,11 +722,13 @@ class FactorBase:
         that is None; memo keeps D(b_j) / b_j per factor for this one D.
 
         The sum goes over the elementwise largest exponent vector of its
-        nonzero terms, and each term is built only when it is added.
+        nonzero terms, to which each image is lifted once: each term c*m of
+        N, and each power v^e of m, adds c*e*(m/v) times the lifted image of v.
         """
-        if f.num.is_zero:
+        num = f.num
+        if num.is_zero:
             return f
-        pairs = ((v, image(v)) for v in sorted(f.num.variables()))
+        pairs = ((v, image(v)) for v in sorted(num.variables()))
         images = [(v, dv) for v, dv in pairs if dv is not None and not dv.num.is_zero]
         for j, e in enumerate(f.exps):
             if e and j not in memo:
@@ -729,14 +736,25 @@ class FactorBase:
                 memo[j] = Frac(db.num, db.exps[:j] + (db.exps[j] + 1,) + db.exps[j + 1:])
         bumps = [(e, memo[j]) for j, e in enumerate(f.exps) if e and not memo[j].num.is_zero]
         top = tuple(map(max, zip(self.zero, *(g.exps for _, g in images + bumps))))
-        terms = chain(
-            (self.lift(Frac(f.num.partial(v) * dv.num, dv.exps), top) for v, dv in images),
-            (self.lift(Frac(-e * f.num * g.num, g.exps), top) for e, g in bumps),
-        )
-        num = next(terms, Poly.zero())
-        for term in terms:
-            num = num + term
-        return Frac(num, tuple(map(add, top, f.exps)))
+        lifted = {v: self.lift(dv, top).terms for v, dv in images}
+        out: dict[Monomial, int | Fraction] = {}
+        for m, c in num.terms.items():
+            for v, e in m.sorted_powers:
+                lv = lifted.get(v)
+                if lv is None:
+                    continue
+                rest = m.powers - {(v, e)}
+                rest = Monomial(rest | {(v, e - 1)} if e > 1 else rest)
+                ce = c * e
+                for w, a in lv.items():
+                    k = rest * w
+                    prev = out.get(k)
+                    out[k] = ce * a if prev is None else prev + ce * a
+        for e, g in bumps:
+            for k, a in self.lift(Frac(-e * num * g.num, g.exps), top).terms.items():
+                prev = out.get(k)
+                out[k] = a if prev is None else prev + a
+        return Frac(_ring(out), tuple(map(add, top, f.exps)))
 
 
 def pseudo_remainder(f: Poly, p: Poly, main: JetVar) -> tuple[Poly, Poly, Poly]:

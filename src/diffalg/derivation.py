@@ -12,12 +12,13 @@ how a derivation extends from the coefficients to polynomials,
     d(q) = q^eta + sum_v (dq/dv) * images[v],
 
 where q^eta = sum_c (dq/dc) * eta[c] over the parameters c
-(`coeff_derivative`).  It sums the terms in the variables' own order, so
-its output does not depend on set or dict iteration order.  A fraction
-goes over an `algebra.FactorBase` built from the image denominators and
-then its own denominator, which splits over them, and takes that base's
-derivation rule (Kolchin 1973, ch. I): the denominator gains one power of
-each factor it holds and no more.  The other constructions are this rule
+(`coeff_derivative`).  Every value goes over an `algebra.FactorBase` built
+from the image denominators and then its own denominator, which splits
+over them, and takes that base's derivation rule (Kolchin 1973, ch. I):
+the denominator gains one power of each factor it holds and no more.  The
+rule sums d(N) term by term over the numerator's monomials, each
+monomial's powers in variable order, so its output does not depend on set
+or dict iteration order.  The other constructions are this rule
 with a particular image table:
 
 * the twisted lift sends each main variable x to a fresh partner y_x,
@@ -143,10 +144,11 @@ def apply_derivation(q: Value, spec: DerSpec) -> Value:
     """Evaluate the derivation on q: q_eta + sum (dq/dx) * images[x] on a
     polynomial, extended to a fraction by `FactorBase.derive` over the image
     denominators of q's variables and then q's own denominator."""
-    for v in sorted(q.variables() - spec.parameters):
-        if v not in spec.images:
+    variables = sorted(q.variables())
+    for v in variables:
+        if v not in spec.eta and v not in spec.images:
             raise UncoveredVariableError(f"derivation d has no image for {v}")
-    images = {v: spec.eta.get(v, spec.images.get(v)) for v in sorted(q.variables())}
+    images = {v: spec.eta.get(v, spec.images.get(v)) for v in variables}
     base = FactorBase([image.den for image in images.values()] + [q.den])
     fracs = {v: base.frac(image) for v, image in images.items()}
     return base.value(base.derive(base.frac(q), fracs.get, {}))

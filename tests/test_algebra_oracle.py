@@ -185,6 +185,70 @@ def test_fraction_layer_results_keep_the_coefficient_rule():
     assert inverted >= 15
 
 
+def _two_factor_base(rng):
+    x, y = (Poly.variable(v) for v in VARS[:2])
+    while True:
+        # each factor keeps a constant term, so RatFun cancels no monomial off B^e
+        dens = [rand_poly(rng, VARS, max_terms=2, max_degree=1) * z + rng.choice([1, -2, Fraction(3, 2)]) for z in (x, y)]
+        base = FactorBase(dens)
+        if len(base.factors) == 2:
+            return base
+
+
+def _rand_image(rng):
+    """A random Frac over the base, the zero Frac or None (no image)."""
+    kind = rng.random()
+    exps = (rng.randint(0, 2), rng.randint(0, 2))
+    if kind < 0.15:
+        return None
+    if kind < 0.3:
+        return Frac(Poly.zero(), exps)
+    return Frac(rand_nonzero_poly(rng, VARS, max_terms=3, max_degree=2), exps)
+
+
+def _sympy_derivative(base, f, images):
+    """sum_v df/dv * D(v) in SymPy's field, with D(v) the value of images[v]."""
+    value = to_field(base.value(f))
+    total = FIELD(0)
+    for v, dv in images.items():
+        if dv is not None:
+            total += value.diff(FIELD(GENS[v])) * to_field(base.value(dv))
+    return total
+
+
+def test_derive_matches_the_sum_of_partials_times_images():
+    # the term-by-term Leibniz kernel of FactorBase.derive against SymPy
+    rng = random.Random(1973)
+    for _ in range(60):
+        base = _two_factor_base(rng)
+        images = {v: _rand_image(rng) for v in VARS}
+        memo = {}  # one D per base: the memo of D(b_j)/b_j carries over
+        for _ in range(2):
+            # exponents up to 3 in N, Fraction coefficients from rand_fraction
+            num = rand_poly(rng, VARS, max_terms=4, max_degree=3)
+            f = Frac(num, (rng.randint(0, 2), rng.randint(0, 2)))
+            df = base.derive(f, images.get, memo)
+            assert_lean(f.num, df.num)
+            assert to_field(base.value(df)) == _sympy_derivative(base, f, images), (f, images)
+
+    # sums that cancel: D(x*y) = x*y*g - x*y*g and D(x - y) = g - g leave
+    # only the terms of the denominator, and nothing at all over B^0
+    base = _two_factor_base(rng)
+    x, y = VARS[:2]
+    g = Frac(rand_nonzero_poly(rng, VARS, max_terms=3, max_degree=2) * Fraction(1, 3), (1, 2))
+    xy = Poly.variable(x) * Poly.variable(y)
+    cases = [
+        (xy, {x: Frac(Poly.variable(x) * g.num, g.exps), y: Frac(-Poly.variable(y) * g.num, g.exps)}),
+        (Poly.variable(x) - Poly.variable(y), {x: g, y: g}),
+    ]
+    for num, images in cases:
+        assert base.derive(Frac(num, base.zero), images.get, {}).num.is_zero
+        f = Frac(num, (2, 1))
+        df = base.derive(f, images.get, {})
+        assert_lean(df.num)
+        assert to_field(base.value(df)) == _sympy_derivative(base, f, images)
+
+
 def test_divisions_of_coefficients_stay_exact():
     x, y = (Poly.variable(v) for v in VARS[:2])
     quotient = divide_exact(2 * x, Poly.const(4))

@@ -222,6 +222,21 @@ def test_equal_variables_are_one_object():
         JetVar()
 
 
+def test_variable_text_is_kept_once_and_reads_as_before():
+    cases = {
+        JetVar("t"): "t",
+        JetVar("x", word()): "x[0]",
+        JetVar("x", word(1, 2)): "x[d1 d2]",
+        x_at(0, 2): "x[d2^2]",
+        JetVar("u", MonoidElem(COMMUTATIVE, 3, (1, 0, 3))): "u[d1 d3^3]",
+    }
+    for v, text in cases.items():
+        # the f-string __str__ rendered on every call before the text was kept
+        assert str(v) == text == (v.base if v.index is None else f"{v.base}[{v.index}]")
+        assert str(v) is str(v) is v.text
+        assert repr(v) == f"JetVar(base={v.base!r}, index={v.index!r})"
+
+
 def test_derspec_is_unhashable_and_mutable():
     with pytest.raises(TypeError):
         hash(DerSpec())
