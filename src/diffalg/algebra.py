@@ -31,6 +31,11 @@ callers also apply once.  So `Poly.evaluate`,
 `solve_affine` entries, `parse_ratfun`, `Tower.reduce`/`apply`/`invert`,
 `DiffModel.apply` and the `f_at`/`compute_f` values may be a `Poly`.
 
+The monomial rule: a `Monomial` is a `frozenset` of (variable, exponent)
+pairs, one per variable it involves, so the hash and equality by which every
+dict of terms finds a monomial are the set's own, computed in C.  Monomials
+are not interned: a table of them would keep every monomial ever built alive.
+
 The order rule: variables and monomials order themselves, by a `sort_key`
 computed once per object.  A `Monomial` is an unordered set of powers,
 ordered by degree, then by its powers from the highest variable down, so
@@ -120,93 +125,120 @@ def _lean(c: Fraction) -> int | Fraction:
     return c.numerator if c.denominator == 1 else c
 
 
-class Monomial(Record):
-    """A product of variable powers: an unordered set of (variable, exponent)
-    pairs with positive exponents."""
+class Monomial(frozenset):
+    """A product of variable powers: the frozenset of its (variable, exponent)
+    pairs, every exponent positive.
 
-    __slots__ = ("powers", "sort_key", "sorted_powers")
+    A monomial is the set itself, so hash, equality and construction are the
+    set's, in C: equal powers give equal monomials with equal hashes, and a
+    monomial equals a plain frozenset of the same pairs.  `powers` reads the
+    monomial itself.  `<` and `>` follow the term order (`sort_key`); `<=`
+    and `>=` between monomials raise `TypeError`, never the subset test.
+    The set operators `|`, `-`, `&` and `^` act on the pairs and return a
+    plain frozenset, which need not be a monomial (`m | {(v, 2)}` may hold v
+    twice); only the code of this module uses them, each result wrapped in
+    `Monomial` again.  `sort_key` and `sorted_powers` are computed on first
+    use, once, and no field may be assigned.
+    """
 
-    def __init__(self, powers: frozenset[tuple[JetVar, int]]):
-        object.__setattr__(self, "powers", powers)
+    __slots__ = ("sort_key", "sorted_powers")
 
     def _sort_key(self) -> tuple:
         # the degree, then the powers from the highest variable down
-        return self.degree, tuple(sorted(((v.sort_key, e) for v, e in self.powers), reverse=True))
+        return self.degree, tuple(sorted(((v.sort_key, e) for v, e in self), reverse=True))
 
     def _sorted_powers(self) -> tuple[tuple[JetVar, int], ...]:
-        return tuple(sorted(self.powers, key=lambda p: p[0].sort_key))
+        if len(self) < 2:
+            return tuple(self)
+        return tuple(sorted(self, key=lambda p: p[0].sort_key))
 
     _lazy = {"sort_key": _sort_key, "sorted_powers": _sorted_powers}
+    __getattr__ = Record.__getattr__
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
 
-    def __eq__(self, other):
-        if other.__class__ is Monomial:
-            return self.powers == other.powers
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.powers)  # a frozenset keeps its hash once computed
+    @property
+    def powers(self) -> "Monomial":
+        return self
 
     def __repr__(self) -> str:
-        return f"Monomial(powers={self.powers!r})"
+        return f"Monomial(powers={frozenset(self)!r})"
 
     @staticmethod
     def make(powers: Mapping[JetVar, int]) -> "Monomial":
-        items = frozenset((v, e) for v, e in powers.items() if e != 0)
-        if any(e < 0 for _, e in items):
-            raise ValueError(f"negative exponent in monomial: {sorted(items)}")
-        return Monomial(items)
+        m = Monomial(p for p in powers.items() if p[1])
+        if any(e < 0 for _, e in m):
+            raise ValueError(f"negative exponent in monomial: {sorted(m)}")
+        return m
 
     @staticmethod
     def one() -> "Monomial":
-        return Monomial(frozenset())
+        return _MONOMIAL_ONE
 
     @staticmethod
     def of(v: JetVar, e: int = 1) -> "Monomial":
-        return Monomial.make({v: e})
+        return Monomial(((v, e),)) if e > 0 else Monomial.make({v: e})
 
     @property
     def degree(self) -> int:
-        return sum(e for _, e in self.powers)
+        return sum(e for _, e in self)
 
     def __lt__(self, other: "Monomial") -> bool:
         return self.sort_key < other.sort_key
 
+    def __gt__(self, other: "Monomial") -> bool:
+        return self.sort_key > other.sort_key
+
+    def __le__(self, other):
+        return NotImplemented
+
+    __ge__ = __le__
+
     def deg_in(self, v: JetVar) -> int:
-        for w, e in self.powers:
+        for w, e in self:
             if w is v:
                 return e
         return 0
 
     def variables(self) -> set[JetVar]:
-        return {v for v, _ in self.powers}
+        return {v for v, _ in self}
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         # exponents are positive, so every sum is one too
-        if not other.powers:
+        if not other:
             return self
-        if not self.powers:
+        if not self:
             return other
-        d = dict(self.powers)
-        for v, e in other.powers:
+        # dict(iter(m)), not dict(m): dict() would look up m.keys, which a
+        # slot miss sends through Record.__getattr__
+        d = dict(iter(self))
+        for v, e in other:
             d[v] = d.get(v, 0) + e
-        return Monomial(frozenset(d.items()))
+        return Monomial(d.items())
 
     def divides(self, other: "Monomial") -> bool:
-        other_d = dict(other.powers)
-        return all(other_d.get(v, 0) >= e for v, e in self.powers)
+        other_d = dict(iter(other))
+        return all(other_d.get(v, 0) >= e for v, e in self)
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
-        d = dict(self.powers)
-        for v, e in other.powers:
+        d = dict(iter(self))
+        for v, e in other:
             d[v] = d.get(v, 0) - e
         return Monomial.make(d)
 
+    def lower(self, v: JetVar, e: int) -> "Monomial":
+        """self / v, for the power (v, e) of self."""
+        return Monomial(self ^ {(v, e), (v, e - 1)} if e > 1 else self - {(v, e)})
+
     def without(self, v: JetVar) -> "Monomial":
-        return Monomial(frozenset((w, e) for w, e in self.powers if w is not v))
+        return Monomial(self - {(v, self.deg_in(v))})
 
     def gcd(self, other: "Monomial") -> "Monomial":
-        other_d = dict(other.powers)
-        return Monomial.make({v: min(e, other_d.get(v, 0)) for v, e in self.powers})
+        other_d = dict(iter(other))
+        return Monomial((v, min(e, other_d[v])) for v, e in self if v in other_d)
+
+
+_MONOMIAL_ONE = Monomial()
 
 
 class Poly:
@@ -249,7 +281,7 @@ class Poly:
     @property
     def is_constant(self) -> bool:
         terms = self.terms
-        return not terms or (len(terms) == 1 and not next(iter(terms)).powers)
+        return len(terms) < 2 and not next(iter(terms), None)
 
     # a polynomial is a fraction over 1
     @property
@@ -268,10 +300,7 @@ class Poly:
         return next(iter(self.terms.values()))
 
     def variables(self) -> set[JetVar]:
-        out: set[JetVar] = set()
-        for m in self.terms:
-            out |= m.variables()
-        return out
+        return {v for m in self.terms for v, _ in m}
 
     def total_degree(self) -> int:
         return max((m.degree for m in self.terms), default=0)
@@ -304,7 +333,7 @@ class Poly:
         out = None
         for m in self.terms:
             out = m if out is None else out.gcd(m)
-            if not out.powers:
+            if not out:
                 break
         return out if out is not None else Monomial.one()
 
@@ -347,15 +376,17 @@ class Poly:
         other = _coerce(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        # a constant factor scales the other operand's coefficients
-        if self.is_constant:
-            self, other = other, self
-        if other.is_constant:
-            c = other.constant_value()
-            return self if c == 1 else _ring({m: c * d for m, d in self.terms.items()})
+        a, b = self.terms, other.terms
+        # a constant factor (no term, or one over the monomial 1) scales the
+        # other operand's coefficients: the terms are read once, as in is_constant
+        if len(a) < 2 and not next(iter(a), None):
+            self, a, b = other, b, a
+        if len(b) < 2 and not next(iter(b), None):
+            c = next(iter(b.values()), 0)
+            return self if c == 1 else _ring({m: c * d for m, d in a.items()})
         out: dict[Monomial, int | Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
                 m = m1 * m2
                 prev = out.get(m)
                 out[m] = c1 * c2 if prev is None else prev + c1 * c2
@@ -396,11 +427,10 @@ class Poly:
     def partial(self, v: JetVar) -> "Poly":
         # m -> m / v is one-to-one on the terms that involve v: nothing merges
         out: dict[Monomial, int | Fraction] = {}
-        dv = Monomial.of(v)
         for m, c in self.terms.items():
             e = m.deg_in(v)
             if e:
-                out[m / dv] = c * e
+                out[m.lower(v, e)] = c * e
         return _ring(out)
 
     def substitute(self, binding: Mapping[JetVar, "Poly | RatFun | int | Fraction"]):
@@ -433,7 +463,7 @@ class Poly:
             if e > d:
                 d, top = e, {}
             if e == d:
-                top[m.without(v)] = c
+                top[m.without(v) if e else m] = c
         return d, _poly(top)
 
     # ------------------------------------------------------------------
@@ -517,7 +547,7 @@ class RatFun:
             return
         if not den.is_constant:
             shared = num.monomial_content().gcd(den.monomial_content())
-            if shared.powers:
+            if shared:
                 num = num.divide_monomial(shared)
                 den = den.divide_monomial(shared)
         if den.is_constant:
@@ -743,8 +773,7 @@ class FactorBase:
                 lv = lifted.get(v)
                 if lv is None:
                     continue
-                rest = m.powers - {(v, e)}
-                rest = Monomial(rest | {(v, e - 1)} if e > 1 else rest)
+                rest = m.lower(v, e)
                 ce = c * e
                 for w, a in lv.items():
                     k = rest * w

@@ -37,6 +37,11 @@ def test_ring_ops_examples():
     assert (x + 1) * (x - 1) == x * x - 1
     p = 3 * x * y - y ** 2
     assert p + Poly.zero() == p
+    # a constant factor, zero included, scales the other operand from either side
+    for c in (Poly.zero(), Poly.const(0), Poly.const(-2), Poly.const(Fraction(1, 3))):
+        k = c.constant_value()
+        assert p * c == c * p == Poly({m: k * a for m, a in p.terms.items()})
+    assert (Poly.zero() * Poly.zero()).is_zero and Poly.const(2) * Poly.const(3) == 6
     assert RatFun(x * x - 1, x - 1) == RatFun(x + 1)
     # a value with a constant denominator is a Poly, which reads as a fraction over 1
     for value, poly in [((x / y) * y, x), (RatFun(x * x - 1, x - 1) + 0, x + 1), (RatFun(x, 2) * 2, x)]:

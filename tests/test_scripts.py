@@ -98,3 +98,25 @@ def test_unrun_lines_lists_the_statements_a_test_file_leaves_unrun():
 
     proc = run_script("unrun_lines.py", "--", "tests/no_such_file.py", "-q")
     assert proc.returncode == 4
+
+
+def test_profile_jobs_times_every_job_and_lists_self_times(tmp_path):
+    proc = run_script("profile_jobs.py", "--workload", "calculus-mix", "--seed", "1", "--rounds", "1", "--top", "5")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["calculus-mix, seed 1", "median reference ms per job over 1 forked rounds"]
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    names = [job["name"] for job in workloads.make_jobs("calculus-mix", 1, str(tmp_path))]
+    timed = lines[2 : 3 + len(names)]
+    assert [line.split()[0] for line in timed] == names + ["round"]
+    assert all(float(line.split()[1]) > 0 for line in timed)
+    header = lines.index("     calls    self_ms   share  function")
+    assert lines[header - 1].startswith("cProfile over 1 forked rounds: top 5 by self time")
+    assert len(lines) == header + 6 and all(int(line.split()[0]) > 0 for line in lines[header + 1 :])
+
+    proc = run_script("profile_jobs.py", "--workload", "calculus-mix", "--rounds", "0")
+    assert proc.returncode == 2 and "--rounds must be at least 1" in proc.stderr

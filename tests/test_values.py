@@ -4,10 +4,13 @@ Each class is built twice from equal fields.  The two values are equal
 (for the interned `JetVar`, one object), they hash equal where the class is
 hashable, and `repr` gives the text pinned below.  Frozen classes refuse
 assignment; `DerSpec` and `VarietyInput` stay mutable and unhashable.
-`JetVar`, `Monomial` and `MonoidElem` keep their total order.
+`JetVar`, `Monomial` and `MonoidElem` keep their total order.  A `Monomial`
+is the frozenset of its (variable, exponent) pairs: hash and equality are
+the set's, but its order is the term order, never the subset test.
 """
 
 import inspect
+import operator
 import re
 from fractions import Fraction
 
@@ -286,4 +289,63 @@ def test_total_order_is_unchanged(chain):
     for i, a in enumerate(chain):
         for j, b in enumerate(chain):
             assert (a < b) == (i < j), (a, b)
+            assert (a > b) == (i > j), (a, b)
     assert sorted(reversed(chain)) == chain
+
+
+def test_monomials_refuse_the_subset_order():
+    # frozenset's <= and >= would read subsets: 1 <= t, t <= t*x[0]
+    chain = ORDERED[-1]
+    for a in chain:
+        for b in chain:
+            for compare in (operator.le, operator.ge):
+                with pytest.raises(TypeError, match="not supported between instances of 'Monomial' and 'Monomial'"):
+                    compare(a, b)
+
+
+def test_equal_powers_give_equal_monomials_with_equal_hashes():
+    x0 = x_at(0, 0)
+    pairs = frozenset({(T, 2), (x0, 1)})
+    built = [
+        Monomial(pairs),
+        Monomial([(x0, 1), (T, 2)]),
+        Monomial.make({x0: 1, T: 2, X: 0}),
+        Monomial.of(T, 2) * Monomial.of(x0),
+        Monomial.of(x0) * Monomial.of(T) * Monomial.of(T),
+        Monomial.of(T, 3) * Monomial.of(x0, 2) / Monomial.make({T: 1, x0: 1}),
+        (Monomial.of(T, 2) * Monomial.of(x0) * Monomial.of(X)).without(X),
+        Monomial.make({T: 2, x0: 1, X: 3}).gcd(Monomial.make({T: 5, x0: 1})),
+    ]
+    for m in built:
+        assert type(m) is Monomial and m.powers is m
+        assert m == built[0] and not m != built[0] and hash(m) == hash(built[0])
+        # the hash and equality are the set's
+        assert m == pairs and hash(m) == hash(pairs)
+        assert m.sorted_powers == ((T, 2), (x0, 1)) and m.degree == 3 and m.variables() == {T, x0}
+    assert len({*built, pairs}) == 1
+    assert Monomial.one() == Monomial() == frozenset() and not Monomial.one()
+    assert Monomial.of(T) != Monomial.of(T, 2) and hash(Monomial.of(T)) != hash(Monomial.of(T, 2))
+
+
+@pytest.mark.parametrize("field", ["powers", "sort_key", "sorted_powers"])
+def test_monomial_fields_refuse_assignment(field):
+    m = Monomial.make({T: 1, X: 2})
+    for _ in range(2):  # before the lazy slots are filled, and after
+        with pytest.raises(AttributeError):
+            setattr(m, field, None)
+        with pytest.raises(AttributeError):
+            delattr(m, field)
+        assert m.sort_key == (3, ((X.sort_key, 2), (T.sort_key, 1))) and m.sorted_powers == ((T, 1), (X, 2))
+    assert m.powers is m
+
+
+def test_monomials_refuse_negative_exponents():
+    cases = [
+        (lambda: Monomial.make({X: 2, T: -1}), "[(JetVar(base='t', index=None), -1), (JetVar(base='x', index=None), 2)]"),
+        (lambda: Monomial.of(X, -1), "[(JetVar(base='x', index=None), -1)]"),
+        (lambda: Monomial.of(T) / Monomial.of(X), "[(JetVar(base='t', index=None), 1), (JetVar(base='x', index=None), -1)]"),
+    ]
+    for call, powers in cases:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"negative exponent in monomial: {powers}"
