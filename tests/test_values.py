@@ -341,9 +341,15 @@ def test_monomial_fields_refuse_assignment(field):
 
 def test_monomials_refuse_negative_exponents():
     cases = [
-        (lambda: Monomial.make({X: 2, T: -1}), "[(JetVar(base='t', index=None), -1), (JetVar(base='x', index=None), 2)]"),
+        (
+            lambda: Monomial.make({X: 2, T: -1}),
+            "[(JetVar(base='t', index=None), -1), (JetVar(base='x', index=None), 2)]",
+        ),
         (lambda: Monomial.of(X, -1), "[(JetVar(base='x', index=None), -1)]"),
-        (lambda: Monomial.of(T) / Monomial.of(X), "[(JetVar(base='t', index=None), 1), (JetVar(base='x', index=None), -1)]"),
+        (
+            lambda: Monomial.of(T) / Monomial.of(X),
+            "[(JetVar(base='t', index=None), 1), (JetVar(base='x', index=None), -1)]",
+        ),
     ]
     for call, powers in cases:
         with pytest.raises(ValueError) as info:
