@@ -36,10 +36,12 @@ pairs, one per variable it involves, so the hash and equality by which every
 dict of terms finds a monomial are the set's own, computed in C.  Monomials
 are not interned: a table of them would keep every monomial ever built alive.
 
-The order rule: variables and monomials order themselves, by a `sort_key`
-computed once per object.  A `Monomial` is an unordered set of powers,
-ordered by degree, then by its powers from the highest variable down, so
-`x[d1]` comes before `x[0]`; a leading term is the largest monomial.
+The order rule: variables and monomials order themselves, by a `sort_key`.
+The keys of a variable and of its index are set when the value is made; a
+monomial, made afresh by every product, computes its key on first use,
+once.  A `Monomial` is an unordered set of powers, ordered by degree, then
+by its powers from the highest variable down, so `x[d1]` comes before
+`x[0]`; a leading term is the largest monomial.
 `Poly.__str__` and `Poly.substitute` walk a monomial's powers in increasing
 variable order (`sorted_powers`): a product of fractions normalises step by
 step, so its printed form depends on the order.
@@ -78,24 +80,18 @@ class JetVar(Record):
             v = _JETVARS[base, index] = object.__new__(cls)
             object.__setattr__(v, "base", base)
             object.__setattr__(v, "index", index)
+            if index is None:
+                object.__setattr__(v, "sort_key", (base, 0, ()))
+                object.__setattr__(v, "text", base)
+            else:
+                object.__setattr__(v, "sort_key", (base, 1, index.sort_key))
+                object.__setattr__(v, "text", f"{base}[{index}]")
         return v
 
     # __new__ sets the fields once; object's __init__ takes the arguments and does nothing
     __init__ = object.__init__
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def _sort_key(self):
-        if self.index is None:
-            return (self.base, 0, ())
-        return (self.base, 1, self.index.sort_key)
-
-    def _text(self) -> str:
-        if self.index is None:
-            return self.base
-        return f"{self.base}[{self.index}]"
-
-    _lazy = {"sort_key": _sort_key, "text": _text}
 
     def __repr__(self) -> str:
         return f"JetVar(base={self.base!r}, index={self.index!r})"
@@ -143,17 +139,18 @@ class Monomial(frozenset):
 
     __slots__ = ("sort_key", "sorted_powers")
 
-    def _sort_key(self) -> tuple:
-        # the degree, then the powers from the highest variable down
-        return self.degree, tuple(sorted(((v.sort_key, e) for v, e in self), reverse=True))
+    def __getattr__(self, name):
+        # reached only when the ordinary lookup fails, as for an unset slot
+        if name == "sort_key":
+            # the degree, then the powers from the highest variable down
+            value = self.degree, tuple(sorted(((v.sort_key, e) for v, e in self), reverse=True))
+        elif name == "sorted_powers":
+            value = tuple(self) if len(self) < 2 else tuple(sorted(self, key=lambda p: p[0].sort_key))
+        else:
+            raise AttributeError(f"'Monomial' object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
 
-    def _sorted_powers(self) -> tuple[tuple[JetVar, int], ...]:
-        if len(self) < 2:
-            return tuple(self)
-        return tuple(sorted(self, key=lambda p: p[0].sort_key))
-
-    _lazy = {"sort_key": _sort_key, "sorted_powers": _sorted_powers}
-    __getattr__ = Record.__getattr__
     __setattr__ = Record.__setattr__
     __delattr__ = Record.__delattr__
 
@@ -209,8 +206,8 @@ class Monomial(frozenset):
             return self
         if not self:
             return other
-        # dict(iter(m)), not dict(m): dict() would look up m.keys, which a
-        # slot miss sends through Record.__getattr__
+        # dict(iter(m)), not dict(m): dict() would look up m.keys, a miss
+        # that runs `__getattr__`
         d = dict(iter(self))
         for v, e in other:
             d[v] = d.get(v, 0) + e
@@ -261,11 +258,12 @@ class Poly:
 
     @staticmethod
     def zero() -> "Poly":
-        return Poly()
+        return _poly({})
 
     @staticmethod
     def const(c) -> "Poly":
-        return Poly({Monomial.one(): c})
+        c = _coefficient(c)
+        return _poly({_MONOMIAL_ONE: c} if c else {})
 
     @staticmethod
     def variable(v: JetVar) -> "Poly":

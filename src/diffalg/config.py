@@ -190,12 +190,12 @@ class Configuration:
         # the factor base: the separants, then the eta denominators
         dens = [v.den for table in self.etas for _, v in sorted(table.items())]
         self._base = FactorBase([self.separant(pi) for pi in self.leaders] + dens)
-        self._eta_images = tuple(
+        # R_i on each variable: eta_i on the parameters; x_mu is added when first asked for
+        self._images: tuple[dict[JetVar, Frac], ...] = tuple(
             {p: self._base.frac(table.get(p, Poly.zero())) for p in self.params} for table in self.etas
         )
         self._memos: tuple[dict[int, Frac], ...] = tuple({} for _ in range(k))
         self._word_cache: dict[tuple[tuple[int, ...], MonoidElem], Frac] = {}
-        self._theta_cache: dict[MonoidElem, tuple[Frac, tuple | str]] = {}
         if not self._commutes_on(self.params):
             raise ConfigurationError("the eta tables do not commute on the parameters")
 
@@ -281,17 +281,12 @@ class Configuration:
         return GFun(self._base.value(self._f_word(word.data, pi)), (word, pi))
 
     def _f_theta(self, alpha: MonoidElem) -> tuple[Frac, tuple | str]:
-        if alpha not in self._theta_cache:
-            if self.is_free(alpha):
-                out = self._variable(alpha), "free variable"
-            elif alpha in self.relations:
-                out = self._variable(alpha), (MonoidElem.identity(FREE, self.k), alpha)
-            else:
-                pi = next(p for p in self.leaders if p.preceq(alpha))
-                word = alpha.minus(pi).canonical_word()
-                out = self._f_word(word.data, pi), (word, pi)
-            self._theta_cache[alpha] = out
-        return self._theta_cache[alpha]
+        if self.is_free(alpha):
+            return self._variable(alpha), "free variable"
+        # a leader's word is the empty one, and its f the leader's variable
+        pi = next(p for p in self.leaders if p.preceq(alpha))
+        word = alpha.minus(pi).canonical_word()
+        return self._f_word(word.data, pi), (word, pi)
 
     def _variable(self, mu: MonoidElem) -> Frac:
         return Frac(Poly.variable(self.jet_var(mu)), self._base.zero)
@@ -322,16 +317,22 @@ class Configuration:
         scale, exps = self._base.split(self.separant(pi))
         return Frac(rest.num * Fraction(-1, scale.constant_value()), tuple(map(add, rest.exps, exps)))
 
-    def _f_delta_mu(self, i: int, mu: MonoidElem) -> Frac:
-        if mu in self.relations:
-            return self._f_word((i,), mu)
-        gen = MonoidElem.generator(COMMUTATIVE, self.k, i)
-        value, _ = self._f_theta(gen.compose(mu))
-        return value
-
     def _image(self, i: int, v: JetVar) -> Frac | None:
-        """R_i(v): eta_i on a parameter (None on a constant), f at d_i.mu on x_mu."""
-        return self._eta_images[i - 1].get(v) if v.index is None else self._f_delta_mu(i, v.index)
+        """R_i(v), from the table of R_i: eta_i on a parameter, None on any
+        other plain variable (a constant of R_i), and f at d_i.mu on x_mu.
+        That f is the single-letter one on a leader mu, else f at the
+        tuple d_i.mu; it enters the table the first time it is asked for.
+        """
+        table = self._images[i - 1]
+        out = table.get(v)
+        if out is None and v.index is not None:
+            mu = v.index
+            if mu in self.relations:
+                out = self._f_word((i,), mu)
+            else:
+                out = self._f_theta(MonoidElem.generator(COMMUTATIVE, self.k, i).compose(mu))[0]
+            table[v] = out
+        return out
 
     def r_apply(self, i: int, h: Value) -> Value:
         """The derivation extending d_i that sends each x_mu to f at d_i.mu."""
@@ -339,7 +340,7 @@ class Configuration:
             raise ConfigurationError(f"no derivation d{i} with k={self.k}")
         eta = self.etas[i - 1]
         images = {
-            v: eta.get(v, 0) if v.index is None else self._base.value(self._f_delta_mu(i, v.index))
+            v: eta.get(v, 0) if v.index is None else self._base.value(self._image(i, v))
             for v in h.variables()
         }
         return apply_derivation(h, DerSpec({}, images))
@@ -610,9 +611,8 @@ def _rational_root(p: Poly, main: JetVar) -> Fraction | None:
     denom_lcm = 1
     for c in coeffs_by_deg.values():
         denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = {e: int(c * denom_lcm) for e, c in coeffs_by_deg.items()}
-    a0 = ints.get(0, 0)
-    an = ints[degree]
+    top_down = [int(coeffs_by_deg.get(e, 0) * denom_lcm) for e in range(degree, -1, -1)]
+    an, a0 = top_down[0], top_down[-1]
     if a0 == 0:
         return Fraction(0)
     if abs(a0) > 10 ** 9 or abs(an) > 10 ** 9:
@@ -624,8 +624,11 @@ def _rational_root(p: Poly, main: JetVar) -> Fraction | None:
 
     for num in divisors(a0):
         for den in divisors(an):
-            for sign in (1, -1):
-                cand = Fraction(sign * num, den)
-                if sum(c * cand ** e for e, c in ints.items()) == 0:
-                    return cand
+            for x in (num, -num):
+                # den^degree * p(x/den) = sum of a_e * x^e * den^(degree - e), by Horner
+                acc, scale = 0, 1
+                for c in top_down:
+                    acc, scale = acc * x + c * scale, scale * den
+                if acc == 0:
+                    return Fraction(x, den)
     return None

@@ -19,7 +19,7 @@ the abelianization word -> exponent tuple, and both are compatible with
 the partial order and with translation.
 
 `Record`, the base of the engine's value classes, lives here with the first
-of them, `MonoidElem`.
+of them, `MonoidElem`, whose `sort_key` is set when the element is made.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator
 from functools import total_ordering
+from operator import neg
 
 from .errors import KindMismatchError, NotInitialError
 
@@ -40,27 +41,15 @@ class Record:
     Equality (within one class), hash and repr go by the fields in slot
     order, and a field refuses assignment once `__init__` has set it through
     `object.__setattr__`.  The default `__init__` takes every field in order.
-    A slot that `__init__` leaves unset and `_lazy` names is computed on
-    first use by the function `_lazy` maps it to, once.
     """
 
     __slots__ = ()
-    _lazy = {}
 
     def __init__(self, *values):
         if len(values) != len(self.__slots__):
             raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, got {len(values)}")
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
-
-    def __getattr__(self, name):
-        # reached only when the ordinary lookup fails, as for an unset slot
-        compute = self._lazy.get(name)
-        if compute is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        value = compute(self)
-        object.__setattr__(self, name, value)
-        return value
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -98,14 +87,18 @@ class MonoidElem(Record):
         if kind == FREE:
             if any(not 1 <= g <= k for g in data):
                 raise ValueError(f"word letters must lie in 1..{k}: {data}")
+            sort_key = (kind, k, len(data), data)
         else:
             if len(data) != k:
                 raise ValueError(f"exponent tuple must have length {k}: {data}")
             if any(e < 0 for e in data):
                 raise ValueError(f"exponents must be nonnegative: {data}")
+            # a higher exponent on an earlier generator sorts first
+            sort_key = (kind, k, sum(data), tuple(map(neg, data)))
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "data", data)
+        object.__setattr__(self, "sort_key", sort_key)
 
     def __eq__(self, other):
         if other.__class__ is MonoidElem:
@@ -195,14 +188,6 @@ class MonoidElem(Record):
 
     # ------------------------------------------------------------------
     # total order: degree first, then the fixed lexicographic tie-break
-
-    def _sort_key(self):
-        if self.kind == FREE:
-            return (self.kind, self.k, len(self.data), self.data)
-        # higher exponent on an earlier generator wins "smaller"
-        return (self.kind, self.k, sum(self.data), tuple(-e for e in self.data))
-
-    _lazy = {"sort_key": _sort_key}
 
     def __lt__(self, other: "MonoidElem") -> bool:
         self._check_compatible(other)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from json.decoder import JSONArray, JSONObject, scanstring
@@ -57,12 +58,8 @@ _TOKEN_RE = re.compile(
 _DNAME_RE = re.compile(r"^d(\d+)$")
 
 
-class Token(Record):
-    __slots__ = ("kind", "text", "line", "column")
-    kind: str  # 'int' | 'ident' | 'op' | 'eof'
-    text: str
-    line: int
-    column: int
+# kind is 'int', 'ident', 'op' or 'eof'
+Token = namedtuple("Token", "kind text line column")
 
 
 def tokenize(text: str, first_line: int = 1) -> list[Token]:

@@ -277,3 +277,38 @@ def test_the_constructor_normalises_coefficients():
     half = Poly.const(Fraction(1, 2))
     assert_lean(half + half, half * 2, (half * Poly.variable(VARS[0])).partial(VARS[0]) * 2)
     assert (half + half).terms[one].__class__ is int
+
+
+def _sympy_rational_roots(p: Poly) -> set[Fraction]:
+    """The rational roots of a polynomial in x alone: its linear factors over QQ."""
+    x = sympy.Symbol("x")
+    factors = sympy.Poly(to_ring(p).as_expr(), x, domain=sympy.QQ).factor_list()[1]
+    roots = (-f.nth(0) / f.nth(1) for f, _ in factors if f.degree() == 1)
+    return {Fraction(int(r.p), int(r.q)) for r in roots}
+
+
+def test_rational_root_matches_sympy_roots():
+    x = Poly.variable(VARS[0])
+    rng = random.Random(11)
+    seen = {"p/q, q > 1": 0, "fraction coefficients": 0, "none": 0}
+    for _ in range(120):
+        degree = rng.randint(2, 4)
+        # up to `degree` roots p/q with q in 1..4, the rest of the factors random
+        p, left = Poly.const(1), degree
+        for _ in range(rng.randint(0, degree)):
+            root = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            p, left = p * (root.denominator * x - root.numerator), left - 1
+            seen["p/q, q > 1"] += root.denominator > 1
+        if left:
+            p = p * sum((rng.randint(-5, 5) * x ** e for e in range(left)), x ** left)
+        if rng.random() < 0.3:
+            p = p * Fraction(rng.randint(1, 5), rng.randint(2, 7))
+            seen["fraction coefficients"] += 1
+        expected = _sympy_rational_roots(p)
+        root = _rational_root(p, VARS[0])
+        if root is None:
+            assert not expected, p
+            seen["none"] += 1
+        else:
+            assert root.__class__ is Fraction and root in expected, (p, root)
+    assert all(seen.values()), seen

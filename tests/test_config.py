@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -495,3 +496,41 @@ def test_witness_draws_skip_a_point_at_a_pole():
     assert check.status == "violation"
     assert str(check.reduced_difference) == "x[0]"
     assert check.point == drawn[-1] and len(drawn) > 1 and check.point[T] != 0
+
+
+CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "corpus")
+
+
+def corpus_config(name: str) -> Configuration:
+    with open(os.path.join(CORPUS, name)) as handle:
+        return parse_config(handle.read())
+
+
+def jets_of(cfg: Configuration, degree: int):
+    """Each tuple of degree <= degree with f_at there and compute_f on each of its factorizations."""
+    for alpha in theta_ball(cfg.k, degree):
+        yield cfg.f_at(alpha), [cfg.compute_f(w, pi) for w, pi in cfg.factorizations(alpha)]
+
+
+@pytest.mark.parametrize("name", ["three.cfg", "separant.cfg", "quadratic.cfg"])
+def test_f_reads_the_same_on_a_fresh_and_a_checked_configuration(name):
+    # the images of R_i fill as they are asked for, so the order of the asks must not show
+    fresh = list(jets_of(corpus_config(name), 4))
+    checked = corpus_config(name)
+    checked.verify_global(4)
+    assert len(fresh) == 15
+    for (f1, gs1), (f2, gs2) in zip(fresh, jets_of(checked, 4)):
+        for g1, g2 in zip([f1, *gs1], [f2, *gs2], strict=True):
+            assert g1 == g2 and repr(g1.witness) == repr(g2.witness)
+            assert str(g1.value) == str(g2.value)
+
+
+@pytest.mark.parametrize("name", ["three.cfg", "separant.cfg", "quadratic.cfg"])
+def test_r_apply_on_a_free_variable_is_f_one_step_up(name):
+    cfg = corpus_config(name)
+    free = [mu for mu in theta_ball(cfg.k, 2) if cfg.is_free(mu)]
+    assert free
+    for i in range(1, cfg.k + 1):
+        gen = MonoidElem.generator(COMMUTATIVE, cfg.k, i)
+        for mu in free:
+            assert cfg.r_apply(i, Poly.variable(cfg.jet_var(mu))) == cfg.f_at(gen.compose(mu)).value

@@ -9,6 +9,7 @@ is the frozenset of its (variable, exponent) pairs: hash and equality are
 the set's, but its order is the term order, never the subset test.
 """
 
+import importlib
 import inspect
 import operator
 import re
@@ -27,7 +28,7 @@ from diffalg.axioms import (
 from diffalg.config import CommutationCheck, CommutationReport, GFun, RealizeReport, Witness
 from diffalg.derivation import DerSpec, Tower, twisted_lift
 from diffalg.jet import JetAtom, TAdd, TConst, TDer, TMul, TNeg, TVar
-from diffalg.monoid import COMMUTATIVE, FREE, InitialSet, MonoidElem, minimal_leaders
+from diffalg.monoid import COMMUTATIVE, FREE, InitialSet, MonoidElem, Record, minimal_leaders
 from diffalg.parsing import Token, parse_poly, parse_variety
 from diffalg.prolong import VarietyPresentation, reg_rank_at, twisted_bundle
 
@@ -251,6 +252,28 @@ def test_derspec_is_unhashable_and_mutable():
 def test_records_take_every_field():
     with pytest.raises(TypeError):
         Token("int", "1")
+    with pytest.raises(TypeError, match="Witness takes 4 fields, got 2"):
+        Witness(word(1, 2), e(0, 1))
+
+
+def test_keys_and_text_are_set_when_the_value_is_made():
+    # object.__getattribute__ reads a slot as it is, computing nothing
+    index = MonoidElem(COMMUTATIVE, 2, (3, 7))
+    assert object.__getattribute__(index, "sort_key") == ("commutative", 2, 10, (-3, -7))
+    assert object.__getattribute__(MonoidElem(FREE, 2, (2, 1)), "sort_key") == ("free", 2, 2, (2, 1))
+    v = JetVar("fresh", index)
+    assert object.__getattribute__(v, "sort_key") == ("fresh", 1, index.sort_key)
+    assert object.__getattribute__(v, "text") == "fresh[d1^3 d2^7]"
+    plain = JetVar("fresh")
+    assert object.__getattribute__(plain, "sort_key") == ("fresh", 0, ())
+    assert object.__getattribute__(plain, "text") == "fresh"
+    # only a Monomial computes a slot on first read
+    assert "__getattr__" not in vars(Record) and not hasattr(Record, "_lazy")
+    names = ["algebra", "axioms", "cli", "config", "derivation", "errors", "jet", "monoid", "parsing", "prolong"]
+    modules = [importlib.import_module(f"diffalg.{name}") for name in names]
+    classes = {c for module in modules for c in vars(module).values() if isinstance(c, type)}
+    lazy = {c.__name__ for c in classes if c.__module__.startswith("diffalg.") and "__getattr__" in vars(c)}
+    assert lazy == {"Monomial"}
 
 
 def test_unequal_values_differ():
