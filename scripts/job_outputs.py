@@ -14,6 +14,8 @@ PYTHONPATH:
     python3 scripts/job_outputs.py --compare before.json after.json
 
 --compare lists the jobs whose output differs and exits 1 if any do.
+Under each one it prints the first line of stdout that differs, as it
+reads before and after; "<no line>" stands for a line past the end.
 """
 
 import argparse
@@ -66,6 +68,13 @@ def record(seeds: list[int]) -> dict:
     return outputs
 
 
+def first_difference(before: str, after: str) -> tuple[str, str]:
+    """The first line of two texts that differs, from each text."""
+    old, new = before.splitlines(), after.splitlines()
+    i = next((i for i, pair in enumerate(zip(old, new)) if pair[0] != pair[1]), min(len(old), len(new)))
+    return tuple(lines[i] if i < len(lines) else "<no line>" for lines in (old, new))
+
+
 def compare(before_path: str, after_path: str) -> int:
     with open(before_path, encoding="utf-8") as handle:
         before = json.load(handle)
@@ -76,6 +85,9 @@ def compare(before_path: str, after_path: str) -> int:
     for job in differ:
         missing = " (missing in one file)" if job not in before or job not in after else ""
         print(f"differs: {job}{missing}")
+        if not missing and before[job][1] != after[job][1]:
+            old, new = first_difference(before[job][1], after[job][1])
+            print(f"  before: {old}\n  after:  {new}")
     print(f"{len(jobs) - len(differ)} of {len(jobs)} jobs identical")
     return 1 if differ else 0
 

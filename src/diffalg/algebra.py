@@ -15,21 +15,30 @@ ring operations build their results unchecked, since a sum, difference or
 product of such coefficients is one again once zero sums are dropped and an
 integral `Fraction` is made an `int`.
 
-Rational functions are kept as normalized numerator/denominator pairs.
-Equality is decided by cross-multiplication, so no multivariate gcd engine
-is needed; construction only removes rational content, fixes the sign of
-the denominator, and cancels the denominator when it happens to divide the
-numerator exactly.
+One fraction type, `RatFun`: a numerator N over B^e, a product of powers of
+the factors of the `FactorBase` the value carries.  Arithmetic takes no gcd
+and does not normalise.  Values over one base add over the elementwise
+largest exponent vector and multiply by adding exponents; values over two
+bases first go over their merge (`_common`).  A product or a quotient
+divides each factor out of its numerator as often as it goes, so
+`a * (1 / a)` is the `Poly` 1.  Equality is a difference over one base.
 
-The value rule, decided here and nowhere else: a value with a constant
-denominator is a `Poly`, and a `RatFun` value has a non-constant one.  A
-`Poly` answers `num` (itself) and `den` (1), so code reading `num`, `den`,
-`variables`, `is_zero`, `evaluate` or `substitute` takes either type
-(`Value`).  `RatFun` arithmetic, `substitute` and `Poly / x` end in the
-one normalising step, `as_value`, which entry points that take numbers from
-callers also apply once.  So `Poly.evaluate`,
-`solve_affine` entries, `parse_ratfun`, `Tower.reduce`/`apply`/`invert`,
-`DiffModel.apply` and the `f_at`/`compute_f` values may be a `Poly`.
+The normal form removes monomial content shared by N and B^e, folds a
+constant denominator into the numerator, cancels the denominator when it
+divides the numerator exactly, and else makes it primitive with a positive
+leading coefficient.  It is computed only where a value leaves the engine:
+in printing, `num`, `den`, `variables`, `substitute`, and the value rule.
+
+The value rule, decided here and nowhere else: a value whose normal form has
+a constant denominator is a `Poly`.  `as_value` applies it; public functions
+apply it once to the values they return (`parse_expression`,
+`apply_derivation`, `Tower.reduce`/`apply`/`invert`, `f_at`/`compute_f`,
+`RatFun.substitute`).  Entry points take numbers from callers through
+`to_value`, which normalises nothing.  Inside the engine a sum may stay a
+`RatFun` whose normal form is a `Poly`; a value with no positive exponent is
+always a `Poly`.  A `Poly` answers `num` (itself), `den` (1) and the raw
+parts of a fraction over the empty base, so code reading them, `variables`,
+`is_zero`, `evaluate` or `substitute` takes either type (`Value`).
 
 The monomial rule: a `Monomial` is a `frozenset` of (variable, exponent)
 pairs, one per variable it involves, so the hash and equality by which every
@@ -43,15 +52,16 @@ once.  A `Monomial` is an unordered set of powers, ordered by degree, then
 by its powers from the highest variable down, so `x[d1]` comes before
 `x[0]`; a leading term is the largest monomial.
 `Poly.__str__` and `Poly.substitute` walk a monomial's powers in increasing
-variable order (`sorted_powers`): a product of fractions normalises step by
-step, so its printed form depends on the order.
+variable order (`sorted_powers`): a product of fractions cancels factors
+step by step, so its printed form depends on the order.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
-from math import gcd
+from functools import reduce
+from math import gcd, lcm
 from operator import add, sub
 
 from .errors import PoleError, UncoveredVariableError, listing
@@ -281,10 +291,14 @@ class Poly:
         terms = self.terms
         return len(terms) < 2 and not next(iter(terms), None)
 
-    # a polynomial is a fraction over 1
+    # a polynomial is a fraction over 1, and over the empty factor base
+    exps = ()
+
     @property
     def num(self) -> "Poly":
         return self
+
+    numer = num
 
     @property
     def den(self) -> "Poly":
@@ -317,23 +331,12 @@ class Poly:
 
     def content(self) -> Fraction:
         """Positive rational c with self/c having coprime integer coefficients."""
-        if self.is_zero:
-            return Fraction(1)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
+        cs = self.terms.values()
+        return Fraction(gcd(*(c.numerator for c in cs)), lcm(*(c.denominator for c in cs))) if cs else Fraction(1)
 
     def monomial_content(self) -> Monomial:
         """The largest monomial dividing every term."""
-        out = None
-        for m in self.terms:
-            out = m if out is None else out.gcd(m)
-            if not out:
-                break
-        return out if out is not None else Monomial.one()
+        return reduce(Monomial.gcd, self.terms) if self.terms else Monomial.one()
 
     def divide_monomial(self, m: Monomial) -> "Poly":
         return _poly({mm / m: c for mm, c in self.terms.items()})
@@ -342,8 +345,7 @@ class Poly:
     # arithmetic
 
     def __add__(self, other):
-        other = _coerce(other)
-        if not isinstance(other, Poly):
+        if not isinstance(other := _coerce(other), Poly):
             return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
@@ -362,17 +364,13 @@ class Poly:
         return _poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
+        return self + (-other) if isinstance(other := _coerce(other), Poly) else NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if not isinstance(other, Poly):
+        if not isinstance(other := _coerce(other), Poly):
             return NotImplemented
         a, b = self.terms, other.terms
         # a constant factor (no term, or one over the monomial 1) scales the
@@ -410,11 +408,7 @@ class Poly:
         return RatFun.__truediv__(self, other)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
-        if isinstance(other, Poly):
-            return self.terms == other.terms
-        return NotImplemented
+        return self.terms == other.terms if isinstance(other := _coerce(other), Poly) else NotImplemented
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -524,45 +518,25 @@ def divide_exact(a: Poly, b: Poly) -> Poly | None:
 
 
 class RatFun:
-    """A fraction of polynomials; equality is cross-multiplication equality.
+    """A fraction N / B^e: a polynomial numerator N over a product of powers
+    B^e = prod_j b_j ** e_j of the factors of the `FactorBase` it carries.
 
-    The constructor builds a `RatFun` even over a constant denominator.
+    The engine computes with the raw parts `numer`, `base` and `exps`; `num`,
+    `den`, `variables`, printing, `substitute` and `==` read the value, so a
+    variable that cancels from it is not one of its variables.  The
+    constructor `RatFun(num, den)` builds num / den, a `RatFun` even over a
+    constant denominator.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("numer", "base", "exps")
 
     def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
-            num = Poly.const(num)
-        if den is None:
-            den = _ONE
-        elif isinstance(den, (int, Fraction)):
-            den = Poly.const(den)
+        num, den = _coerce(num), _ONE if den is None else _coerce(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            self.num, self.den = Poly.zero(), _ONE
-            return
-        if not den.is_constant:
-            shared = num.monomial_content().gcd(den.monomial_content())
-            if shared:
-                num = num.divide_monomial(shared)
-                den = den.divide_monomial(shared)
-        if den.is_constant:
-            c = den.constant_value()
-            self.num = num if c == 1 else num * Fraction(c.denominator, c.numerator)
-            self.den = _ONE
-            return
-        q = divide_exact(num, den)
-        if q is not None:
-            self.num, self.den = q, _ONE
-            return
-        scale = den.content()
-        if den.leading_term()[1] < 0:
-            scale = -scale
-        inv = Fraction(scale.denominator, scale.numerator)
-        self.num = num * inv
-        self.den = den * inv
+        base, ((c, exps),) = _NO_BASE.extend((den,))
+        value = _cancelled(num * (1 / Fraction(c)), base, exps)
+        self.numer, self.base, self.exps = value.numer, base, value.exps or base.zero
 
     # ------------------------------------------------------------------
 
@@ -576,61 +550,87 @@ class RatFun:
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.numer.terms
+
+    @property
+    def num(self) -> Poly:
+        return self._normal()[0]
+
+    @property
+    def den(self) -> Poly:
+        return self._normal()[1]
+
+    def _normal(self) -> tuple[Poly, Poly]:
+        """(num, den), the normal form of N / B^e: monomial content shared by
+        both removed, a constant denominator folded into the numerator, the
+        denominator cancelled when it divides the numerator exactly, and
+        otherwise made primitive with a positive leading coefficient."""
+        num, den = self.numer, self.base.power(self.exps)
+        shared = num.monomial_content().gcd(den.monomial_content())
+        if shared:
+            num, den = num.divide_monomial(shared), den.divide_monomial(shared)
+        if den.is_constant:
+            return num * (1 / Fraction(den.constant_value())), _ONE
+        q = divide_exact(num, den)
+        if q is not None:
+            return q, _ONE
+        scale = den.content()
+        inv = 1 / (scale if den.leading_term()[1] > 0 else -scale)
+        return num * inv, den * inv
 
     def variables(self) -> set[JetVar]:
-        return self.num.variables() | self.den.variables()
+        num, den = self._normal()
+        return num.variables() | den.variables()
 
     # ------------------------------------------------------------------
-    # arithmetic
+    # arithmetic over one base, taking no gcd
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
+        if (other := _coerce(other)) is None:
             return NotImplemented
-        return as_value(RatFun(self.num * other.den + other.num * self.den, self.den * other.den))
+        base, ((a, ea), (b, eb)) = _common((self, other))
+        top = tuple(map(max, ea, eb))
+        return fraction(base.lift(a, ea, top) + base.lift(b, eb, top), base, top)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = RatFun.__new__(RatFun)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return fraction(-self.numer, self.base, self.exps)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if (other := _coerce(other)) is None else self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
+        if (other := _coerce(other)) is None:
             return NotImplemented
-        return as_value(RatFun(self.num * other.num, self.den * other.den))
+        base, ((a, ea), (b, eb)) = _common((self, other))
+        return _cancelled(a * b, base, tuple(map(add, ea, eb)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is None:
+        if (other := _coerce(other)) is None:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by zero rational function")
-        return as_value(RatFun(self.num * other.den, self.den * other.num))
+        # a / B^ea over b / B^eb is a * B^eb / (B^ea * b), with b split over the base
+        base, ((a, ea), (b, eb)) = _common((self, other))
+        base, ((c, v),) = base.extend((b,))
+        up, down = eb + base.zero[len(eb):], tuple(map(add, ea + base.zero[len(ea):], v))
+        shared = tuple(map(min, up, down))
+        numer = a * base.power(tuple(map(sub, up, shared))) * (1 / Fraction(c))
+        return _cancelled(numer, base, tuple(map(sub, down, shared)))
 
     def __pow__(self, n: int):
-        return as_value(RatFun(self.num ** n, self.den ** n))
+        return fraction(self.numer ** n, self.base, tuple(e * n for e in self.exps))
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is None:
+        if (other := _coerce(other)) is None:
             return NotImplemented
-        return (self.num * other.den - other.num * self.den).is_zero
+        return (self - other).is_zero
 
     def __hash__(self):
         raise TypeError("rational functions are not hashable")
@@ -638,19 +638,18 @@ class RatFun:
     # ------------------------------------------------------------------
 
     def substitute(self, binding) -> "Value":
-        num = self.num.substitute(binding)
-        den = self.den.substitute(binding)
-        if den.is_zero:
-            raise PoleError(f"denominator {self.den} vanishes under substitution")
-        return num / den
+        num, den = self._normal()
+        value = den.substitute(binding)
+        if value.is_zero:
+            raise PoleError(f"denominator {den} vanishes under substitution")
+        return as_value(num.substitute(binding) / value)
 
     # Poly.evaluate reads only variables and substitute, which a RatFun answers too
     evaluate = Poly.evaluate
 
     def __str__(self) -> str:
-        if self.den.is_constant:
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
+        num, den = self._normal()
+        return str(num) if den.is_constant else f"({num}) / ({den})"
 
     def __repr__(self) -> str:
         return f"RatFun({self})"
@@ -667,47 +666,97 @@ def _coerce(x) -> Value | None:
     return None
 
 
+def to_value(x) -> Value:
+    """x as a value, normalising nothing: numbers become constant polynomials."""
+    if (out := _coerce(x)) is None:
+        raise TypeError(f"cannot interpret {x!r} as a rational function")
+    return out
+
+
 def as_value(x) -> Value:
     """x under the value rule: numbers become constant polynomials, and a
-    RatFun over a constant denominator becomes its numerator."""
-    out = _coerce(x)
-    if out is None:
-        raise TypeError(f"cannot interpret {x!r} as a rational function")
-    return out.num if out.den.is_constant else out
+    RatFun whose normal form has a constant denominator that form's
+    numerator."""
+    out = to_value(x)
+    if not any(out.exps):
+        return out.numer
+    num, den = out._normal()
+    return num if den.is_constant else out
 
 
-class Frac(Record):
-    """num / prod_j b_j ** exps[j] over the factors b_j of a `FactorBase`."""
+def fraction(numer: Poly, base: "FactorBase", exps: tuple[int, ...]) -> Value:
+    """numer / B^exps over base, as it stands: a `Poly` when numer is 0 or
+    no exponent is positive."""
+    if not numer.terms or not any(exps):
+        return numer
+    out = object.__new__(RatFun)
+    out.numer, out.base, out.exps = numer, base, exps
+    return out
 
-    __slots__ = ("num", "exps")
-    num: Poly
-    exps: tuple[int, ...]
 
-    def __init__(self, num: Poly, exps: tuple[int, ...]):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exps", exps)
+def _cancelled(numer: Poly, base: "FactorBase", exps: tuple[int, ...]) -> Value:
+    """numer / B^exps, each factor divided out of numer as often as it goes."""
+    if numer.terms and any(exps):
+        exps = list(exps)
+        for j, b in enumerate(base.factors):
+            while exps[j] and (q := divide_exact(numer, b)) is not None:
+                numer, exps[j] = q, exps[j] - 1
+    return fraction(numer, base, tuple(exps))
+
+
+def _common(values: Iterable[Value], base: "FactorBase | None" = None):
+    """(base, parts): one base for the values, whose factors start with
+    those of `base`, and each value as (numerator, exponents) over it.
+
+    Where the factors of one base start those of the other, the longer one
+    serves; else the second base's factors are split over the first's
+    (`FactorBase.extend`), and each factor b_j = c_j * B^v_j moves a value's
+    exponent e_j to e_j * v_j and its numerator to N / c_j^e_j.
+    """
+    base, parts = base or _NO_BASE, []
+    for x in values:
+        mine, theirs = base.factors, x.base.factors
+        numer, exps = x.numer, x.exps
+        if theirs[: len(mine)] == mine:
+            base = x.base
+        elif mine[: len(theirs)] != theirs:
+            base, moves = base.extend(theirs)
+            c, exps = 1, base.zero
+            for e, (cj, v) in zip(x.exps, moves):
+                if e:
+                    c, exps = c * cj ** e, tuple(a + e * b for a, b in zip(exps, v))
+            numer = numer * (1 / Fraction(c))
+        parts.append((numer, exps))
+    return base, [(numer, exps + base.zero[len(exps):]) for numer, exps in parts]
+
+
+def over_one_base(values: Iterable[Value], factors: Iterable[Poly] = ()) -> tuple["FactorBase", list[Value]]:
+    """One base for the values, whose factors start with those the polynomials
+    `factors` split into in turn (`FactorBase.extend`), and each value over it."""
+    base, parts = _common(values, _NO_BASE.extend(factors)[0])
+    return base, [fraction(numer, base, exps) for numer, exps in parts]
 
 
 class FactorBase:
-    """Fractions N / B^e over fixed factors b_j, with B^e = prod_j b_j ** e_j.
+    """Fixed factors b_j, over which a `RatFun` keeps its denominator
+    B^e = prod_j b_j ** e_j; the factors are taken as given, and a base is
+    not changed once a value is built over it.
 
-    Each denominator the base is built from is divided exactly by the factors
-    before it as often as they go; a non-constant rest becomes a factor.  A
-    derivation D extends to the fractions by one rule (Kolchin 1973, ch. I),
-    D(N / B^e) = D(N) / B^e - sum_j e_j * N * D(b_j) / (b_j * B^e), and a sum
-    goes over the elementwise largest exponent vector: exponents grow
-    linearly with the number of derivations, and no gcd is ever taken.
+    `extend` splits a polynomial over the factors: it is divided exactly by
+    each in turn as often as it goes, and a non-constant rest becomes a new
+    factor.  A derivation D extends to the fractions by one rule (Kolchin
+    1973, ch. I), D(N / B^e) = D(N) / B^e - sum_j e_j * N * D(b_j) / (b_j * B^e),
+    and a sum goes over the elementwise largest exponent vector: exponents
+    grow linearly with the number of derivations, and no gcd is ever taken.
     D(N) is summed term by term, in one pass of the Leibniz rule over N's
     terms, each monomial's powers in variable order: `JetVar`s hash by
     identity, and the order of the result's terms reaches `Poly.substitute`.
     """
 
-    def __init__(self, denominators: Iterable[Poly]):
-        self.factors: list[Poly] = []
-        for den in denominators:
-            rest, _ = self.split(den)
-            if not rest.is_constant:
-                self.factors.append(rest)
+    __slots__ = ("factors", "zero", "_powers")
+
+    def __init__(self, factors: Iterable[Poly] = ()):
+        self.factors = list(factors)
         self.zero = (0,) * len(self.factors)
         self._powers: dict[tuple[int, ...], Poly] = {}
 
@@ -721,11 +770,17 @@ class FactorBase:
             exps.append(e)
         return den, tuple(exps)
 
-    def frac(self, value: "Value") -> Frac:
-        """value over the base; its denominator must split over the factors."""
-        rest, exps = self.split(value.den)
-        c = rest.constant_value()
-        return Frac(value.num if c == 1 else value.num * Fraction(1, c), exps)
+    def extend(self, polys: Iterable[Poly]) -> tuple["FactorBase", list[tuple]]:
+        """(base, moves): this base, or one with the non-constant rests of the
+        polys split over it added in turn, and for each p the pair (c, v) with
+        p = c * B^v over that base."""
+        base, moves = self, []
+        for p in polys:
+            rest, v = base.split(p)
+            if not rest.is_constant:
+                base, rest, v = FactorBase(base.factors + [rest]), _ONE, v + (1,)
+            moves.append((rest.constant_value(), v))
+        return base, [(c, v + base.zero[len(v):]) for c, v in moves]
 
     def power(self, exps: tuple[int, ...]) -> Poly:
         """B^exps, cached per exponent vector."""
@@ -738,33 +793,32 @@ class FactorBase:
             self._powers[exps] = out
         return out
 
-    def lift(self, f: Frac, exps: tuple[int, ...]) -> Poly:
-        """The numerator of f over B^exps, for exps >= f.exps elementwise."""
-        return f.num if f.exps == exps else f.num * self.power(tuple(map(sub, exps, f.exps)))
+    def lift(self, numer: Poly, exps: tuple[int, ...], top: tuple[int, ...]) -> Poly:
+        """The numerator of numer / B^exps over B^top, for top >= exps elementwise."""
+        return numer if exps == top else numer * self.power(tuple(map(sub, top, exps)))
 
-    def value(self, f: Frac) -> "Value":
-        return f.num / self.power(f.exps) if any(f.exps) else f.num
-
-    def derive(self, f: Frac, image: Callable[[JetVar], Frac | None], memo: dict[int, Frac]) -> Frac:
-        """D(f) for the D sending each variable v to image(v), or to 0 where
-        that is None; memo keeps D(b_j) / b_j per factor for this one D.
+    def derive(self, f: Value, image: Callable[[JetVar], Value | None], memo: dict[int, Value]) -> Value:
+        """D(f), for f over this base and the D sending each variable v to
+        image(v), a value over this base, or to 0 where that is None; memo
+        keeps D(b_j) / b_j per factor for this one D.
 
         The sum goes over the elementwise largest exponent vector of its
         nonzero terms, to which each image is lifted once: each term c*m of
         N, and each power v^e of m, adds c*e*(m/v) times the lifted image of v.
         """
-        num = f.num
+        num, zero = f.numer, self.zero
         if num.is_zero:
             return f
+        exps = f.exps or zero
         pairs = ((v, image(v)) for v in sorted(num.variables()))
-        images = [(v, dv) for v, dv in pairs if dv is not None and not dv.num.is_zero]
-        for j, e in enumerate(f.exps):
+        images = [(v, dv) for v, dv in pairs if dv is not None and not dv.is_zero]
+        for j, e in enumerate(exps):
             if e and j not in memo:
-                db = self.derive(Frac(self.factors[j], self.zero), image, memo)
-                memo[j] = Frac(db.num, db.exps[:j] + (db.exps[j] + 1,) + db.exps[j + 1:])
-        bumps = [(e, memo[j]) for j, e in enumerate(f.exps) if e and not memo[j].num.is_zero]
-        top = tuple(map(max, zip(self.zero, *(g.exps for _, g in images + bumps))))
-        lifted = {v: self.lift(dv, top).terms for v, dv in images}
+                db = self.derive(self.factors[j], image, memo)
+                memo[j] = fraction(db.numer, self, tuple(d + (i == j) for i, d in enumerate(db.exps or zero)))
+        bumps = [(e, memo[j]) for j, e in enumerate(exps) if e and not memo[j].is_zero]
+        top = tuple(map(max, zip(zero, *(g.exps or zero for _, g in images + bumps))))
+        lifted = {v: self.lift(dv.numer, dv.exps or zero, top).terms for v, dv in images}
         out: dict[Monomial, int | Fraction] = {}
         for m, c in num.terms.items():
             for v, e in m.sorted_powers:
@@ -778,10 +832,14 @@ class FactorBase:
                     prev = out.get(k)
                     out[k] = ce * a if prev is None else prev + ce * a
         for e, g in bumps:
-            for k, a in self.lift(Frac(-e * num * g.num, g.exps), top).terms.items():
+            for k, a in self.lift(-e * num * g.numer, g.exps, top).terms.items():
                 prev = out.get(k)
                 out[k] = a if prev is None else prev + a
-        return Frac(_ring(out), tuple(map(add, top, f.exps)))
+        return fraction(_ring(out), self, tuple(map(add, top, exps)))
+
+
+# a polynomial is a fraction over the empty base
+_NO_BASE = Poly.base = FactorBase()
 
 
 def pseudo_remainder(f: Poly, p: Poly, main: JetVar) -> tuple[Poly, Poly, Poly]:
@@ -863,8 +921,8 @@ def solve_affine(
     for row in rows:
         if len(row) != n:
             raise ValueError("ragged matrix")
-    a = [[as_value(x) for x in row] for row in rows]
-    b = [as_value(x) for x in rhs]
+    a = [[to_value(x) for x in row] for row in rows]
+    b = [to_value(x) for x in rhs]
 
     pivots: list[tuple[int, int]] = []
     row_i = 0

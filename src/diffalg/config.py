@@ -15,15 +15,18 @@ For a single derivation symbol d and a leader pi:
 and longer words w extend this through the derivation R_d that sends each
 x_mu to f at d.mu.
 
-Every f is kept as an `algebra.Frac`, a polynomial numerator over a
-product of powers of the factors of an `algebra.FactorBase` built from the
-separants of the leaders and then the denominators of the coefficient
-tables (constant ones fold into the coefficients, so a configuration with
-constant separants computes plain polynomials).  R_d is that base's one
-derivation rule, `FactorBase.derive`, with R_d on a variable given by the
-coefficient table on a parameter and by f at d.mu on x_mu; so the
-exponents grow linearly with the word length.  Values leave this module
-as `Value`s: a `Poly` over a constant denominator, else a `RatFun`.
+Every f is kept as an `algebra.RatFun`, a polynomial numerator over a
+product of powers of the factors of the configuration's one
+`algebra.FactorBase`: the separants of the leaders, then the factors of the
+coefficient tables' denominators (constant ones fold into the
+coefficients, so a configuration with constant separants computes plain
+polynomials).  The image tables and the memos of D(b_j) / b_j hold values
+over the same base, so nothing is converted between the steps of the
+recursion.  R_d is that base's one derivation rule, `FactorBase.derive`,
+with R_d on a variable given by the coefficient table on a parameter and by
+f at d.mu on x_mu; so the exponents grow linearly with the word length.
+Values leave this module under the value rule (`algebra.as_value`): a
+`Poly` over a constant denominator, else a `RatFun`.
 
 A configuration commutes at a tuple alpha when its word/leader
 factorizations agree on the locus (`_agree`).  Coherence (Rosenfeld 1959;
@@ -43,9 +46,9 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from math import factorial, gcd, isqrt, prod
-from operator import add
+from operator import add, sub
 
-from .algebra import FactorBase, Frac, JetVar, Poly, Value, as_value, pseudo_reduce
+from .algebra import JetVar, Poly, Value, as_value, fraction, over_one_base, pseudo_reduce, to_value
 from .derivation import DerSpec, Tower, _last_remainder, apply_derivation
 from .errors import ConfigurationError, PoleError
 from .jet import DiffModel, jet_binding
@@ -172,7 +175,7 @@ class Configuration:
             etas = [{} for _ in range(k)]
         if len(etas) != k:
             raise ConfigurationError(f"need {k} coefficient tables, got {len(etas)}")
-        self.etas = tuple({c: as_value(v) for c, v in t.items()} for t in etas)
+        self.etas = tuple({c: to_value(v) for c, v in t.items()} for t in etas)
         self._validate()
         self.leaders = tuple(sorted(self.leaders))  # comparable once validated
         # the relations as a triangular chain, highest leader first
@@ -187,15 +190,16 @@ class Configuration:
                 params |= value.variables()
         self.params = tuple(sorted(params))
 
-        # the factor base: the separants, then the eta denominators
-        dens = [v.den for table in self.etas for _, v in sorted(table.items())]
-        self._base = FactorBase([self.separant(pi) for pi in self.leaders] + dens)
-        # R_i on each variable: eta_i on the parameters; x_mu is added when first asked for
-        self._images: tuple[dict[JetVar, Frac], ...] = tuple(
-            {p: self._base.frac(table.get(p, Poly.zero())) for p in self.params} for table in self.etas
+        # the factor base: the separants, then the eta denominators; R_i on
+        # each variable: eta_i on the parameters, x_mu added when first asked for
+        self._base, etas = over_one_base(
+            [table.get(p, Poly.zero()) for table in self.etas for p in self.params],
+            [self.separant(pi) for pi in self.leaders],
         )
-        self._memos: tuple[dict[int, Frac], ...] = tuple({} for _ in range(k))
-        self._word_cache: dict[tuple[tuple[int, ...], MonoidElem], Frac] = {}
+        values = iter(etas)
+        self._images = tuple({p: next(values) for p in self.params} for _ in self.etas)
+        self._memos: tuple[dict[int, Value], ...] = tuple({} for _ in range(k))
+        self._word_cache: dict[tuple[tuple[int, ...], MonoidElem], Value] = {}
         if not self._commutes_on(self.params):
             raise ConfigurationError("the eta tables do not commute on the parameters")
 
@@ -271,32 +275,29 @@ class Configuration:
         word of the quotient with non-increasing generator indices.
         """
         value, witness = self._f_theta(alpha)
-        return GFun(self._base.value(value), witness)
+        return GFun(as_value(value), witness)
 
     def compute_f(self, word: MonoidElem, pi: MonoidElem) -> GFun:
         if word.kind != FREE or word.k != self.k:
             raise ConfigurationError(f"{word} is not a word over k={self.k} generators")
         if pi not in self.relations:
             raise ConfigurationError(f"{pi} is not a leader")
-        return GFun(self._base.value(self._f_word(word.data, pi)), (word, pi))
+        return GFun(as_value(self._f_word(word.data, pi)), (word, pi))
 
-    def _f_theta(self, alpha: MonoidElem) -> tuple[Frac, tuple | str]:
+    def _f_theta(self, alpha: MonoidElem) -> tuple[Value, tuple | str]:
         if self.is_free(alpha):
-            return self._variable(alpha), "free variable"
+            return Poly.variable(self.jet_var(alpha)), "free variable"
         # a leader's word is the empty one, and its f the leader's variable
         pi = next(p for p in self.leaders if p.preceq(alpha))
         word = alpha.minus(pi).canonical_word()
         return self._f_word(word.data, pi), (word, pi)
 
-    def _variable(self, mu: MonoidElem) -> Frac:
-        return Frac(Poly.variable(self.jet_var(mu)), self._base.zero)
-
-    def _f_word(self, letters: tuple[int, ...], pi: MonoidElem) -> Frac:
+    def _f_word(self, letters: tuple[int, ...], pi: MonoidElem) -> Value:
         key = (letters, pi)
         value = self._word_cache.get(key)
         if value is None:
             if not letters:
-                value = self._variable(pi)
+                value = Poly.variable(self.jet_var(pi))
             elif len(letters) == 1:
                 value = self._single_letter(letters[0], pi)
             else:
@@ -304,20 +305,20 @@ class Configuration:
             self._word_cache[key] = value
         return value
 
-    def _derive(self, i: int, f: Frac) -> Frac:
+    def _derive(self, i: int, f: Value) -> Value:
         """R_i(f), by the base's derivation rule and its memo for R_i."""
         return self._base.derive(f, partial(self._image, i), self._memos[i - 1])
 
-    def _single_letter(self, i: int, pi: MonoidElem) -> Frac:
+    def _single_letter(self, i: int, pi: MonoidElem) -> Value:
         """f_{d_i,pi}: solve R_i(p_pi) = 0 for the image of x_pi."""
         xpi = self.jet_var(pi)
-        rest = self._base.derive(
-            Frac(self.relations[pi], self._base.zero), lambda v: None if v == xpi else self._image(i, v), {}
-        )
-        scale, exps = self._base.split(self.separant(pi))
-        return Frac(rest.num * Fraction(-1, scale.constant_value()), tuple(map(add, rest.exps, exps)))
+        base = self._base
+        rest = base.derive(self.relations[pi], lambda v: None if v == xpi else self._image(i, v), {})
+        scale, exps = base.split(self.separant(pi))
+        exps = tuple(map(add, rest.exps or base.zero, exps))
+        return fraction(rest.numer * Fraction(-1, scale.constant_value()), base, exps)
 
-    def _image(self, i: int, v: JetVar) -> Frac | None:
+    def _image(self, i: int, v: JetVar) -> Value | None:
         """R_i(v), from the table of R_i: eta_i on a parameter, None on any
         other plain variable (a constant of R_i), and f at d_i.mu on x_mu.
         That f is the single-letter one on a leader mu, else f at the
@@ -339,10 +340,7 @@ class Configuration:
         if not 1 <= i <= self.k:
             raise ConfigurationError(f"no derivation d{i} with k={self.k}")
         eta = self.etas[i - 1]
-        images = {
-            v: eta.get(v, 0) if v.index is None else self._base.value(self._image(i, v))
-            for v in h.variables()
-        }
+        images = {v: eta.get(v, 0) if v.index is None else self._image(i, v) for v in h.variables()}
         return apply_derivation(h, DerSpec({}, images))
 
     def r_apply_word(self, word: MonoidElem, h: Value) -> Value:
@@ -358,10 +356,9 @@ class Configuration:
         """Pseudo-reduce by every relation, highest leader first."""
         return pseudo_reduce(p, self._chain)[0]
 
-    def _agree(self, f: Frac, g: Frac) -> bool:
+    def _agree(self, f: Value, g: Value) -> bool:
         """f = g on the locus: over a common B^e, the chain reduces N_f - N_g to 0."""
-        top = tuple(map(max, f.exps, g.exps))
-        return self.reduce_mod(self._base.lift(f, top) - self._base.lift(g, top)).is_zero
+        return self.reduce_mod((f - g).numer).is_zero
 
     def factorizations(self, alpha: MonoidElem) -> list[tuple[MonoidElem, MonoidElem]]:
         """All (word, leader) pairs whose composite is alpha, ordered by leader,
@@ -388,10 +385,10 @@ class Configuration:
             value = self._f_word(word.data, pi)
             if self._agree(value, base_value):
                 continue
-            f1, f2 = self._base.value(value), self._base.value(base_value)
-            reduced = self.reduce_mod((f1 - f2).num)
+            # the numerator difference over the common B^e, in normal form
+            reduced = self.reduce_mod((value - base_value).num)
             witness = Witness(word, pi, base_word, base_pi)
-            point = self._confirm_witness(f1, f2, rng or random.Random(0))
+            point = self._confirm_witness(value, base_value, rng or random.Random(0))
             status = "violation" if point is not None else "violation-unconfirmed"
             return CommutationCheck(
                 alpha,
@@ -408,9 +405,9 @@ class Configuration:
             point = self.sample_point(rng, needed)
             if point is None:
                 continue
-            try:
-                v1 = f1.evaluate(point)
-                v2 = f2.evaluate(point)
+            try:  # the point binds every variable of f1 and f2
+                v1 = f1.substitute(point)
+                v2 = f2.substitute(point)
             except PoleError:
                 continue
             if v1 != v2:
@@ -519,7 +516,8 @@ class Configuration:
 
     def _count_factorizations(self, alpha: MonoidElem) -> int:
         """len(self.factorizations(alpha)): a multinomial per leader below alpha."""
-        quotients = (alpha.minus(pi).data for pi in self.leaders if pi.preceq(alpha))
+        # preceq has checked each quotient, so it is read off the exponents
+        quotients = (tuple(map(sub, alpha.data, pi.data)) for pi in self.leaders if pi.preceq(alpha))
         return sum(factorial(sum(q)) // prod(map(factorial, q)) for q in quotients)
 
     def _run_checks(self, kind, alphas, rng) -> CommutationReport:

@@ -12,14 +12,16 @@ how a derivation extends from the coefficients to polynomials,
     d(q) = q^eta + sum_v (dq/dv) * images[v],
 
 where q^eta = sum_c (dq/dc) * eta[c] over the parameters c
-(`coeff_derivative`).  Every value goes over an `algebra.FactorBase` built
-from the image denominators and then its own denominator, which splits
-over them, and takes that base's derivation rule (Kolchin 1973, ch. I):
-the denominator gains one power of each factor it holds and no more.  The
-rule sums d(N) term by term over the numerator's monomials, each
-monomial's powers in variable order, so its output does not depend on set
-or dict iteration order.  The other constructions are this rule
-with a particular image table:
+(`coeff_derivative`).  Each value already carries its denominator over an
+`algebra.FactorBase`.  `apply_derivation` merges the bases of the images of
+q's variables, in variable order, and then q's, once per call: where one
+base's factors start the other's nothing is split, and a polynomial has
+the empty base.  It then takes the merged base's derivation rule (Kolchin
+1973, ch. I), under which the denominator gains one power of each factor
+it holds and no more.  The rule sums d(N) term by term over the
+numerator's monomials, each monomial's powers in variable order, so its
+output does not depend on set or dict iteration order.  The other
+constructions are this rule with a particular image table:
 
 * the twisted lift sends each main variable x to a fresh partner y_x,
 
@@ -42,10 +44,10 @@ and carries the forced derivative value
 Tower arithmetic reduces the numerator of an element by pseudo-division
 against each stage's defining polynomial, highest stage first, through
 `algebra.pseudo_reduce` (each step is Knuth, TAOCP vol. 2, 4.6.1,
-Algorithm R), and keeps the denominator, a unit of the tower that the next
-derivation's factor base splits over the stage separants: iterated
-derivatives have denominators linear in the order.  Inverting an element
-and checking that a new defining polynomial is squarefree are both one
+Algorithm R), and keeps the denominator over its factor base, a unit of
+the tower whose factors include the stage separants: iterated derivatives
+have denominators linear in the order.  Inverting an element and checking
+that a new defining polynomial is squarefree are both one
 pseudo-remainder sequence in the stage generator (Brown and Traub, JACM
 1971), whose remainders are reduced over the tower and whose cofactor
 follows them; its coefficients are never multiplied by inverses.  Only two
@@ -60,7 +62,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from .algebra import FactorBase, JetVar, Poly, Value, as_value, pseudo_reduce, pseudo_remainder
+from .algebra import JetVar, Poly, Value, as_value, fraction, over_one_base, pseudo_reduce, pseudo_remainder, to_value
 from .errors import (
     EngineError,
     NonInvertibleError,
@@ -86,8 +88,8 @@ class DerSpec(Record):
     __hash__ = None
 
     def __init__(self, eta: Mapping[JetVar, Value] | None = None, images: Mapping[JetVar, Value] | None = None):
-        self.eta = {p: as_value(value) for p, value in (eta or {}).items()}
-        self.images = {v: as_value(value) for v, value in (images or {}).items()}
+        self.eta = {p: to_value(value) for p, value in (eta or {}).items()}
+        self.images = {v: to_value(value) for v, value in (images or {}).items()}
         declared = set(self.eta)
         for p, value in self.eta.items():
             extra = value.variables() - declared
@@ -142,16 +144,15 @@ def twisted_lift(p: Value, spec: DerSpec) -> LiftResult:
 
 def apply_derivation(q: Value, spec: DerSpec) -> Value:
     """Evaluate the derivation on q: q_eta + sum (dq/dx) * images[x] on a
-    polynomial, extended to a fraction by `FactorBase.derive` over the image
-    denominators of q's variables and then q's own denominator."""
+    polynomial, extended to a fraction by `FactorBase.derive` over one base
+    for the images of q's variables and then q."""
     variables = sorted(q.variables())
     for v in variables:
         if v not in spec.eta and v not in spec.images:
             raise UncoveredVariableError(f"derivation d has no image for {v}")
-    images = {v: spec.eta.get(v, spec.images.get(v)) for v in variables}
-    base = FactorBase([image.den for image in images.values()] + [q.den])
-    fracs = {v: base.frac(image) for v, image in images.items()}
-    return base.value(base.derive(base.frac(q), fracs.get, {}))
+    images = [spec.eta.get(v, spec.images.get(v)) for v in variables]
+    base, (*images, q) = over_one_base(images + [q])
+    return as_value(base.derive(q, dict(zip(variables, images)).get, {}))
 
 
 def implicit_delta(p: Poly, main: JetVar, spec: DerSpec) -> Value:
@@ -188,7 +189,7 @@ class Tower:
             if p not in self.params:
                 raise UndeclaredParameterError(f"eta assigns {p}, which is not a base parameter")
         # unlisted parameters are constants for the derivation
-        self.eta = {p: as_value(given.get(p, 0)) for p in self.params}
+        self.eta = {p: to_value(given.get(p, 0)) for p in self.params}
         self.stages: tuple[TowerStage, ...] = ()
         self._chain: tuple[tuple[JetVar, Poly], ...] = ()
 
@@ -234,17 +235,15 @@ class Tower:
     def reduce(self, x: Value) -> Value:
         """x with only its numerator pseudo-reduced by the chain.  The
         denominator, which must not vanish in the tower, is a unit there and
-        is kept for the next derivation's factor base to split."""
-        x = as_value(x)
-        if self.is_zero(x.den):
+        is kept, over its factor base, for the next derivation."""
+        x = to_value(x)
+        if self.is_zero(x.base.power(x.exps)):
             raise NonInvertibleError(f"denominator {x.den} vanishes in the tower")
-        rem, mult = pseudo_reduce(x.num, self._chain)
-        if rem is x.num:
-            return x
-        return rem / (mult * x.den)
+        rem, mult = pseudo_reduce(x.numer, self._chain)
+        return as_value(x if rem is x.numer else fraction(rem, x.base, x.exps) / mult)
 
     def is_zero(self, x: Value) -> bool:
-        rem, _ = pseudo_reduce(as_value(x).num, self._chain)
+        rem, _ = pseudo_reduce(to_value(x).numer, self._chain)
         return rem.is_zero
 
     def equal(self, a: Value, b: Value) -> bool:
@@ -253,7 +252,7 @@ class Tower:
     # -- derivation ----------------------------------------------------
 
     def apply(self, x: Value) -> Value:
-        return self.reduce(apply_derivation(as_value(x), self.derspec()))
+        return self.reduce(apply_derivation(to_value(x), self.derspec()))
 
     # -- inversion by the pseudo-remainder sequence ----------------------
 
@@ -261,17 +260,17 @@ class Tower:
         rf = self.reduce(x)
         if rf.is_zero:
             raise NonInvertibleError("cannot invert zero")
-        num = rf.num
+        num, den = rf.numer, rf.base.power(rf.exps)
         stage = next((s for s in reversed(self.stages) if num.depends_on(s.gen)), None)
         if stage is None:
             # transcendental content only: a plain fraction inverts it
-            return self.reduce(rf.den / num)
+            return self.reduce(den / num)
         g, u = _last_remainder(self, num, stage.minpoly, stage.gen)
         if g.depends_on(stage.gen):
             raise NonInvertibleError(
                 f"{num} is a zero divisor modulo {stage.minpoly} (gcd has degree {g.deg_in(stage.gen)})"
             )
-        return self.reduce(u * rf.den * self.invert(g))
+        return self.reduce(u * den * self.invert(g))
 
     def __str__(self) -> str:
         parts = [f"Q({', '.join(str(p) for p in self.params)})"]

@@ -21,7 +21,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import partial
 
-from .algebra import JetVar, Poly, Value, as_value
+from .algebra import JetVar, Poly, Value, as_value, to_value
 from .derivation import DerSpec, Tower, apply_derivation
 from .errors import EngineError, KindMismatchError, UncoveredVariableError
 from .monoid import COMMUTATIVE, FREE, MonoidElem, Record
@@ -309,7 +309,7 @@ def oracle_eval(
 
     def leaf(name: str) -> Value:
         if name in sigma:
-            return as_value(sigma[name])
+            return to_value(sigma[name])
         if name in model_vars:
             return Poly.variable(model_vars[name])
         raise UncoveredVariableError(f"no model value for variable {name}")

@@ -39,7 +39,7 @@ from json.decoder import JSONArray, JSONObject, scanstring
 from json.scanner import py_make_scanner
 from operator import add, mul, sub, truediv
 
-from .algebra import JetVar, Poly, RatFun, Value
+from .algebra import JetVar, Poly, RatFun, Value, as_value
 from .axioms import DefinableSetDesc, TriangularSystem
 from .config import Configuration
 from .derivation import DerSpec
@@ -297,13 +297,13 @@ class _ExprParser:
 
 def parse_expression(text: str, mode: str = COMMUTATIVE, k: int | None = None):
     """A Poly, or a RatFun when the denominator does not cancel to a constant."""
-    return _whole(text, k, lambda cur, k: _ExprParser(cur, mode, k).expr())
+    return _whole(text, k, lambda cur, k: as_value(_ExprParser(cur, mode, k).expr()))
 
 
 def _poly(cur: _Cursor, mode: str, k: int) -> Poly:
     """A polynomial running to the end of the input."""
     start = cur.peek()
-    value = _ExprParser(cur, mode, k).expr()
+    value = as_value(_ExprParser(cur, mode, k).expr())
     cur.expect_eof()
     if isinstance(value, RatFun):
         raise ParseError("expected a polynomial, found a proper fraction", start.line, start.column)

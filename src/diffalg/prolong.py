@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .algebra import AffineSpace, JetVar, Poly, Value, as_value, solve_affine
+from .algebra import AffineSpace, JetVar, Poly, Value, solve_affine, to_value
 from .derivation import DerSpec, Tower, coeff_derivative, partner_var, twisted_lift
 from .errors import FiberError, UndeclaredParameterError, listing
 from .monoid import Record
@@ -52,7 +52,7 @@ class VarietyPresentation(Record):
     def point_binding(self, point: Sequence[Value]) -> dict[JetVar, Value]:
         if len(point) != self.n:
             raise ValueError(f"point has {len(point)} coordinates, ambient dimension is {self.n}")
-        binding = {v: as_value(a) for v, a in zip(self.variables, point)}
+        binding = {v: to_value(a) for v, a in zip(self.variables, point)}
         for p in self.parameters():
             binding[p] = Poly.variable(p)
         return binding

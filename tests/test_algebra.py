@@ -24,6 +24,7 @@ from diffalg.algebra import (
 from diffalg.derivation import DerSpec, apply_derivation
 from diffalg.errors import PoleError, UncoveredVariableError
 from diffalg.monoid import MonoidElem
+from diffalg.parsing import parse_expression
 
 X = JetVar("x")
 Y = JetVar("y")
@@ -47,6 +48,22 @@ def test_ring_ops_examples():
     for value, poly in [((x / y) * y, x), (RatFun(x * x - 1, x - 1) + 0, x + 1), (RatFun(x, 2) * 2, x)]:
         assert isinstance(value, Poly) and value == poly
     assert p.num is p and p.den == 1
+
+
+def test_one_fraction_type_keeps_its_denominator_over_a_factor_base():
+    # sums go over the largest exponent vector of one base, not over the product of denominators
+    total = parse_expression("x/(t+1) + y/(t+1)")
+    assert total.den == t + 1 and str(total) == "(y + x) / (t + 1)"
+    difference = x / (t + 1) - x / (t * t + 2 * t + 1)
+    assert difference.den == t * t + 2 * t + 1 and str(difference) == "(t*x) / (t^2 + 2*t + 1)"
+    # a product divides each factor of the base out of the numerator as often as it goes
+    for a in (t + 1, x * y - 3, RatFun(x, t + 1), parse_expression("x/(t+1) + y/(t^2+1)")):
+        one = a * (Poly.const(1) / a)
+        assert isinstance(one, Poly) and one == 1
+    # variables() reads the value: t cancels from x*t / (t*y), so a derivation needs no image of t
+    q = parse_expression("x*t/(t*y)")
+    assert q.variables() == {X, Y} and (t / (t + 1) + Poly.const(1) / (t + 1)).variables() == set()
+    assert apply_derivation(q, DerSpec(images={X: 1, Y: 0})) == Poly.const(1) / y
 
 
 def test_product_with_the_unit_is_the_other_operand():
@@ -93,7 +110,8 @@ def test_substitution_does_not_depend_on_the_hash_seed(seed):
         [sys.executable, "-c", SUBSTITUTION], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "(t^4 + 6*t^3 + 14*t^2 + 16*t + 7) / (t^3 + 6*t^2 + 11*t + 6)\n"
+    # the products cancel the factor t + 1 that y's image shares with x's
+    assert proc.stdout == "(t^3 + 5*t^2 + 9*t + 7) / (t^2 + 5*t + 6)\n"
 
 
 def test_protocol_corners_of_poly_and_ratfun():

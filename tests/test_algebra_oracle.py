@@ -17,13 +17,13 @@ import pytest
 
 from conftest import rand_nonzero_poly, rand_poly, rand_ratfun
 from diffalg.algebra import (
-    FactorBase,
-    Frac,
     JetVar,
     Monomial,
     Poly,
     RatFun,
     divide_exact,
+    fraction,
+    over_one_base,
     pseudo_remainder,
     solve_affine,
 )
@@ -63,11 +63,30 @@ def assert_lean(*values):
                 assert c != 0, value
 
 
+def _sharing_operands(rng):
+    """Two sums of fractions whose denominators share a factor f, one of
+    them over f and the other over f^2, so the merge of their bases splits."""
+    t = Poly.variable(VARS[2])
+    f = rng.choice([t + 1, rand_nonzero_poly(rng, VARS, max_terms=2, max_degree=1) * t + 2])
+
+    def part(den):
+        return RatFun(rand_poly(rng, VARS, max_terms=2, max_degree=2), den)
+
+    other = rand_nonzero_poly(rng, VARS, max_terms=2, max_degree=1) + 1
+    return part(f) + part(other), part(f ** 2) * part(other + Poly.variable(VARS[0]))
+
+
 def test_field_operations_match_sympy():
     rng = random.Random(2024)
-    for _ in range(40):
-        a = rand_ratfun(rng, VARS, max_terms=3, max_degree=2)
-        b = rand_ratfun(rng, VARS, max_terms=3, max_degree=2) if rng.random() < 0.5 else rand_poly(rng, VARS, max_terms=3)
+    for i in range(60):
+        if i < 40:
+            a = rand_ratfun(rng, VARS, max_terms=3, max_degree=2)
+            if rng.random() < 0.5:
+                b = rand_ratfun(rng, VARS, max_terms=3, max_degree=2)
+            else:
+                b = rand_poly(rng, VARS, max_terms=3)
+        else:
+            a, b = _sharing_operands(rng)
         assert_lean(a, b)
         fa, fb = to_field(a), to_field(b)
         results = [(a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb), (a ** 2, fa ** 2), (b ** 3, fb ** 3)]
@@ -145,7 +164,7 @@ def test_to_field_reads_a_fraction():
 
 
 def test_fraction_layer_results_keep_the_coefficient_rule():
-    # FactorBase.frac/derive against SymPy's derivative, solve_affine and Tower.invert
+    # values over a FactorBase and its derive against SymPy's derivative, solve_affine and Tower.invert
     rng = random.Random(19)
     x, t = VARS[0], VARS[2]
     one = Poly.const(1)
@@ -155,15 +174,14 @@ def test_fraction_layer_results_keep_the_coefficient_rule():
             rand_poly(rng, VARS, max_terms=2, max_degree=2) * Poly.variable(x) + rng.choice([1, -2, Fraction(3, 2)])
             for _ in range(2)
         ]
-        base = FactorBase(dens)
-        assert_lean(*base.factors)
         value = RatFun(rand_poly(rng, VARS, max_terms=3, max_degree=2), dens[0] * dens[1])
-        f = base.frac(value)
-        assert_lean(f.num)
-        assert to_field(base.value(f)) == to_field(value)
-        df = base.derive(f, lambda v: Frac(one, base.zero) if v == x else None, {})
-        assert_lean(df.num)
-        assert to_field(base.value(df)) == to_field(value).diff(FIELD(GENS[x])), value
+        base, (f,) = over_one_base([value], dens)
+        assert_lean(*base.factors)
+        assert_lean(f.numer)
+        assert to_field(f) == to_field(value)
+        df = base.derive(f, lambda v: one if v == x else None, {})
+        assert_lean(df.numer)
+        assert to_field(df) == to_field(value).diff(FIELD(GENS[x])), value
 
         rows = [[rand_ratfun(rng, VARS, max_terms=2, max_degree=1) for _ in range(2)] for _ in range(2)]
         space = solve_affine(rows, [rand_poly(rng, VARS, max_terms=2, max_degree=1) for _ in range(2)])
@@ -190,29 +208,29 @@ def _two_factor_base(rng):
     while True:
         # each factor keeps a constant term, so RatFun cancels no monomial off B^e
         dens = [rand_poly(rng, VARS, max_terms=2, max_degree=1) * z + rng.choice([1, -2, Fraction(3, 2)]) for z in (x, y)]
-        base = FactorBase(dens)
+        base, _ = over_one_base([], dens)
         if len(base.factors) == 2:
             return base
 
 
-def _rand_image(rng):
-    """A random Frac over the base, the zero Frac or None (no image)."""
+def _rand_image(rng, base):
+    """A random value over the base, zero or None (no image)."""
     kind = rng.random()
     exps = (rng.randint(0, 2), rng.randint(0, 2))
     if kind < 0.15:
         return None
     if kind < 0.3:
-        return Frac(Poly.zero(), exps)
-    return Frac(rand_nonzero_poly(rng, VARS, max_terms=3, max_degree=2), exps)
+        return fraction(Poly.zero(), base, exps)
+    return fraction(rand_nonzero_poly(rng, VARS, max_terms=3, max_degree=2), base, exps)
 
 
-def _sympy_derivative(base, f, images):
+def _sympy_derivative(f, images):
     """sum_v df/dv * D(v) in SymPy's field, with D(v) the value of images[v]."""
-    value = to_field(base.value(f))
+    value = to_field(f)
     total = FIELD(0)
     for v, dv in images.items():
         if dv is not None:
-            total += value.diff(FIELD(GENS[v])) * to_field(base.value(dv))
+            total += value.diff(FIELD(GENS[v])) * to_field(dv)
     return total
 
 
@@ -221,32 +239,32 @@ def test_derive_matches_the_sum_of_partials_times_images():
     rng = random.Random(1973)
     for _ in range(60):
         base = _two_factor_base(rng)
-        images = {v: _rand_image(rng) for v in VARS}
+        images = {v: _rand_image(rng, base) for v in VARS}
         memo = {}  # one D per base: the memo of D(b_j)/b_j carries over
         for _ in range(2):
             # exponents up to 3 in N, Fraction coefficients from rand_fraction
             num = rand_poly(rng, VARS, max_terms=4, max_degree=3)
-            f = Frac(num, (rng.randint(0, 2), rng.randint(0, 2)))
+            f = fraction(num, base, (rng.randint(0, 2), rng.randint(0, 2)))
             df = base.derive(f, images.get, memo)
-            assert_lean(f.num, df.num)
-            assert to_field(base.value(df)) == _sympy_derivative(base, f, images), (f, images)
+            assert_lean(f.numer, df.numer)
+            assert to_field(df) == _sympy_derivative(f, images), (f, images)
 
     # sums that cancel: D(x*y) = x*y*g - x*y*g and D(x - y) = g - g leave
     # only the terms of the denominator, and nothing at all over B^0
     base = _two_factor_base(rng)
     x, y = VARS[:2]
-    g = Frac(rand_nonzero_poly(rng, VARS, max_terms=3, max_degree=2) * Fraction(1, 3), (1, 2))
+    g = fraction(rand_nonzero_poly(rng, VARS, max_terms=3, max_degree=2) * Fraction(1, 3), base, (1, 2))
     xy = Poly.variable(x) * Poly.variable(y)
     cases = [
-        (xy, {x: Frac(Poly.variable(x) * g.num, g.exps), y: Frac(-Poly.variable(y) * g.num, g.exps)}),
+        (xy, {v: fraction(sign * Poly.variable(v) * g.numer, base, g.exps) for v, sign in ((x, 1), (y, -1))}),
         (Poly.variable(x) - Poly.variable(y), {x: g, y: g}),
     ]
     for num, images in cases:
-        assert base.derive(Frac(num, base.zero), images.get, {}).num.is_zero
-        f = Frac(num, (2, 1))
+        assert base.derive(num, images.get, {}).numer.is_zero
+        f = fraction(num, base, (2, 1))
         df = base.derive(f, images.get, {})
-        assert_lean(df.num)
-        assert to_field(base.value(df)) == _sympy_derivative(base, f, images)
+        assert_lean(df.numer)
+        assert to_field(df) == _sympy_derivative(f, images)
 
 
 def test_divisions_of_coefficients_stay_exact():
@@ -259,10 +277,10 @@ def test_divisions_of_coefficients_stay_exact():
     assert root == Fraction(-1, 2) and root.__class__ is Fraction
 
     # the factor x/3 + 1/3 splits x + 1 with a constant rest of 3
-    base = FactorBase([(x + 1) * Fraction(1, 3)])
-    f = base.frac(RatFun(y, x + 1))
-    assert f.exps == (1,) and f.num.terms == {Monomial.of(VARS[1]): Fraction(1, 3)}
-    assert_lean(f.num)
+    base, (f,) = over_one_base([RatFun(y, x + 1)], [(x + 1) * Fraction(1, 3)])
+    assert base.factors == [(x + 1) * Fraction(1, 3)] and f.base is base
+    assert f.exps == (1,) and f.numer.terms == {Monomial.of(VARS[1]): Fraction(1, 3)}
+    assert_lean(f.numer)
 
 
 def test_the_constructor_normalises_coefficients():

@@ -56,7 +56,7 @@ def test_job_recordings_compare_equal_across_hash_seeds_and_name_a_changed_job(t
     altered.write_text(json.dumps(outputs))
     proc = run_script("job_outputs.py", "--compare", str(recordings[1]), str(altered))
     assert proc.returncode == 1
-    assert proc.stdout == f"differs: {job}\n27 of 28 jobs identical\n"
+    assert proc.stdout == f"differs: {job}\n  before: <no line>\n  after:  one more line\n27 of 28 jobs identical\n"
 
 
 def test_code_lines_counts_code_only_and_compares_with_a_ref():

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from diffalg.algebra import Frac, JetVar, Monomial, Poly, solve_affine
+from diffalg.algebra import JetVar, Monomial, Poly, solve_affine
 from diffalg.axioms import (
     DefinableSetDesc,
     DimensionCertificate,
@@ -55,7 +55,6 @@ SAMPLES = {
     "JetVar": lambda: x_at(0, 2),
     "Monomial": lambda: Monomial.of(x_at(1, 0), 2),
     "AffineSpace": lambda: solve_affine([[1, 0]], [-2]),
-    "Frac": lambda: Frac(parse_poly("x + 1"), (1, 0)),
     "DerSpec": lambda: DerSpec(eta={T: 1}, images={X: Poly.variable(T)}),
     "TowerStage": lambda: Tower([T], {T: 1}).extend(parse_poly("c^2 - t"), "c").stages[0],
     "LiftResult": lambda: twisted_lift(parse_poly("t*x^2"), DerSpec(eta={T: 1})),
@@ -112,7 +111,6 @@ REPRS = {
         "DimensionCertificate(free_count=1, solve_order=(JetVar(base='x', index=None),), "
         "free_vars=(JetVar(base='t', index=None),))"
     ),
-    "Frac": "Frac(num=Poly(x + 1), exps=(1, 0))",
     "GFun": (
         "GFun(value=Poly(x[d2]), witness=(MonoidElem(kind='commutative', k=2, data=(1, 0)), "
         "MonoidElem(kind='commutative', k=2, data=(0, 1))))"
