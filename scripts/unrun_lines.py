@@ -48,18 +48,24 @@ def unrun(path: str, hit: set[int]) -> list[int]:
 def main(argv: list[str]) -> int:
     args = argv[argv.index("--") + 1 :] if "--" in argv else ["tests", "-q"]
     hits: dict[str, set[int]] = {}
+    # one local tracer per file: a tracer returns itself, so one made per
+    # call would leave a reference cycle for the collector after every call
+    tracers = {}
 
     def trace(frame, event, arg):
         path = frame.f_code.co_filename
         if not path.startswith(PACKAGE):
             return None
-        lines = hits.setdefault(path, set())
+        local = tracers.get(path)
+        if local is None:
+            lines = hits.setdefault(path, set())
 
-        def local(frame, event, arg):
-            if event == "line":
-                lines.add(frame.f_lineno)
-            return local
+            def local(frame, event, arg):
+                if event == "line":
+                    lines.add(frame.f_lineno)
+                return local
 
+            tracers[path] = local
         return local
 
     import pytest

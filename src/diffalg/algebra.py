@@ -26,8 +26,11 @@ divides each factor out of its numerator as often as it goes, so
 The normal form removes monomial content shared by N and B^e, folds a
 constant denominator into the numerator, cancels the denominator when it
 divides the numerator exactly, and else makes it primitive with a positive
-leading coefficient.  It is computed only where a value leaves the engine:
-in printing, `num`, `den`, `variables`, `substitute`, and the value rule.
+leading coefficient.  It is computed only where a value leaves the engine
+(printing, `num`, `den`, `variables`, `substitute`, `evaluate`), and at
+most once per value: a `RatFun` keeps it once computed, and its fields are
+set only when it is made.  The value rule needs only the first three steps
+(`_lowest`), so it scales nothing.
 
 The value rule, decided here and nowhere else: a value whose normal form has
 a constant denominator is a `Poly`.  `as_value` applies it; public functions
@@ -528,7 +531,8 @@ class RatFun:
     constant denominator.
     """
 
-    __slots__ = ("numer", "base", "exps")
+    # `_form`, the normal form, is set on first use by `_normal`
+    __slots__ = ("numer", "base", "exps", "_form")
 
     def __init__(self, num, den=None):
         num, den = _coerce(num), _ONE if den is None else _coerce(den)
@@ -561,22 +565,20 @@ class RatFun:
         return self._normal()[1]
 
     def _normal(self) -> tuple[Poly, Poly]:
-        """(num, den), the normal form of N / B^e: monomial content shared by
-        both removed, a constant denominator folded into the numerator, the
-        denominator cancelled when it divides the numerator exactly, and
-        otherwise made primitive with a positive leading coefficient."""
-        num, den = self.numer, self.base.power(self.exps)
-        shared = num.monomial_content().gcd(den.monomial_content())
-        if shared:
-            num, den = num.divide_monomial(shared), den.divide_monomial(shared)
-        if den.is_constant:
-            return num * (1 / Fraction(den.constant_value())), _ONE
-        q = divide_exact(num, den)
-        if q is not None:
-            return q, _ONE
-        scale = den.content()
-        inv = 1 / (scale if den.leading_term()[1] > 0 else -scale)
-        return num * inv, den * inv
+        """(num, den), the normal form of N / B^e, computed on first use and
+        kept: `_lowest`, and a denominator that remains made primitive with
+        a positive leading coefficient."""
+        try:
+            return self._form
+        except AttributeError:
+            pass
+        num, den = _lowest(self)
+        if den is not _ONE:
+            scale = den.content()
+            inv = 1 / (scale if den.leading_term()[1] > 0 else -scale)
+            num, den = num * inv, den * inv
+        self._form = num, den
+        return self._form
 
     def variables(self) -> set[JetVar]:
         num, den = self._normal()
@@ -676,12 +678,35 @@ def to_value(x) -> Value:
 def as_value(x) -> Value:
     """x under the value rule: numbers become constant polynomials, and a
     RatFun whose normal form has a constant denominator that form's
-    numerator."""
+    numerator.  The rule reads the normal form when it is kept, and else
+    `_lowest`, which leaves the content of the denominator alone."""
     out = to_value(x)
     if not any(out.exps):
         return out.numer
-    num, den = out._normal()
-    return num if den.is_constant else out
+    num, den = getattr(out, "_form", None) or _lowest(out)
+    return num if den is _ONE else out
+
+
+def _lowest(x: RatFun) -> tuple[Poly, Poly]:
+    """(num, den) for N / B^e with the monomial content shared by N and B^e
+    removed, and den the shared 1 when the value is a polynomial: a constant
+    denominator is folded into the numerator, one that divides it exactly
+    is cancelled.  Any other den is not constant and does not divide num.
+
+    A den of one term c*m is not tried as a divisor: if it divided num, m
+    would divide every term of num, so m would divide the monomial content
+    of both num and den.  Their shared content is already removed, so m
+    would be the monomial 1 and den a constant, which is folded above.
+    """
+    num, den = x.numer, x.base.power(x.exps)
+    shared = num.monomial_content().gcd(den.monomial_content())
+    if shared:
+        num, den = num.divide_monomial(shared), den.divide_monomial(shared)
+    if den.is_constant:
+        return num * (1 / Fraction(den.constant_value())), _ONE
+    if len(den.terms) > 1 and (q := divide_exact(num, den)) is not None:
+        return q, _ONE
+    return num, den
 
 
 def fraction(numer: Poly, base: "FactorBase", exps: tuple[int, ...]) -> Value:

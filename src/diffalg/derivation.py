@@ -46,7 +46,14 @@ against each stage's defining polynomial, highest stage first, through
 `algebra.pseudo_reduce` (each step is Knuth, TAOCP vol. 2, 4.6.1,
 Algorithm R), and keeps the denominator over its factor base, a unit of
 the tower whose factors include the stage separants: iterated derivatives
-have denominators linear in the order.  Inverting an element and checking
+have denominators linear in the order.  Each stage separant carries a unit
+certificate: `extend_to_algebraic` ends the pseudo-remainder sequence of
+the defining polynomial p and its separant p' in a remainder g = s * p'
+modulo p, free of the generator, and inverts g in the tower below, so p'
+divides a unit (Kolchin 1973: the derivation extends because p' is
+invertible).  `Tower.reduce` tests a denominator for zero only when one of
+its factors is not such a separant; a product of units is a unit, while a
+product of nonzero elements may vanish.  Inverting an element and checking
 that a new defining polynomial is squarefree are both one
 pseudo-remainder sequence in the stage generator (Brown and Traub, JACM
 1971), whose remainders are reduced over the tower and whose cofactor
@@ -192,6 +199,7 @@ class Tower:
         self.eta = {p: to_value(given.get(p, 0)) for p in self.params}
         self.stages: tuple[TowerStage, ...] = ()
         self._chain: tuple[tuple[JetVar, Poly], ...] = ()
+        self._units: tuple[Poly, ...] = ()
 
     # -- construction --------------------------------------------------
 
@@ -201,6 +209,9 @@ class Tower:
         # the stage relations as a triangular chain, highest stage first; its
         # multipliers are products of stage initials, never zero in the tower
         out._chain = tuple((s.gen, s.minpoly) for s in reversed(stages))
+        # the stage separants, each a unit of the tower: `extend_to_algebraic`
+        # proves it before it adds the stage
+        out._units = tuple(s.minpoly.partial(s.gen) for s in stages)
         return out
 
     def extend(self, minpoly: Poly, gen: JetVar | str) -> "Tower":
@@ -234,10 +245,18 @@ class Tower:
 
     def reduce(self, x: Value) -> Value:
         """x with only its numerator pseudo-reduced by the chain.  The
-        denominator, which must not vanish in the tower, is a unit there and
-        is kept, over its factor base, for the next derivation."""
+        denominator, which must not vanish in the tower, is kept over its
+        factor base for the next derivation.
+
+        The denominator is tested only when one of its factors is not a
+        stage separant: the separants are units (`extend_to_algebraic`), and
+        a product of units is a unit, so it cannot vanish.  A record of
+        factors once found nonzero would not do: over a reducible defining
+        polynomial the tower has zero divisors, and c - t and c + t, each
+        nonzero over c^2 = t^2, have the product 0."""
         x = to_value(x)
-        if self.is_zero(x.base.power(x.exps)):
+        units = self._units
+        if any(e and b not in units for b, e in zip(x.base.factors, x.exps)) and self.is_zero(x.base.power(x.exps)):
             raise NonInvertibleError(f"denominator {x.den} vanishes in the tower")
         rem, mult = pseudo_reduce(x.numer, self._chain)
         return as_value(x if rem is x.numer else fraction(rem, x.base, x.exps) / mult)
@@ -332,7 +351,9 @@ def extend_to_algebraic(tower: Tower, minpoly: Poly, gen: JetVar | str) -> Tower
         raise SeparantZeroError(
             f"defining polynomial has a multiple root: gcd with separant has degree {gcd.deg_in(gen)}"
         )
-    tower.invert(gcd)  # a zero divisor raises NonInvertibleError
+    # a zero divisor raises NonInvertibleError; else gcd, which is s * separant
+    # modulo minpoly, is a unit, and so is the separant (`_with_stages`)
+    tower.invert(gcd)
 
     dvalue = implicit_delta(minpoly, gen, tower.derspec())
     out = tower._with_stages(tower.stages + (TowerStage(gen, minpoly, dvalue),))

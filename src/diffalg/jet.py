@@ -117,24 +117,22 @@ class JetAtom(Record):
 
 def _evaluate(t: DiffTerm, leaf: Callable[[str], Value], der: Callable[[int], Callable]) -> Value:
     """A term's value: `leaf` values a variable by name, `der(i)` gives the
-    operator for di before its argument is evaluated."""
-
-    def rec(node: DiffTerm) -> Value:
-        if isinstance(node, TConst):
-            return Poly.const(node.value)
-        if isinstance(node, TVar):
-            return leaf(node.name)
-        if isinstance(node, TAdd):
-            return rec(node.left) + rec(node.right)
-        if isinstance(node, TMul):
-            return rec(node.left) * rec(node.right)
-        if isinstance(node, TNeg):
-            return -rec(node.arg)
-        if isinstance(node, TDer):
-            return der(node.index)(rec(node.arg))
-        raise TypeError(f"unknown term node: {node!r}")
-
-    return rec(t)
+    operator for di before its argument is evaluated.  It recurses through
+    itself, not a nested closure, which would hold itself and so keep the
+    callers' values alive until a cyclic collection."""
+    if isinstance(t, TConst):
+        return Poly.const(t.value)
+    if isinstance(t, TVar):
+        return leaf(t.name)
+    if isinstance(t, TAdd):
+        return _evaluate(t.left, leaf, der) + _evaluate(t.right, leaf, der)
+    if isinstance(t, TMul):
+        return _evaluate(t.left, leaf, der) * _evaluate(t.right, leaf, der)
+    if isinstance(t, TNeg):
+        return -_evaluate(t.arg, leaf, der)
+    if isinstance(t, TDer):
+        return der(t.index)(_evaluate(t.arg, leaf, der))
+    raise TypeError(f"unknown term node: {t!r}")
 
 
 def _eta_tables(eta, k: int) -> list[dict[JetVar, object]]:

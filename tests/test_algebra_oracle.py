@@ -16,11 +16,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_nonzero_poly, rand_poly, rand_ratfun
+from diffalg import algebra
 from diffalg.algebra import (
     JetVar,
     Monomial,
     Poly,
     RatFun,
+    as_value,
     divide_exact,
     fraction,
     over_one_base,
@@ -265,6 +267,85 @@ def test_derive_matches_the_sum_of_partials_times_images():
         df = base.derive(f, images.get, {})
         assert_lean(df.numer)
         assert to_field(df) == _sympy_derivative(f, images)
+
+
+def _normal_reference(x: RatFun) -> tuple[Poly, Poly]:
+    """The normal form in full, every denominator tried as a divisor."""
+    num, den = x.numer, x.base.power(x.exps)
+    shared = num.monomial_content().gcd(den.monomial_content())
+    if shared:
+        num, den = num.divide_monomial(shared), den.divide_monomial(shared)
+    if den.is_constant:
+        return num * (1 / Fraction(den.constant_value())), Poly.const(1)
+    q = divide_exact(num, den)
+    if q is not None:
+        return q, Poly.const(1)
+    scale = den.content()
+    inv = 1 / (scale if den.leading_term()[1] > 0 else -scale)
+    return num * inv, den * inv
+
+
+def _rule_case(rng):
+    """N / B^e over a base of one single-term factor and one or two others,
+    N sharing a monomial with B^e, or a multiple of B^e, or neither."""
+    x, y, t = (Poly.variable(v) for v in VARS[:3])
+    single = rng.choice([Fraction(3), Fraction(-2, 3), Fraction(1)]) * rng.choice([t, t * t, x * y])
+    others = [rand_nonzero_poly(rng, VARS, max_terms=2, max_degree=1) * x + rng.choice([1, -2]) for _ in range(2)]
+    base, _ = over_one_base([], [single] + others[: rng.randint(1, 2)])
+    exps = tuple(rng.randint(0, 2) for _ in base.factors)
+    numer = rand_nonzero_poly(rng, VARS, max_terms=3, max_degree=2)
+    kind = rng.random()
+    if kind < 0.3:
+        numer = numer * single ** rng.randint(1, 3)
+    elif kind < 0.6:
+        numer = numer * base.power(exps)
+    return fraction(numer, base, exps)
+
+
+def _lowest_den(x: RatFun) -> Poly:
+    """B^e with the monomial content it shares with N removed."""
+    den = x.base.power(x.exps)
+    return den.divide_monomial(x.numer.monomial_content().gcd(den.monomial_content()))
+
+
+def test_the_value_rule_matches_the_full_normal_form():
+    rng = random.Random(1923)
+    seen = {"single term": 0, "constant": 0, "divides": 0, "stays": 0}
+    for _ in range(300):
+        x = _rule_case(rng)
+        if not isinstance(x, RatFun):
+            continue
+        twin = fraction(x.numer, x.base, x.exps)
+        num, den = _normal_reference(twin)
+        expected = num if den.is_constant else twin
+        got = as_value(x)  # no normal form kept yet: decided without scaling
+        assert type(got) is type(expected), x
+        assert got.terms == expected.terms if isinstance(got, Poly) else got is x, x
+        # the kept normal form is the full one and gives the same decision
+        assert (x.num.terms, x.den.terms) == (num.terms, den.terms), x
+        assert x._normal() is x._normal()
+        again = as_value(x)
+        assert type(again) is type(got) and again == got
+        # and SymPy agrees: a polynomial exactly when the reduced denominator is constant
+        value = FIELD(to_ring(x.numer)) / FIELD(to_ring(x.base.power(x.exps)))
+        assert to_field(got) == value and isinstance(got, Poly) == value.denom.is_ground, x
+        rest = _lowest_den(twin)
+        if rest.is_constant:
+            seen["constant"] += 1
+        else:
+            seen["divides" if isinstance(got, Poly) else "single term" if len(rest.terms) == 1 else "stays"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_evaluate_computes_the_normal_form_once(monkeypatch):
+    calls = []
+    lowest = algebra._lowest
+    monkeypatch.setattr(algebra, "_lowest", lambda x: calls.append(x) or lowest(x))
+    x, y, t = (Poly.variable(v) for v in VARS[:3])
+    value = RatFun(x * x + y, t + 1) * RatFun(t, x - 1)
+    assert value.evaluate({VARS[0]: 2, VARS[1]: 3, VARS[2]: 1}) == Poly.const(Fraction(7, 2))
+    assert len(calls) == 1 and calls[0] is value
+    assert str(value) == "(t*x^2 + t*y) / (t*x + x - t - 1)" and len(calls) == 1
 
 
 def test_divisions_of_coefficients_stay_exact():

@@ -1,9 +1,11 @@
+import gc
 import random
 from fractions import Fraction
 
 import pytest
 
 from diffalg.algebra import JetVar, Poly, RatFun, var
+from diffalg.derivation import Tower
 from diffalg.errors import KindMismatchError, UncoveredVariableError, UndeclaredParameterError
 from diffalg.jet import (
     DiffModel,
@@ -113,6 +115,22 @@ def test_oracle_eval_examples():
     assert got == RatFun.const(1)
 
     assert oracle_eval(TConst(Fraction(5)), model, {}) == RatFun.const(5)
+
+
+def test_oracle_eval_leaves_no_reference_cycle():
+    # a value must not outlive the call waiting for a cyclic collection:
+    # with the collector off, nothing is left for it to find
+    t, c = var("t"), var("c")
+    model = DiffModel([Tower([T], {T: Poly.const(1)}).extend(c * c - t - 2, "c")])
+    term = TDer(1, TAdd(TMul(xt, TDer(1, xt)), TNeg(TConst(Fraction(3)))))
+    gc.collect()
+    gc.disable()
+    try:
+        value = oracle_eval(term, model, {"x": c * t + 1})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert value.den.total_degree() > 0
 
 
 def test_oracle_requires_commuting_model_in_commutative_mode():

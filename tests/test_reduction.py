@@ -6,7 +6,8 @@ multipliers) and the tower loop over its stages.  `Tower.reduce` reduces
 only the numerator and keeps the denominator, a unit of the tower, so it
 is checked by its properties: the value is kept, the numerator is below
 every stage degree, and a denominator that vanishes in the tower is
-refused.
+refused.  A denominator whose factors are all stage separants, units of
+the tower, is not tested at all.
 """
 
 import random
@@ -16,7 +17,7 @@ import pytest
 from conftest import rand_nonzero_poly, rand_poly
 from diffalg.algebra import JetVar, Poly, RatFun, pseudo_reduce, pseudo_remainder
 from diffalg.config import Configuration
-from diffalg.derivation import Tower, extend_to_algebraic
+from diffalg.derivation import Tower, apply_derivation, extend_to_algebraic, implicit_delta
 from diffalg.errors import NonInvertibleError, SeparantZeroError
 from diffalg.monoid import antichain_minimal, theta_ball
 
@@ -137,3 +138,49 @@ def test_tower_reduce_keeps_the_value_and_reduces_the_numerator():
                 assert got.num.deg_in(stage.gen) < stage.minpoly.deg_in(stage.gen), (tower, x, got)
             reduced += got.num != x.num
     assert reduced >= 30 and refused == 30
+
+
+def _spy_is_zero(monkeypatch) -> list:
+    tested = []
+    is_zero = Tower.is_zero
+    monkeypatch.setattr(Tower, "is_zero", lambda self, x: tested.append(x) or is_zero(self, x))
+    return tested
+
+
+def test_a_denominator_of_stage_separants_is_not_tested(monkeypatch):
+    t, c = Poly.variable(T), Poly.variable(C)
+    tower = Tower([T], {T: Poly.const(1)}).extend(c * c - t - 2, C)
+    x = apply_derivation(c ** 3 + t * c, tower.derspec())
+    assert x.base.factors == [2 * c] and x.exps == (1,)
+    tested = _spy_is_zero(monkeypatch)
+    got = tower.reduce(x)
+    assert tested == []
+    assert str(got) == "(3*t + 5) / (c)"
+    assert str(tower.apply(got)) == "(3/2*t + 7/2) / (c^3)" and tested == []
+
+
+def test_a_separant_power_times_a_vanishing_factor_is_refused(monkeypatch):
+    t, c = Poly.variable(T), Poly.variable(C)
+    minpoly = c * c - t - 2
+    tower = Tower([T], {T: Poly.const(1)}).extend(minpoly, C)
+    x = tower.stages[0].dvalue ** 3 / minpoly
+    assert x.base.factors == [2 * c, minpoly] and x.exps == (3, 1)
+    tested = _spy_is_zero(monkeypatch)
+    with pytest.raises(NonInvertibleError, match="vanishes in the tower"):
+        tower.reduce(x)
+    assert len(tested) == 1
+
+
+def test_a_separant_split_by_an_eta_denominator_is_tested(monkeypatch):
+    # over t' = 1/t the separant 2*t*c of t*c^2 - t - 1 splits into the
+    # factor t of eta and 2*c, and 2*c is not the separant
+    t, c = Poly.variable(T), Poly.variable(C)
+    minpoly = t * c * c - t - 1
+    tower = Tower([T], {T: RatFun(1, t)}).extend(minpoly, C)
+    x = implicit_delta(minpoly, C, Tower([T], {T: RatFun(1, t)}).derspec())
+    assert x.base.factors == [t, 2 * c] and x.exps == (2, 1)
+    tested = _spy_is_zero(monkeypatch)
+    got = tower.reduce(x)
+    assert len(tested) == 1 and tested[0] == x.base.power(x.exps)
+    assert str(got) == "(-1/2) / (c*t^3)" == str(tower.stages[0].dvalue)
+    assert str(tower.apply(c * c + c)) == "(-c - 1/2) / (c*t^3)" and len(tested) == 2
