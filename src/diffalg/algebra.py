@@ -43,29 +43,40 @@ always a `Poly`.  A `Poly` answers `num` (itself), `den` (1) and the raw
 parts of a fraction over the empty base, so code reading them, `variables`,
 `is_zero`, `evaluate` or `substitute` takes either type (`Value`).
 
-The monomial rule: a `Monomial` is a `frozenset` of (variable, exponent)
-pairs, one per variable it involves, so the hash and equality by which every
-dict of terms finds a monomial are the set's own, computed in C.  Monomials
-are not interned: a table of them would keep every monomial ever built alive.
+The monomial rule: a monomial is one `int` of 16-bit fields (packed
+exponents; Monagan and Pearce, CASC 2007).  Each variable gets an `id`
+when it is interned, and with it the field at bit 16 * (id + 1); field 0
+holds the total degree.  So a product of monomials is the sum of the ints,
+`m / v` is `m - v.unit`, and reading an exponent is a shift and a mask.  A
+total degree stays below 2^15 (the degree cap, 32767): a sum of two such
+monomials then carries out of no field, so one test of the degree field of
+a product, or of the operands' degrees, proves every field exact, and an
+operation that would pass the cap raises `ValueError` instead.  The keys of
+`Poly.terms` are the plain ints; `Monomial` is the `int` subclass that
+decodes one.  Monomials are not interned, and no table of them is kept.
 
-The order rule: variables and monomials order themselves, by a `sort_key`.
-The keys of a variable and of its index are set when the value is made; a
-monomial, made afresh by every product, computes its key on first use,
-once.  A `Monomial` is an unordered set of powers, ordered by degree, then
-by its powers from the highest variable down, so `x[d1]` comes before
-`x[0]`; a leading term is the largest monomial.
+The order rule: variables order themselves by a `sort_key`, set when the
+variable is made.  Monomials are ordered by degree, then by their exponents
+from the highest variable down (graded lex), so `x[d1]` comes before
+`x[0]`; a leading term is the largest monomial.  The ids follow the order
+in which variables were interned, not this order, so no monomial carries
+its order: each operation that needs it (printing, `leading_term`,
+`divide_exact`, `substitute`) ranks the variables it meets once, by
+`sort_key`, and reads the exponents of those variables from each monomial.
 `Poly.__str__` and `Poly.substitute` walk a monomial's powers in increasing
-variable order (`sorted_powers`): a product of fractions cancels factors
-step by step, so its printed form depends on the order.
+variable order: a product of fractions cancels factors step by step, so its
+printed form depends on the order.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import reduce
+from itertools import compress
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, attrgetter, itemgetter, or_, sub
+from sys import byteorder
 
 from .errors import PoleError, UncoveredVariableError, listing
 from .monoid import MonoidElem, Record
@@ -82,10 +93,13 @@ class JetVar(Record):
     unknowns; indexed variables stand for iterated derivatives.  Variables
     are interned: `JetVar(base, index)` returns the one variable made from an
     equal (base, index) pair, kept in a module table that lives for the
-    process, so equality and hash are those of the object itself.
+    process, so equality and hash are those of the object itself.  Each
+    gets the next `id` when it is interned, and with it its monomial field:
+    `shift`, the bit where the field starts, and `unit`, the packed monomial
+    of the variable itself.
     """
 
-    __slots__ = ("base", "index", "sort_key", "text")
+    __slots__ = ("base", "index", "sort_key", "text", "id", "shift", "unit")
 
     def __new__(cls, base: str, index: MonoidElem | None = None):
         v = _JETVARS.get((base, index))
@@ -99,6 +113,11 @@ class JetVar(Record):
             else:
                 object.__setattr__(v, "sort_key", (base, 1, index.sort_key))
                 object.__setattr__(v, "text", f"{base}[{index}]")
+            shift = _FIELD * (len(_VARS) + 1)
+            object.__setattr__(v, "id", len(_VARS))
+            object.__setattr__(v, "shift", shift)
+            object.__setattr__(v, "unit", 1 << shift | 1)
+            _VARS.append(v)
         return v
 
     # __new__ sets the fields once; object's __init__ takes the arguments and does nothing
@@ -134,130 +153,178 @@ def _lean(c: Fraction) -> int | Fraction:
     return c.numerator if c.denominator == 1 else c
 
 
-class Monomial(frozenset):
-    """A product of variable powers: the frozenset of its (variable, exponent)
-    pairs, every exponent positive.
+class Monomial(int):
+    """A product of variable powers, viewed through its packed `int`.
 
-    A monomial is the set itself, so hash, equality and construction are the
-    set's, in C: equal powers give equal monomials with equal hashes, and a
-    monomial equals a plain frozenset of the same pairs.  `powers` reads the
-    monomial itself.  `<` and `>` follow the term order (`sort_key`); `<=`
-    and `>=` between monomials raise `TypeError`, never the subset test.
-    The set operators `|`, `-`, `&` and `^` act on the pairs and return a
-    plain frozenset, which need not be a monomial (`m | {(v, 2)}` may hold v
-    twice); only the code of this module uses them, each result wrapped in
-    `Monomial` again.  `sort_key` and `sorted_powers` are computed on first
-    use, once, and no field may be assigned.
+    A monomial is one `int` (the monomial rule): field 0, the low 16 bits,
+    holds the total degree, and the field at bit 16 * (id + 1) the exponent
+    of the variable with that id.  The keys of `Poly.terms` are these ints;
+    this class only decodes one, so a `Monomial` is equal to, and hashes as,
+    the plain `int` of the same fields.  `<` and `>` follow the term order;
+    `<=` and `>=` between monomials raise `TypeError`, never the order of
+    the ints.  `*` and `/` are the monomial product and quotient; on the
+    plain ints these are `+` and `-`.
     """
 
-    __slots__ = ("sort_key", "sorted_powers")
-
-    def __getattr__(self, name):
-        # reached only when the ordinary lookup fails, as for an unset slot
-        if name == "sort_key":
-            # the degree, then the powers from the highest variable down
-            value = self.degree, tuple(sorted(((v.sort_key, e) for v, e in self), reverse=True))
-        elif name == "sorted_powers":
-            value = tuple(self) if len(self) < 2 else tuple(sorted(self, key=lambda p: p[0].sort_key))
-        else:
-            raise AttributeError(f"'Monomial' object has no attribute {name!r}")
-        object.__setattr__(self, name, value)
-        return value
-
-    __setattr__ = Record.__setattr__
-    __delattr__ = Record.__delattr__
-
-    @property
-    def powers(self) -> "Monomial":
-        return self
+    __slots__ = ()
 
     def __repr__(self) -> str:
-        return f"Monomial(powers={frozenset(self)!r})"
+        return f"Monomial(sorted_powers={self.sorted_powers!r})"
 
     @staticmethod
     def make(powers: Mapping[JetVar, int]) -> "Monomial":
-        m = Monomial(p for p in powers.items() if p[1])
-        if any(e < 0 for _, e in m):
-            raise ValueError(f"negative exponent in monomial: {sorted(m)}")
-        return m
+        pairs = [p for p in powers.items() if p[1]]
+        if any(e < 0 for _, e in pairs):
+            raise ValueError(f"negative exponent in monomial: {sorted(pairs)}")
+        _capped(sum(e for _, e in pairs))
+        return Monomial(sum(e * v.unit for v, e in pairs))
 
     @staticmethod
     def one() -> "Monomial":
-        return _MONOMIAL_ONE
+        return Monomial(0)
 
     @staticmethod
     def of(v: JetVar, e: int = 1) -> "Monomial":
-        return Monomial(((v, e),)) if e > 0 else Monomial.make({v: e})
+        return Monomial(_capped(e) * v.unit) if e > 0 else Monomial.make({v: e})
+
+    @property
+    def powers(self) -> frozenset:
+        """The (variable, exponent) pairs, one per variable the monomial involves."""
+        return frozenset(_fields(self))
+
+    @property
+    def sorted_powers(self) -> tuple:
+        """The powers in increasing variable order."""
+        return tuple(sorted(_fields(self)))
 
     @property
     def degree(self) -> int:
-        return sum(e for _, e in self)
+        return self & _MASK
+
+    def deg_in(self, v: JetVar) -> int:
+        return self >> v.shift & _MASK
+
+    def variables(self) -> set[JetVar]:
+        return set(_variables(self))
 
     def __lt__(self, other: "Monomial") -> bool:
-        return self.sort_key < other.sort_key
+        key = _order(self | other)[1]
+        return key(self) < key(other)
 
     def __gt__(self, other: "Monomial") -> bool:
-        return self.sort_key > other.sort_key
+        return Monomial.__lt__(other, self)
 
     def __le__(self, other):
         return NotImplemented
 
     __ge__ = __le__
 
-    def deg_in(self, v: JetVar) -> int:
-        for w, e in self:
-            if w is v:
-                return e
-        return 0
-
-    def variables(self) -> set[JetVar]:
-        return {v for v, _ in self}
-
     def __mul__(self, other: "Monomial") -> "Monomial":
-        # exponents are positive, so every sum is one too
-        if not other:
-            return self
-        if not self:
-            return other
-        # dict(iter(m)), not dict(m): dict() would look up m.keys, a miss
-        # that runs `__getattr__`
-        d = dict(iter(self))
-        for v, e in other:
-            d[v] = d.get(v, 0) + e
-        return Monomial(d.items())
-
-    def divides(self, other: "Monomial") -> bool:
-        other_d = dict(iter(other))
-        return all(other_d.get(v, 0) >= e for v, e in self)
+        _capped((self & _MASK) + (other & _MASK))
+        return Monomial(int(self) + other)
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
-        d = dict(iter(self))
-        for v, e in other:
-            d[v] = d.get(v, 0) - e
-        return Monomial.make(d)
-
-    def lower(self, v: JetVar, e: int) -> "Monomial":
-        """self / v, for the power (v, e) of self."""
-        return Monomial(self ^ {(v, e), (v, e - 1)} if e > 1 else self - {(v, e)})
-
-    def without(self, v: JetVar) -> "Monomial":
-        return Monomial(self - {(v, self.deg_in(v))})
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        other_d = dict(iter(other))
-        return Monomial((v, min(e, other_d[v])) for v, e in self if v in other_d)
+        powers = dict(_fields(self))
+        for v, e in _fields(other):
+            powers[v] = powers.get(v, 0) - e
+        return Monomial.make(powers)
 
 
-_MONOMIAL_ONE = Monomial()
+# The packing: FIELD bits per field, and total degrees below CAP, so a sum
+# of two monomials never carries out of a field.  _VARS[id] is the variable
+# with that id, in interning order.
+_FIELD = 16
+_MASK = (1 << _FIELD) - 1
+_CAP = 1 << (_FIELD - 1)
+_VARS: list[JetVar] = []
+
+
+def _capped(degree: int) -> int:
+    """degree, if a monomial may have it: refuse one of 2^15 or more."""
+    if degree >= _CAP:
+        raise ValueError(f"total degree {degree} is over the monomial degree cap of {_CAP - 1}")
+    return degree
+
+
+# the total degree of a monomial, and the rank of a variable in the term order
+_DEGREE = _MASK.__and__
+_RANK = attrgetter("sort_key")
+
+
+def _degree(monomials: Iterable[int]) -> int:
+    """The largest total degree among the monomials, 0 for none."""
+    return max(map(_DEGREE, monomials), default=0)
+
+
+def _exponents(m: int) -> memoryview:
+    """The exponent fields of monomial m, that of variable id 0 first, read
+    at once as an array of 16-bit ints."""
+    return memoryview(m.to_bytes(2 * (m.bit_length() // _FIELD + 1), byteorder)).cast("H")[1:]
+
+
+def _fields(m: int) -> list[tuple[JetVar, int]]:
+    """The (variable, exponent) pairs of monomial m with a nonzero exponent, in id order."""
+    exps = _exponents(m)
+    return list(compress(zip(_VARS, exps), exps))
+
+
+def _variables(m: int) -> Iterator[JetVar]:
+    """The variables of monomial m in id order."""
+    return compress(_VARS, _exponents(m))
+
+
+def _union(monomials: Iterable[int]) -> int:
+    """An int whose nonzero fields are those of any of the monomials."""
+    return reduce(or_, monomials, 0)
+
+
+def _ranked(union: int) -> list[JetVar]:
+    """The variables of `union` in increasing order."""
+    return sorted(_variables(union), key=_RANK)
+
+
+def _order(union: int) -> tuple[list[JetVar], Callable[[int], tuple[int, ...]]]:
+    """The variables of `union`, highest first, and the term order on
+    monomials in them as a key: the degree, then the exponents of those
+    variables in that order.  The key reads all fields of a monomial at once,
+    as an array of 16-bit ints, and picks those of the ranked variables."""
+    ranked = _ranked(union)[::-1]
+    size = 2 * (union.bit_length() // _FIELD + 1)
+    pick = itemgetter(0, *[v.id + 1 for v in ranked]) if ranked else lambda fields: (fields[0],)
+
+    def key(m: int) -> tuple[int, ...]:
+        return pick(memoryview(m.to_bytes(size, byteorder)).cast("H"))
+
+    return ranked, key
+
+
+def _leading(monomials: Collection[int]) -> int:
+    """The largest of the monomials in the term order: of those of the
+    largest degree, the largest by `_order`, which ranks only their variables."""
+    d = max(map(_DEGREE, monomials))
+    top = [m for m in monomials if m & _MASK == d]
+    return top[0] if len(top) == 1 else max(top, key=_order(_union(top))[1])
+
+
+def _content(monomials: Sequence[int]) -> int:
+    """The largest monomial dividing each of the monomials, of which there is one at least."""
+    out = 0
+    for v, _ in _fields(monomials[0]):
+        s = v.shift
+        e = min(m >> s & _MASK for m in monomials)
+        if e:
+            out += e * v.unit
+    return out
 
 
 class Poly:
-    """Sparse multivariate polynomial over Q; `terms` maps each monomial to
-    its nonzero coefficient, an `int` or a non-integral `Fraction`."""
+    """Sparse multivariate polynomial over Q; `terms` maps each monomial, a
+    packed `int`, to its nonzero coefficient, an `int` or a non-integral
+    `Fraction`."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, int | Fraction] | None = None):
+    def __init__(self, terms: Mapping[int, int | Fraction] | None = None):
         clean = {}
         if terms:
             for m, c in terms.items():
@@ -276,11 +343,11 @@ class Poly:
     @staticmethod
     def const(c) -> "Poly":
         c = _coefficient(c)
-        return _poly({_MONOMIAL_ONE: c} if c else {})
+        return _poly({0: c} if c else {})
 
     @staticmethod
     def variable(v: JetVar) -> "Poly":
-        return _poly({Monomial.of(v): 1})
+        return _poly({v.unit: 1})
 
     # ------------------------------------------------------------------
     # structure
@@ -315,22 +382,25 @@ class Poly:
         return next(iter(self.terms.values()))
 
     def variables(self) -> set[JetVar]:
-        return {v for m in self.terms for v, _ in m}
+        return set(_variables(_union(self.terms)))
 
     def total_degree(self) -> int:
-        return max((m.degree for m in self.terms), default=0)
+        return _degree(self.terms)
 
     def deg_in(self, v: JetVar) -> int:
-        return max((m.deg_in(v) for m in self.terms), default=0)
+        s = v.shift
+        return max((m >> s & _MASK for m in self.terms), default=0)
 
     def depends_on(self, v: JetVar) -> bool:
-        return any(m.deg_in(v) > 0 for m in self.terms)
+        s = v.shift
+        return any(m >> s & _MASK for m in self.terms)
 
     def leading_term(self) -> tuple[Monomial, int | Fraction]:
-        if self.is_zero:
+        terms = self.terms
+        if not terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=lambda m: m.sort_key)
-        return m, self.terms[m]
+        m = _leading(terms)
+        return Monomial(m), terms[m]
 
     def content(self) -> Fraction:
         """Positive rational c with self/c having coprime integer coefficients."""
@@ -339,10 +409,11 @@ class Poly:
 
     def monomial_content(self) -> Monomial:
         """The largest monomial dividing every term."""
-        return reduce(Monomial.gcd, self.terms) if self.terms else Monomial.one()
+        return Monomial(_content(list(self.terms)) if self.terms else 0)
 
-    def divide_monomial(self, m: Monomial) -> "Poly":
-        return _poly({mm / m: c for mm, c in self.terms.items()})
+    def divide_monomial(self, m: int) -> "Poly":
+        """self / m, for a monomial m dividing every term."""
+        return _poly({mm - m: c for mm, c in self.terms.items()})
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -382,11 +453,19 @@ class Poly:
             self, a, b = other, b, a
         if len(b) < 2 and not next(iter(b), None):
             c = next(iter(b.values()), 0)
-            return self if c == 1 else _ring({m: c * d for m, d in a.items()})
-        out: dict[Monomial, int | Fraction] = {}
+            if c == 1:
+                return self
+            if not c:
+                return _poly({})
+            # a product of nonzero rationals is nonzero: only an integral Fraction needs leaning
+            return _poly({m: p if (p := c * d).__class__ is int else _lean(p) for m, d in a.items()})
+        # the product's degree is the sum of the operands': no field carries below the cap
+        if (degree := max(map(_DEGREE, a)) + max(map(_DEGREE, b))) >= _CAP:
+            _capped(degree)
+        out: dict[int, int | Fraction] = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():
-                m = m1 * m2
+                m = m1 + m2
                 prev = out.get(m)
                 out[m] = c1 * c2 if prev is None else prev + c1 * c2
         return _ring(out)
@@ -421,23 +500,26 @@ class Poly:
 
     def partial(self, v: JetVar) -> "Poly":
         # m -> m / v is one-to-one on the terms that involve v: nothing merges
-        out: dict[Monomial, int | Fraction] = {}
+        s, unit = v.shift, v.unit
+        out: dict[int, int | Fraction] = {}
         for m, c in self.terms.items():
-            e = m.deg_in(v)
+            e = m >> s & _MASK
             if e:
-                out[m.lower(v, e)] = c * e
+                out[m - unit] = c * e
         return _ring(out)
 
     def substitute(self, binding: Mapping[JetVar, "Poly | RatFun | int | Fraction"]):
-        """Replace the bound variables, leaving the others alone."""
+        """Replace the bound variables, leaving the others alone; each term
+        takes its powers in increasing variable order."""
+        rising = [(v, v.shift, v in binding) for v in _ranked(_union(self.terms))]
         result = None
         for m, c in self.terms.items():
             term = Poly.const(c)
-            for v, e in m.sorted_powers:
-                if v in binding:
-                    factor = _coerce(binding[v]) ** e
-                else:
-                    factor = _poly({Monomial.of(v, e): 1})
+            for v, s, bound in rising:
+                e = m >> s & _MASK
+                if not e:
+                    continue
+                factor = _coerce(binding[v]) ** e if bound else _poly({e * v.unit: 1})
                 term = factor * term
             result = term if result is None else result + term
         if result is None:
@@ -452,25 +534,31 @@ class Poly:
 
     def lead_in(self, v: JetVar) -> tuple[int, "Poly"]:
         """The degree in v and its coefficient, in one pass; (0, 0) for zero."""
+        s, unit = v.shift, v.unit
         d, top = 0, {}
         for m, c in self.terms.items():
-            e = m.deg_in(v)
+            e = m >> s & _MASK
             if e > d:
                 d, top = e, {}
             if e == d:
-                top[m.without(v) if e else m] = c
+                top[m - e * unit] = c
         return d, _poly(top)
 
     # ------------------------------------------------------------------
     # printing: terms in decreasing monomial order
 
     def __str__(self) -> str:
-        if self.is_zero:
+        terms = self.terms
+        if not terms:
             return "0"
+        ranked, key = _order(_union(terms))
+        rising = [v.text for v in reversed(ranked)]
         pieces = []
-        for m in sorted(self.terms, key=lambda m: m.sort_key, reverse=True):
-            c = self.terms[m]
-            factors = [f"{v}^{e}" if e > 1 else str(v) for v, e in m.sorted_powers]
+        # the keys are distinct, so the sort never compares coefficients
+        for exps, c in sorted(zip(map(key, terms), terms.values()), reverse=True):
+            # the factors in increasing variable order: those of nonzero exponent
+            exps = exps[:0:-1]
+            factors = [f"{text}^{e}" if e > 1 else text for text, e in compress(zip(rising, exps), exps)]
             if not factors:
                 body = str(abs(c))
             elif abs(c) == 1:
@@ -487,14 +575,14 @@ class Poly:
         return f"Poly({self})"
 
 
-def _poly(terms: dict[Monomial, int | Fraction]) -> Poly:
+def _poly(terms: dict[int, int | Fraction]) -> Poly:
     """A Poly of terms that already keep the coefficient rule, unchecked."""
     out = object.__new__(Poly)
     out.terms = terms
     return out
 
 
-def _ring(terms: dict[Monomial, int | Fraction]) -> Poly:
+def _ring(terms: dict[int, int | Fraction]) -> Poly:
     """A Poly of ring results on coefficients that keep the coefficient rule:
     zero sums are dropped and integral Fractions made ints."""
     return _poly({m: c if c.__class__ is int else _lean(c) for m, c in terms.items() if c})
@@ -505,16 +593,19 @@ _ONE = Poly.const(1)
 
 def divide_exact(a: Poly, b: Poly) -> Poly | None:
     """Exact quotient a/b, or None when b does not divide a."""
-    if b.is_zero:
+    divisor = b.terms
+    if not divisor:
         raise ZeroDivisionError("division by the zero polynomial")
-    lead_m, lead_c = b.leading_term()
+    lead_m = _leading(divisor)
+    lead_c = divisor[lead_m]
+    needs = [(v.shift, e) for v, e in _fields(lead_m)]
     quotient = Poly.zero()
     rest = a
-    while not rest.is_zero:
-        m, c = rest.leading_term()
-        if not lead_m.divides(m):
+    while rest.terms:
+        m = _leading(rest.terms)
+        if any(m >> s & _MASK < e for s, e in needs):
             return None
-        t = Poly({m / lead_m: Fraction(c, lead_c)})
+        t = _poly({m - lead_m: _lean(Fraction(rest.terms[m], lead_c))})
         quotient = quotient + t
         rest = rest - t * b
     return quotient
@@ -531,8 +622,9 @@ class RatFun:
     constant denominator.
     """
 
-    # `_form`, the normal form, is set on first use by `_normal`
-    __slots__ = ("numer", "base", "exps", "_form")
+    # `_low`, the verdict of `_lowest`, and `_form`, the normal form, are set
+    # on first use by `_lowered` and `_normal`
+    __slots__ = ("numer", "base", "exps", "_low", "_form")
 
     def __init__(self, num, den=None):
         num, den = _coerce(num), _ONE if den is None else _coerce(den)
@@ -572,13 +664,21 @@ class RatFun:
             return self._form
         except AttributeError:
             pass
-        num, den = _lowest(self)
+        num, den = self._lowered()
         if den is not _ONE:
             scale = den.content()
             inv = 1 / (scale if den.leading_term()[1] > 0 else -scale)
             num, den = num * inv, den * inv
         self._form = num, den
         return self._form
+
+    def _lowered(self) -> tuple[Poly, Poly]:
+        """`_lowest(self)`, computed on first use and kept."""
+        try:
+            return self._low
+        except AttributeError:
+            self._low = _lowest(self)
+            return self._low
 
     def variables(self) -> set[JetVar]:
         num, den = self._normal()
@@ -678,12 +778,12 @@ def to_value(x) -> Value:
 def as_value(x) -> Value:
     """x under the value rule: numbers become constant polynomials, and a
     RatFun whose normal form has a constant denominator that form's
-    numerator.  The rule reads the normal form when it is kept, and else
-    `_lowest`, which leaves the content of the denominator alone."""
+    numerator.  The rule reads `_lowest`, which leaves the content of the
+    denominator alone, and a RatFun keeps its verdict."""
     out = to_value(x)
     if not any(out.exps):
         return out.numer
-    num, den = getattr(out, "_form", None) or _lowest(out)
+    num, den = out._lowered()
     return num if den is _ONE else out
 
 
@@ -699,7 +799,7 @@ def _lowest(x: RatFun) -> tuple[Poly, Poly]:
     would be the monomial 1 and den a constant, which is folded above.
     """
     num, den = x.numer, x.base.power(x.exps)
-    shared = num.monomial_content().gcd(den.monomial_content())
+    shared = _content([*num.terms, *den.terms])
     if shared:
         num, den = num.divide_monomial(shared), den.divide_monomial(shared)
     if den.is_constant:
@@ -774,8 +874,9 @@ class FactorBase:
     and a sum goes over the elementwise largest exponent vector: exponents
     grow linearly with the number of derivations, and no gcd is ever taken.
     D(N) is summed term by term, in one pass of the Leibniz rule over N's
-    terms, each monomial's powers in variable order: `JetVar`s hash by
-    identity, and the order of the result's terms reaches `Poly.substitute`.
+    terms, each term testing the field of each variable with an image, in
+    variable order: the ids of the variables follow the interning order, and
+    the order of the result's terms reaches `Poly.substitute`.
     """
 
     __slots__ = ("factors", "zero", "_powers")
@@ -835,7 +936,7 @@ class FactorBase:
         if num.is_zero:
             return f
         exps = f.exps or zero
-        pairs = ((v, image(v)) for v in sorted(num.variables()))
+        pairs = ((v, image(v)) for v in _ranked(_union(num.terms)))
         images = [(v, dv) for v, dv in pairs if dv is not None and not dv.is_zero]
         for j, e in enumerate(exps):
             if e and j not in memo:
@@ -843,24 +944,27 @@ class FactorBase:
                 memo[j] = fraction(db.numer, self, tuple(d + (i == j) for i, d in enumerate(db.exps or zero)))
         bumps = [(e, memo[j]) for j, e in enumerate(exps) if e and not memo[j].is_zero]
         top = tuple(map(max, zip(zero, *(g.exps or zero for _, g in images + bumps))))
-        lifted = {v: self.lift(dv.numer, dv.exps or zero, top).terms for v, dv in images}
-        out: dict[Monomial, int | Fraction] = {}
+        lifted = [(v.shift, v.unit, self.lift(dv.numer, dv.exps or zero, top).terms) for v, dv in images]
+        out: dict[int, int | Fraction] = {}
         for m, c in num.terms.items():
-            for v, e in m.sorted_powers:
-                lv = lifted.get(v)
-                if lv is None:
+            for s, unit, lv in lifted:
+                e = m >> s & _MASK
+                if not e:
                     continue
-                rest = m.lower(v, e)
+                rest = m - unit
                 ce = c * e
                 for w, a in lv.items():
-                    k = rest * w
+                    k = rest + w
                     prev = out.get(k)
                     out[k] = ce * a if prev is None else prev + ce * a
         for e, g in bumps:
             for k, a in self.lift(-e * num * g.numer, g.exps, top).terms.items():
                 prev = out.get(k)
                 out[k] = a if prev is None else prev + a
-        return fraction(_ring(out), self, tuple(map(add, top, exps)))
+        numer = _ring(out)
+        # each sum rest + w is below 2^16 in degree, so none carried: one test of the degrees
+        _capped(_degree(numer.terms))
+        return fraction(numer, self, tuple(map(add, top, exps)))
 
 
 # a polynomial is a fraction over the empty base
@@ -888,7 +992,7 @@ def pseudo_remainder(f: Poly, p: Poly, main: JetVar) -> tuple[Poly, Poly, Poly]:
         e, top = rem.lead_in(main)  # (0, 0) once rem is zero
         if e < d:
             break
-        shift = _poly({Monomial.of(main, e - d): 1}) if e > d else _ONE
+        shift = _poly({(e - d) * main.unit: 1}) if e > d else _ONE
         rem = lead * rem - top * shift * p
         quotient = lead * quotient + top * shift
         multiplier = multiplier * lead

@@ -48,7 +48,7 @@ from itertools import combinations
 from math import factorial, gcd, isqrt, prod
 from operator import add, sub
 
-from .algebra import JetVar, Poly, Value, as_value, fraction, over_one_base, pseudo_reduce, to_value
+from .algebra import JetVar, Monomial, Poly, Value, as_value, fraction, over_one_base, pseudo_reduce, to_value
 from .derivation import DerSpec, Tower, _last_remainder, apply_derivation
 from .errors import ConfigurationError, PoleError
 from .jet import DiffModel, jet_binding
@@ -599,7 +599,7 @@ def _multiset_permutations(items: Sequence[int]):
 
 def _rational_root(p: Poly, main: JetVar) -> Fraction | None:
     """A rational root of a polynomial in `main` alone, or None."""
-    coeffs_by_deg = {m.deg_in(main): c for m, c in p.terms.items()}
+    coeffs_by_deg = {Monomial(m).deg_in(main): c for m, c in p.terms.items()}
     degree = max(coeffs_by_deg, default=0)
     if degree == 0:
         return None

@@ -10,12 +10,14 @@ Every result the oracle sees is also held to the coefficient rule of
 `Fraction` whose denominator is not 1, and never a float.
 """
 
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from conftest import rand_nonzero_poly, rand_poly, rand_ratfun
+from conftest import rand_fraction, rand_nonzero_poly, rand_poly, rand_ratfun
 from diffalg import algebra
 from diffalg.algebra import (
     JetVar,
@@ -33,6 +35,7 @@ from diffalg.config import _rational_root
 from diffalg.derivation import Tower
 from diffalg.errors import NonInvertibleError
 from diffalg.monoid import MonoidElem
+from test_algebra import _reference_leading_coeff_in, _reference_sorted_terms
 
 sympy = pytest.importorskip("sympy")
 
@@ -46,7 +49,7 @@ def to_ring(p: Poly):
     out = RING(0)
     for m, c in p.terms.items():
         term = RING(sympy.QQ(c.numerator, c.denominator))
-        for v, e in m.powers:
+        for v, e in Monomial(m).powers:
             term *= GENS[v] ** e
         out += term
     return out
@@ -269,10 +272,16 @@ def test_derive_matches_the_sum_of_partials_times_images():
         assert to_field(df) == _sympy_derivative(f, images)
 
 
+def _shared_content(*polys: Poly) -> Monomial:
+    """The largest monomial dividing every term of the polys, read off their powers."""
+    powers = [dict(Monomial(m).powers) for p in polys for m in p.terms]
+    return Monomial.make({v: min(d.get(v, 0) for d in powers) for v in powers[0]})
+
+
 def _normal_reference(x: RatFun) -> tuple[Poly, Poly]:
     """The normal form in full, every denominator tried as a divisor."""
     num, den = x.numer, x.base.power(x.exps)
-    shared = num.monomial_content().gcd(den.monomial_content())
+    shared = _shared_content(num, den)
     if shared:
         num, den = num.divide_monomial(shared), den.divide_monomial(shared)
     if den.is_constant:
@@ -305,7 +314,7 @@ def _rule_case(rng):
 def _lowest_den(x: RatFun) -> Poly:
     """B^e with the monomial content it shares with N removed."""
     den = x.base.power(x.exps)
-    return den.divide_monomial(x.numer.monomial_content().gcd(den.monomial_content()))
+    return den.divide_monomial(_shared_content(x.numer, den))
 
 
 def test_the_value_rule_matches_the_full_normal_form():
@@ -346,6 +355,94 @@ def test_evaluate_computes_the_normal_form_once(monkeypatch):
     assert value.evaluate({VARS[0]: 2, VARS[1]: 3, VARS[2]: 1}) == Poly.const(Fraction(7, 2))
     assert len(calls) == 1 and calls[0] is value
     assert str(value) == "(t*x^2 + t*y) / (t*x + x - t - 1)" and len(calls) == 1
+
+
+def test_the_value_rule_is_decided_once_per_value(monkeypatch):
+    x, y, t = (Poly.variable(v) for v in VARS[:3])
+    tower = Tower([VARS[2]], {VARS[2]: 1}).extend(Poly.variable(JetVar("c")) ** 2 - t, "c")
+    calls = []
+    lowest = algebra._lowest
+    monkeypatch.setattr(algebra, "_lowest", lambda x: calls.append(x) or lowest(x))
+    value = RatFun(x * x + y, t + 1) * RatFun(t, x - 1)
+    assert as_value(value) is value and as_value(value) is value
+    assert str(value) == "(t*x^2 + t*y) / (t*x + x - t - 1)" and value.den.total_degree() == 2
+    assert len(calls) == 1 and calls[0] is value
+    # a derivation in a tower: apply_derivation decides its result, and
+    # Tower.reduce, which reduces nothing here, does not decide it again
+    source = RatFun(t, t + 1)
+    assert source.variables() == {VARS[2]}
+    calls.clear()
+    derived = tower.apply(source)
+    assert str(derived) == "(1) / (t^2 + 2*t + 1)"
+    assert len(calls) == 1 and calls[0] is derived
+
+
+def test_the_seed_one_jobs_decide_each_value_once(monkeypatch, tmp_path):
+    # job_outputs puts perfbench, where the workloads live, on the path
+    scripts = os.path.join(os.path.dirname(__file__), "..", "scripts")
+    sys.path.insert(0, scripts)
+    try:
+        from job_outputs import run_job, workloads
+    finally:
+        sys.path.remove(scripts)
+    calls = []
+    lowest = algebra._lowest
+    monkeypatch.setattr(algebra, "_lowest", lambda x: calls.append(x) or lowest(x))
+    for workload, most in (("calculus-mix", 42), ("cfg-separant", 14)):
+        calls.clear()
+        for job in workloads.make_jobs(workload, 1, str(tmp_path / workload)):
+            assert run_job(job)[0] == 0, job["name"]
+        # the calls keep their arguments alive, so equal ids are one object
+        assert len({id(x) for x in calls}) == len(calls) <= most, workload
+
+
+def _reference_str(p: Poly) -> str:
+    """`str(p)` spelled out from the reference order, each monomial's powers
+    sorted by variable."""
+    pieces = []
+    for m, c in _reference_sorted_terms(p):
+        factors = [f"{v}^{e}" if e > 1 else str(v) for v, e in sorted(Monomial(m).powers)]
+        body = "*".join(([] if factors and abs(c) == 1 else [str(abs(c))]) + factors)
+        sign = ("" if c > 0 else "-") if not pieces else ("+ " if c > 0 else "- ")
+        pieces.append(sign + body)
+    return " ".join(pieces)
+
+
+def test_order_printing_and_substitution_do_not_follow_the_interning_order():
+    rng = random.Random(2024)
+    # fresh variables interned in a shuffled order: their fields do not follow the term order
+    indices = [None, MonoidElem.exponents((0, 0)), MonoidElem.exponents((1, 0)), MonoidElem.exponents((0, 2))]
+    indices += [MonoidElem.word(2, (1,)), MonoidElem.word(2, (2, 1))]
+    specs = [(base, index) for base in ("zq", "zr") for index in indices]
+    rng.shuffle(specs)
+    fresh = [JetVar(base, index) for base, index in specs]
+    assert [v.id for v in sorted(fresh)] != sorted(v.id for v in fresh)
+    ring, *gens = sympy.ring([sympy.Symbol(v.text) for v in fresh], sympy.QQ)
+    gen = dict(zip(fresh, gens))
+
+    def to_fresh_ring(p: Poly):
+        out = ring(0)
+        for m, c in p.terms.items():
+            term = ring(sympy.QQ(c.numerator, c.denominator))
+            for v, e in Monomial(m).powers:
+                term *= gen[v] ** e
+            out += term
+        return out
+
+    for _ in range(300):
+        vars_ = rng.sample(fresh, rng.randint(1, 5))
+        p = rand_nonzero_poly(rng, vars_, max_terms=6, max_degree=4)
+        reference = _reference_sorted_terms(p)
+        assert str(p) == _reference_str(p)
+        assert p.leading_term() == reference[0]
+        for v in vars_:
+            assert p.lead_in(v) == (p.deg_in(v), _reference_leading_coeff_in(p, v))
+        binding = {
+            v: rng.choice([rand_poly(rng, fresh, max_terms=2, max_degree=2), Poly.const(rand_fraction(rng))])
+            for v in rng.sample(vars_, rng.randint(1, len(vars_)))
+        }
+        expected = to_fresh_ring(p).compose([(gen[v], to_fresh_ring(b)) for v, b in binding.items()])
+        assert to_fresh_ring(p.substitute(binding)) == expected
 
 
 def test_divisions_of_coefficients_stay_exact():

@@ -113,6 +113,56 @@ def test_golden_output_under_fixed_hash_seeds():
         assert got == _load_golden(), f"PYTHONHASHSEED={seed}"
 
 
+# Variables are interned at first use, and each takes the next monomial field,
+# so the fields follow the order in which the inputs mention the variables.
+# The run below interns every variable the cases use before any case runs,
+# from the highest in the term order down, or in a shuffled order; nothing
+# printed may change.
+_INTERNED = """
+import json, sys
+from diffalg import algebra
+import test_golden as g
+for argv in json.loads(sys.argv[1]):
+    g.run_case(argv)
+print(json.dumps([(v.base, None if v.index is None else [v.index.kind, v.index.k, list(v.index.data)])
+                  for v in algebra._VARS]))
+"""
+_SCRAMBLED = """
+import json, random, sys
+from diffalg.algebra import JetVar
+from diffalg.monoid import MonoidElem
+import test_golden as g
+cases, names, order = json.loads(sys.argv[1]), json.loads(sys.argv[2]), sys.argv[3]
+made = [(base, None if index is None else MonoidElem(index[0], index[1], tuple(index[2]))) for base, index in names]
+made.sort(key=lambda pair: (pair[0], 0, ()) if pair[1] is None else (pair[0], 1, pair[1].sort_key), reverse=True)
+if order == "shuffled":
+    random.Random(24).shuffle(made)
+for base, index in made:
+    JetVar(base, index)
+print(json.dumps([g.run_case(argv) for argv in cases]))
+"""
+
+
+def test_golden_output_under_scrambled_interning_orders():
+    cases = [argv for argv in CASES if argv[0] in ("derive", "jet", "config-g", "prolong")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(ROOT, "src"), HERE]))
+
+    def run(script, *args):
+        done = subprocess.run(
+            [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120, check=True
+        )
+        return json.loads(done.stdout)
+
+    names = run(_INTERNED, json.dumps(cases))
+    assert len(names) > 20
+    golden = _load_golden()
+    for order in ("reversed", "shuffled"):
+        got = run(_SCRAMBLED, json.dumps(cases), json.dumps(names), order)
+        assert len(got) == len(cases)
+        for entry in got:
+            assert entry == golden[" ".join(entry["argv"])], (order, entry["argv"])
+
+
 if __name__ == "__main__":
     records = [run_case(argv) for argv in CASES]
     with open(GOLDEN, "w", encoding="utf-8") as handle:

@@ -9,7 +9,7 @@ import pytest
 from diffalg.algebra import JetVar, Monomial, Poly, RatFun, as_value, divide_exact, solve_affine, var
 from diffalg.axioms import DefinableSetDesc, TriangularSystem, nc_normalize, triangular_dimension_certificate
 from diffalg.cli import main
-from diffalg.derivation import DerSpec, Tower, twisted_lift
+from diffalg.derivation import DerSpec, Tower, apply_derivation, twisted_lift
 from diffalg.errors import (
     ConfigurationError,
     EngineError,
@@ -139,6 +139,19 @@ _ROOT = Tower([T], {T: 1}).extend(var("c") ** 2 - var("t"), "c")
             "negative exponent in monomial: [(JetVar(base='x', index=None), -1)]",
         ),
         (lambda: var("x").constant_value(), ValueError, "not a constant: x"),
+        # the degree cap: no monomial reaches total degree 2^15, so no packed field carries
+        (lambda: Monomial.of(X, 2**15), ValueError, "total degree 32768 is over the monomial degree cap of 32767"),
+        (lambda: var("x") ** 2**15, ValueError, "total degree 32768 is over the monomial degree cap of 32767"),
+        (
+            lambda: var("x") ** 20000 * var("y") ** 20000,
+            ValueError,
+            "total degree 40000 is over the monomial degree cap of 32767",
+        ),
+        (
+            lambda: Monomial.make({X: 2**14, Y: 2**14}),
+            ValueError,
+            "total degree 32768 is over the monomial degree cap of 32767",
+        ),
         (lambda: Poly.zero().leading_term(), ValueError, "zero polynomial has no leading term"),
         (lambda: divide_exact(var("x"), Poly.zero()), ZeroDivisionError, "division by the zero polynomial"),
         (lambda: hash(RatFun(var("x"), var("y"))), TypeError, "rational functions are not hashable"),
@@ -274,6 +287,20 @@ def test_guarded_input_messages(call, error, expected):
     with pytest.raises(error) as err:
         call()
     assert str(err.value) == expected
+
+
+def test_the_degree_cap_is_reached_and_never_crossed(capsys):
+    top = var("x") ** 32767
+    assert str(top) == "x^32767" and top.total_degree() == 32767
+    assert top.terms == {Monomial.of(X, 32767): 1} and Monomial.of(X, 32767).deg_in(X) == 32767
+    # one more degree in a derivation: x^32767 -> 32767 * x^32766 * (x * y)
+    with pytest.raises(ValueError, match="total degree 32768 is over the monomial degree cap of 32767"):
+        apply_derivation(top, DerSpec(images={X: var("x") * var("y")}))
+    # the command line reports the cap and exits 1
+    assert main(["derive", "x^32768", "--spec", "d: x -> 1"]) == 1
+    assert capsys.readouterr() == ("", "error: total degree 32768 is over the monomial degree cap of 32767\n")
+    assert main(["derive", "x^32767", "--spec", "d: x -> 0"]) == 0
+    assert capsys.readouterr().out == "0\n"
 
 
 @pytest.mark.parametrize(

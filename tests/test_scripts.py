@@ -120,3 +120,20 @@ def test_profile_jobs_times_every_job_and_lists_self_times(tmp_path):
 
     proc = run_script("profile_jobs.py", "--workload", "calculus-mix", "--rounds", "0")
     assert proc.returncode == 2 and "--rounds must be at least 1" in proc.stderr
+
+
+def test_kernel_bench_times_three_kernels_on_the_operands_of_a_round():
+    proc = run_script("kernel_bench.py", "--workload", "calculus-mix", "--seed", "1", "--repeats", "1", "--json")
+    assert proc.returncode == 0, proc.stderr
+    table = json.loads(proc.stdout)
+    assert list(table) == ["Poly.__mul__", "FactorBase.derive", "Poly.__str__"]
+    assert all(row["calls"] > 0 and row["median_ms"] > 0 for row in table.values())
+
+    proc = run_script("kernel_bench.py", "--workload", "cfg-linear", "--repeats", "2")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["cfg-linear, seed 1: median reference ms of 2 replays", "  kernel              calls        ms"]
+    assert [line.split()[0] for line in lines[2:]] == list(table)
+
+    proc = run_script("kernel_bench.py", "--workload", "calculus-mix", "--repeats", "0")
+    assert proc.returncode == 2 and "--repeats must be at least 1" in proc.stderr

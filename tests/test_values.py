@@ -5,8 +5,8 @@ Each class is built twice from equal fields.  The two values are equal
 hashable, and `repr` gives the text pinned below.  Frozen classes refuse
 assignment; `DerSpec` and `VarietyInput` stay mutable and unhashable.
 `JetVar`, `Monomial` and `MonoidElem` keep their total order.  A `Monomial`
-is the frozenset of its (variable, exponent) pairs: hash and equality are
-the set's, but its order is the term order, never the subset test.
+is a view of its packed `int`: hash and equality are the int's, but its
+order is the term order, never the order of the ints.
 """
 
 import importlib
@@ -122,8 +122,8 @@ REPRS = {
     "MinimalLeaders": "MinimalLeaders(elements=frozenset({MonoidElem(kind='free', k=1, data=(1,))}), length_bound=1)",
     "MonoidElem": "MonoidElem(kind='commutative', k=2, data=(1, 0))",
     "Monomial": (
-        "Monomial(powers=frozenset({(JetVar(base='x', index=MonoidElem(kind='commutative', k=2, data=(1, "
-        "0))), 2)}))"
+        "Monomial(sorted_powers=((JetVar(base='x', index=MonoidElem(kind='commutative', k=2, data=(1, "
+        "0))), 2),))"
     ),
     "NcNormalizeResult": (
         "NcNormalizeResult(v_prime=InitialSet(kind='free', k=1, "
@@ -265,13 +265,17 @@ def test_keys_and_text_are_set_when_the_value_is_made():
     plain = JetVar("fresh")
     assert object.__getattribute__(plain, "sort_key") == ("fresh", 0, ())
     assert object.__getattribute__(plain, "text") == "fresh"
-    # only a Monomial computes a slot on first read
+    # the monomial field: the next id in interning order, its bit and its packed unit
+    assert object.__getattribute__(plain, "id") == object.__getattribute__(v, "id") + 1
+    assert object.__getattribute__(plain, "shift") == 16 * (plain.id + 1)
+    assert object.__getattribute__(plain, "unit") == 1 << plain.shift | 1 == Monomial.of(plain)
+    # no class computes a slot on first read; a monomial keeps no order key
     assert "__getattr__" not in vars(Record) and not hasattr(Record, "_lazy")
     names = ["algebra", "axioms", "cli", "config", "derivation", "errors", "jet", "monoid", "parsing", "prolong"]
     modules = [importlib.import_module(f"diffalg.{name}") for name in names]
     classes = {c for module in modules for c in vars(module).values() if isinstance(c, type)}
     lazy = {c.__name__ for c in classes if c.__module__.startswith("diffalg.") and "__getattr__" in vars(c)}
-    assert lazy == {"Monomial"}
+    assert lazy == set()
 
 
 def test_unequal_values_differ():
@@ -315,7 +319,7 @@ def test_total_order_is_unchanged(chain):
 
 
 def test_monomials_refuse_the_subset_order():
-    # frozenset's <= and >= would read subsets: 1 <= t, t <= t*x[0]
+    # int's <= and >= would compare the packed ints, whose order is the interning order
     chain = ORDERED[-1]
     for a in chain:
         for b in chain:
@@ -327,37 +331,44 @@ def test_monomials_refuse_the_subset_order():
 def test_equal_powers_give_equal_monomials_with_equal_hashes():
     x0 = x_at(0, 0)
     pairs = frozenset({(T, 2), (x0, 1)})
+    # the packed int: the degree 3 in field 0, and each exponent in its variable's field
+    packed = 3 + (2 << T.shift) + (1 << x0.shift)
     built = [
-        Monomial(pairs),
-        Monomial([(x0, 1), (T, 2)]),
+        Monomial(packed),
+        Monomial(2 * T.unit + x0.unit),
         Monomial.make({x0: 1, T: 2, X: 0}),
         Monomial.of(T, 2) * Monomial.of(x0),
         Monomial.of(x0) * Monomial.of(T) * Monomial.of(T),
         Monomial.of(T, 3) * Monomial.of(x0, 2) / Monomial.make({T: 1, x0: 1}),
-        (Monomial.of(T, 2) * Monomial.of(x0) * Monomial.of(X)).without(X),
-        Monomial.make({T: 2, x0: 1, X: 3}).gcd(Monomial.make({T: 5, x0: 1})),
+        Monomial(Monomial.of(T, 2) + Monomial.of(x0) + Monomial.of(X) - Monomial.of(X)),
+        Poly({Monomial.make({T: 2, x0: 1, X: 3}): 1, Monomial.make({T: 5, x0: 1}): 1}).monomial_content(),
     ]
     for m in built:
-        assert type(m) is Monomial and m.powers is m
+        assert type(m) is Monomial and m.powers == pairs
         assert m == built[0] and not m != built[0] and hash(m) == hash(built[0])
-        # the hash and equality are the set's
-        assert m == pairs and hash(m) == hash(pairs)
+        # the hash and equality are the int's
+        assert m == packed and hash(m) == hash(packed)
         assert m.sorted_powers == ((T, 2), (x0, 1)) and m.degree == 3 and m.variables() == {T, x0}
-    assert len({*built, pairs}) == 1
-    assert Monomial.one() == Monomial() == frozenset() and not Monomial.one()
+        assert (m.deg_in(T), m.deg_in(x0), m.deg_in(X)) == (2, 1, 0)
+    assert len({*built, packed}) == 1
+    assert Monomial.one() == Monomial() == 0 and not Monomial.one()
     assert Monomial.of(T) != Monomial.of(T, 2) and hash(Monomial.of(T)) != hash(Monomial.of(T, 2))
+    # a polynomial's terms are keyed by the plain ints, and equal the monomials
+    terms = (Poly.variable(T) ** 2 * Poly.variable(x0)).terms
+    assert terms == {built[0]: 1} and type(next(iter(terms))) is int
 
 
 @pytest.mark.parametrize("field", ["powers", "sort_key", "sorted_powers"])
 def test_monomial_fields_refuse_assignment(field):
+    # a monomial is an int with no slots: its fields are decoded on each read,
+    # and no order key can be kept on it
     m = Monomial.make({T: 1, X: 2})
-    for _ in range(2):  # before the lazy slots are filled, and after
-        with pytest.raises(AttributeError):
-            setattr(m, field, None)
-        with pytest.raises(AttributeError):
-            delattr(m, field)
-        assert m.sort_key == (3, ((X.sort_key, 2), (T.sort_key, 1))) and m.sorted_powers == ((T, 1), (X, 2))
-    assert m.powers is m
+    with pytest.raises(AttributeError):
+        setattr(m, field, None)
+    with pytest.raises(AttributeError):
+        delattr(m, field)
+    assert not hasattr(m, "sort_key") and not hasattr(m, "__dict__")
+    assert m.sorted_powers == ((T, 1), (X, 2)) and m.powers == {(T, 1), (X, 2)} and m == T.unit + 2 * X.unit
 
 
 def test_monomials_refuse_negative_exponents():
