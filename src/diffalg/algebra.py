@@ -26,22 +26,23 @@ divides each factor out of its numerator as often as it goes, so
 The normal form removes monomial content shared by N and B^e, folds a
 constant denominator into the numerator, cancels the denominator when it
 divides the numerator exactly, and else makes it primitive with a positive
-leading coefficient.  It is computed only where a value leaves the engine
-(printing, `num`, `den`, `variables`, `substitute`, `evaluate`), and at
-most once per value: a `RatFun` keeps it once computed, and its fields are
-set only when it is made.  The value rule needs only the first three steps
-(`_lowest`), so it scales nothing.
+leading coefficient (`RatFun._normal`).  It is computed only where a value
+leaves the engine (the value rule, printing, `num`, `den`, `variables`,
+`substitute`, `evaluate`), and at most once per value, by whichever of
+these asks first: a `RatFun` keeps it once computed, and its fields are set
+only when it is made.
 
 The value rule, decided here and nowhere else: a value whose normal form has
-a constant denominator is a `Poly`.  `as_value` applies it; public functions
-apply it once to the values they return (`parse_expression`,
-`apply_derivation`, `Tower.reduce`/`apply`/`invert`, `f_at`/`compute_f`,
-`RatFun.substitute`).  Entry points take numbers from callers through
-`to_value`, which normalises nothing.  Inside the engine a sum may stay a
-`RatFun` whose normal form is a `Poly`; a value with no positive exponent is
-always a `Poly`.  A `Poly` answers `num` (itself), `den` (1) and the raw
-parts of a fraction over the empty base, so code reading them, `variables`,
-`is_zero`, `evaluate` or `substitute` takes either type (`Value`).
+a constant denominator is a `Poly`.  `as_value` applies it, reading the
+kept normal form; public functions apply it once to the values they return
+(`parse_expression`, `apply_derivation`, `Tower.reduce`/`apply`/`invert`,
+`f_at`/`compute_f`, `RatFun.substitute`).  Entry points take numbers from
+callers through `to_value`, which normalises nothing.  Inside the engine a
+sum may stay a `RatFun` whose normal form is a `Poly`; a value with no
+positive exponent is always a `Poly`.  A `Poly` answers `num` (itself),
+`den` (1) and the raw parts of a fraction over the empty base, so code
+reading them, `variables`, `is_zero`, `evaluate` or `substitute` takes
+either type (`Value`).
 
 The monomial rule: a monomial is one `int` of 16-bit fields (packed
 exponents; Monagan and Pearce, CASC 2007).  Each variable gets an `id`
@@ -618,21 +619,19 @@ class RatFun:
     The engine computes with the raw parts `numer`, `base` and `exps`; `num`,
     `den`, `variables`, printing, `substitute` and `==` read the value, so a
     variable that cancels from it is not one of its variables.  The
-    constructor `RatFun(num, den)` builds num / den, a `RatFun` even over a
-    constant denominator.
+    constructor `RatFun(num, den)` builds num / den, for numbers, polynomials
+    or fractions num and den, a `RatFun` even over a constant denominator.
     """
 
-    # `_low`, the verdict of `_lowest`, and `_form`, the normal form, are set
-    # on first use by `_lowered` and `_normal`
-    __slots__ = ("numer", "base", "exps", "_low", "_form")
+    # `_form`, the normal form, is set on first use by `_normal`
+    __slots__ = ("numer", "base", "exps", "_form")
 
     def __init__(self, num, den=None):
-        num, den = _coerce(num), _ONE if den is None else _coerce(den)
+        den = _ONE if den is None else _coerce(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        base, ((c, exps),) = _NO_BASE.extend((den,))
-        value = _cancelled(num * (1 / Fraction(c)), base, exps)
-        self.numer, self.base, self.exps = value.numer, base, value.exps or base.zero
+        value = _coerce(num) / den
+        self.numer, self.base, self.exps = value.numer, value.base, value.exps
 
     # ------------------------------------------------------------------
 
@@ -658,27 +657,34 @@ class RatFun:
 
     def _normal(self) -> tuple[Poly, Poly]:
         """(num, den), the normal form of N / B^e, computed on first use and
-        kept: `_lowest`, and a denominator that remains made primitive with
-        a positive leading coefficient."""
+        kept: the monomial content shared by N and B^e removed, and den the
+        shared 1 when the value is a polynomial: a constant denominator is
+        folded into the numerator, one that divides it exactly is cancelled.
+        Any other den is made primitive with a positive leading coefficient.
+
+        A den of one term c*m is not tried as a divisor: if it divided num, m
+        would divide every term of num, so m would divide the monomial content
+        of both num and den.  Their shared content is already removed, so m
+        would be the monomial 1 and den a constant, which is folded above.
+        """
         try:
             return self._form
         except AttributeError:
             pass
-        num, den = self._lowered()
-        if den is not _ONE:
+        num, den = self.numer, self.base.power(self.exps)
+        shared = _content([*num.terms, *den.terms])
+        if shared:
+            num, den = num.divide_monomial(shared), den.divide_monomial(shared)
+        if den.is_constant:
+            num, den = num * (1 / Fraction(den.constant_value())), _ONE
+        elif len(den.terms) > 1 and (q := divide_exact(num, den)) is not None:
+            num, den = q, _ONE
+        else:
             scale = den.content()
             inv = 1 / (scale if den.leading_term()[1] > 0 else -scale)
             num, den = num * inv, den * inv
         self._form = num, den
         return self._form
-
-    def _lowered(self) -> tuple[Poly, Poly]:
-        """`_lowest(self)`, computed on first use and kept."""
-        try:
-            return self._low
-        except AttributeError:
-            self._low = _lowest(self)
-            return self._low
 
     def variables(self) -> set[JetVar]:
         num, den = self._normal()
@@ -778,35 +784,12 @@ def to_value(x) -> Value:
 def as_value(x) -> Value:
     """x under the value rule: numbers become constant polynomials, and a
     RatFun whose normal form has a constant denominator that form's
-    numerator.  The rule reads `_lowest`, which leaves the content of the
-    denominator alone, and a RatFun keeps its verdict."""
+    numerator.  The rule reads the normal form, which a RatFun keeps."""
     out = to_value(x)
     if not any(out.exps):
         return out.numer
-    num, den = out._lowered()
+    num, den = out._normal()
     return num if den is _ONE else out
-
-
-def _lowest(x: RatFun) -> tuple[Poly, Poly]:
-    """(num, den) for N / B^e with the monomial content shared by N and B^e
-    removed, and den the shared 1 when the value is a polynomial: a constant
-    denominator is folded into the numerator, one that divides it exactly
-    is cancelled.  Any other den is not constant and does not divide num.
-
-    A den of one term c*m is not tried as a divisor: if it divided num, m
-    would divide every term of num, so m would divide the monomial content
-    of both num and den.  Their shared content is already removed, so m
-    would be the monomial 1 and den a constant, which is folded above.
-    """
-    num, den = x.numer, x.base.power(x.exps)
-    shared = _content([*num.terms, *den.terms])
-    if shared:
-        num, den = num.divide_monomial(shared), den.divide_monomial(shared)
-    if den.is_constant:
-        return num * (1 / Fraction(den.constant_value())), _ONE
-    if len(den.terms) > 1 and (q := divide_exact(num, den)) is not None:
-        return q, _ONE
-    return num, den
 
 
 def fraction(numer: Poly, base: "FactorBase", exps: tuple[int, ...]) -> Value:

@@ -141,9 +141,10 @@ class LiftResult(Record):
 
 def twisted_lift(p: Value, spec: DerSpec) -> LiftResult:
     """Lift p to p_eta + sum (dp/dx) y_x over fresh partner variables."""
-    mains = sorted(p.variables() - spec.parameters)
+    variables = p.variables()
+    mains = sorted(variables - spec.parameters)
     for v in mains:
-        if partner_var(v) in p.variables():
+        if partner_var(v) in variables:
             raise EngineError(f"reserved partner name {partner_var(v)} already occurs in {p}")
     partners = DerSpec(spec.eta, {v: Poly.variable(partner_var(v)) for v in mains})
     return LiftResult(apply_derivation(p, partners), coeff_derivative(p, spec.eta))
@@ -216,13 +217,6 @@ class Tower:
 
     def extend(self, minpoly: Poly, gen: JetVar | str) -> "Tower":
         return extend_to_algebraic(self, minpoly, gen)
-
-    def with_eta(self, eta: Mapping[JetVar, Value]) -> "Tower":
-        """Rebuild the same chain of extensions over a new coefficient derivation."""
-        base = Tower(self.params, eta)
-        for stage in self.stages:
-            base = base.extend(stage.minpoly, stage.gen)
-        return base
 
     # -- structure -----------------------------------------------------
 

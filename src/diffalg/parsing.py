@@ -592,46 +592,49 @@ class _JsonArray(list):
     """A JSON array; `where[i]` is the file line and column where an item starts."""
 
 
-def _located_json(text: str):
-    """json.loads, with every string a `_JsonText`, object a `_JsonObject`
-    and array a `_JsonArray`."""
+def _place(s: str, at: int) -> tuple[int, int]:
+    return s.count("\n", 0, at) + 1, at - s.rfind("\n", 0, at)
 
-    def place(s: str, at: int) -> tuple[int, int]:
-        return s.count("\n", 0, at) + 1, at - s.rfind("\n", 0, at)
 
-    def noting(found: list, scan_once):
-        return lambda s, at: found.append(place(s, at)) or scan_once(s, at)
+def _noting(found: list, scan_once):
+    return lambda s, at: found.append(_place(s, at)) or scan_once(s, at)
 
-    def parse_string(s: str, end: int, strict: bool):
-        value, stop = scanstring(s, end, strict)
-        out = _JsonText(value)
-        out.line, out.column = place(s, end)
-        out.verbatim = "\\" not in s[end:stop]
-        return out, stop
 
-    def parse_object(s_and_end, strict, scan_once, *_):
-        found: list = []
-        pairs, end = JSONObject(s_and_end, strict, noting(found, scan_once), None, list)
-        out = _JsonObject(pairs)
-        out.where = {key: at for (key, _), at in zip(pairs, found)}
-        return out, end
+def _parse_string(s: str, end: int, strict: bool):
+    value, stop = scanstring(s, end, strict)
+    out = _JsonText(value)
+    out.line, out.column = _place(s, end)
+    out.verbatim = "\\" not in s[end:stop]
+    return out, stop
 
-    def parse_array(s_and_end, scan_once):
-        found: list = []
-        items, end = JSONArray(s_and_end, noting(found, scan_once))
-        out = _JsonArray(items)
-        out.where = found
-        return out, end
 
-    decoder = json.JSONDecoder()
-    decoder.parse_string, decoder.parse_object, decoder.parse_array = parse_string, parse_object, parse_array
-    decoder.scan_once = py_make_scanner(decoder)
-    return decoder.decode(text)
+def _parse_object(s_and_end, strict, scan_once, *_):
+    found: list = []
+    pairs, end = JSONObject(s_and_end, strict, _noting(found, scan_once), None, list)
+    out = _JsonObject(pairs)
+    out.where = {key: at for (key, _), at in zip(pairs, found)}
+    return out, end
+
+
+def _parse_array(s_and_end, scan_once):
+    found: list = []
+    items, end = JSONArray(s_and_end, _noting(found, scan_once))
+    out = _JsonArray(items)
+    out.where = found
+    return out, end
+
+
+# json.loads, with every string a `_JsonText`, object a `_JsonObject` and array
+# a `_JsonArray`.  Its scanner refers to itself, so it is built once: one per
+# parse would leave a reference cycle for the collector each time.
+_DECODER = json.JSONDecoder()
+_DECODER.parse_string, _DECODER.parse_object, _DECODER.parse_array = _parse_string, _parse_object, _parse_array
+_DECODER.scan_once = py_make_scanner(_DECODER)
 
 
 def parse_definable_json(text: str) -> DefinableSetDesc:
     try:
-        data = _located_json(text)
+        data = _DECODER.decode(text)
     except json.JSONDecodeError as err:
         raise ParseError(f"invalid JSON: {err.msg}", err.lineno, err.colno) from None
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .algebra import AffineSpace, JetVar, Poly, Value, solve_affine, to_value
-from .derivation import DerSpec, Tower, coeff_derivative, partner_var, twisted_lift
+from .derivation import DerSpec, Tower, apply_derivation, coeff_derivative, implicit_delta, partner_var, twisted_lift
 from .errors import FiberError, UndeclaredParameterError, listing
 from .monoid import Record
 
@@ -145,7 +145,10 @@ def extend_at_point(
     The point's coordinates must be distinct tower variables; transcendental
     coordinates receive the prescribed tangent values directly, algebraic
     stages the derivative their defining polynomial forces (which must agree
-    with the prescribed value, or the pair was not on the bundle).
+    with the prescribed value, or the pair was not on the bundle).  The
+    forced values are computed in the given tower, stage by stage: it has
+    proved its defining polynomials squarefree with unit separants, and they
+    do not depend on the derivation, so the tower is not rebuilt.
     """
     _check_parameters(variety, spec)
     coords = tuple(JetVar(c) if isinstance(c, str) else c for c in point)
@@ -178,9 +181,13 @@ def extend_at_point(
     if missing:
         raise UndeclaredParameterError(f"tower transcendentals without derivative values: {listing(missing)}")
 
-    extended = tower.with_eta(eta)
-    images = {stage.gen: stage.dvalue for stage in extended.stages}
+    # the derivation of the base field, which refuses a key that is not a base parameter
+    base = Tower(tower.params, eta)
+    images = {}
+    for stage in tower.stages:
+        images[stage.gen] = tower.reduce(implicit_delta(stage.minpoly, stage.gen, DerSpec(base.eta, images)))
+        assert tower.is_zero(apply_derivation(stage.minpoly, DerSpec(base.eta, images)))
     for c, y in zip(coords, tangent):
-        if c in gen_names and not extended.equal(images[c], y):
+        if c in gen_names and not tower.equal(images[c], y):
             raise FiberError(f"prescribed value for {c} is not the forced derivative")
     return DerSpec(eta, images)

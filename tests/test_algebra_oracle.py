@@ -18,7 +18,6 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_fraction, rand_nonzero_poly, rand_poly, rand_ratfun
-from diffalg import algebra
 from diffalg.algebra import (
     JetVar,
     Monomial,
@@ -327,7 +326,7 @@ def test_the_value_rule_matches_the_full_normal_form():
         twin = fraction(x.numer, x.base, x.exps)
         num, den = _normal_reference(twin)
         expected = num if den.is_constant else twin
-        got = as_value(x)  # no normal form kept yet: decided without scaling
+        got = as_value(x)
         assert type(got) is type(expected), x
         assert got.terms == expected.terms if isinstance(got, Poly) else got is x, x
         # the kept normal form is the full one and gives the same decision
@@ -346,10 +345,23 @@ def test_the_value_rule_matches_the_full_normal_form():
     assert min(seen.values()) >= 20, seen
 
 
-def test_evaluate_computes_the_normal_form_once(monkeypatch):
+def _first_normal_forms(monkeypatch) -> list:
+    """The values whose normal form `RatFun._normal` computes, in order: it
+    computes one for a value that keeps none yet."""
     calls = []
-    lowest = algebra._lowest
-    monkeypatch.setattr(algebra, "_lowest", lambda x: calls.append(x) or lowest(x))
+    normal = RatFun._normal
+
+    def counted(x):
+        if not hasattr(x, "_form"):
+            calls.append(x)
+        return normal(x)
+
+    monkeypatch.setattr(RatFun, "_normal", counted)
+    return calls
+
+
+def test_evaluate_computes_the_normal_form_once(monkeypatch):
+    calls = _first_normal_forms(monkeypatch)
     x, y, t = (Poly.variable(v) for v in VARS[:3])
     value = RatFun(x * x + y, t + 1) * RatFun(t, x - 1)
     assert value.evaluate({VARS[0]: 2, VARS[1]: 3, VARS[2]: 1}) == Poly.const(Fraction(7, 2))
@@ -360,9 +372,7 @@ def test_evaluate_computes_the_normal_form_once(monkeypatch):
 def test_the_value_rule_is_decided_once_per_value(monkeypatch):
     x, y, t = (Poly.variable(v) for v in VARS[:3])
     tower = Tower([VARS[2]], {VARS[2]: 1}).extend(Poly.variable(JetVar("c")) ** 2 - t, "c")
-    calls = []
-    lowest = algebra._lowest
-    monkeypatch.setattr(algebra, "_lowest", lambda x: calls.append(x) or lowest(x))
+    calls = _first_normal_forms(monkeypatch)
     value = RatFun(x * x + y, t + 1) * RatFun(t, x - 1)
     assert as_value(value) is value and as_value(value) is value
     assert str(value) == "(t*x^2 + t*y) / (t*x + x - t - 1)" and value.den.total_degree() == 2
@@ -385,15 +395,31 @@ def test_the_seed_one_jobs_decide_each_value_once(monkeypatch, tmp_path):
         from job_outputs import run_job, workloads
     finally:
         sys.path.remove(scripts)
-    calls = []
-    lowest = algebra._lowest
-    monkeypatch.setattr(algebra, "_lowest", lambda x: calls.append(x) or lowest(x))
+    calls = _first_normal_forms(monkeypatch)
     for workload, most in (("calculus-mix", 42), ("cfg-separant", 14)):
         calls.clear()
         for job in workloads.make_jobs(workload, 1, str(tmp_path / workload)):
             assert run_job(job)[0] == 0, job["name"]
         # the calls keep their arguments alive, so equal ids are one object
         assert len({id(x) for x in calls}) == len(calls) <= most, workload
+
+
+def test_the_constructor_divides_fractions():
+    rng = random.Random(2525)
+    for _ in range(40):
+        # each of num and den a fraction or a polynomial
+        num = rng.choice([rand_ratfun, rand_poly])(rng, VARS, max_terms=3, max_degree=2)
+        den = rng.choice([rand_ratfun, rand_nonzero_poly])(rng, VARS, max_terms=3, max_degree=2)
+        got = RatFun(num, den)
+        assert isinstance(got, RatFun) and got == num / den, (num, den)
+        assert_lean(got)
+        want = sympy.cancel(to_field(num).as_expr() / to_field(den).as_expr())
+        assert sympy.cancel(to_field(got).as_expr() - want) == 0, (num, den)
+    x, y = (Poly.variable(v) for v in VARS[:2])
+    for num in (x, RatFun(x, y + 1), 3):
+        for zero in (0, Poly.zero(), RatFun(Poly.zero(), y)):
+            with pytest.raises(ZeroDivisionError, match="^zero denominator$"):
+                RatFun(num, zero)
 
 
 def _reference_str(p: Poly) -> str:

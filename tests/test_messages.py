@@ -272,6 +272,11 @@ _ROOT = Tower([T], {T: 1}).extend(var("c") ** 2 - var("t"), "c")
             "a coefficient parameter cannot serve as a generic coordinate",
         ),
         (
+            lambda: extend_at_point(VarietyPresentation((X,), ()), DerSpec(eta={S: 1}), Tower([T]), (T,), (1,)),
+            UndeclaredParameterError,
+            "eta assigns s, which is not a base parameter",
+        ),
+        (
             lambda: extend_at_point(_CIRCLE, DerSpec(), _ROOT, (T, C), (1, 1)),
             FiberError,
             "point does not satisfy y^2 + x^2 - 1 in the tower",

@@ -1,3 +1,5 @@
+import gc
+import os
 from fractions import Fraction
 
 import pytest
@@ -299,6 +301,21 @@ def test_definable_json_errors_name_the_entry_and_its_place_in_the_file(text, me
     with pytest.raises(ParseError) as info:
         parse_definable_json(text)
     assert (info.value.message, (info.value.line, info.value.column)) == (message, where)
+
+
+def test_parsing_json_leaves_no_reference_cycles():
+    with open(os.path.join(os.path.dirname(__file__), "..", "corpus", "product.zjson"), encoding="utf-8") as fh:
+        text = fh.read()
+    parse_definable_json(text)  # warm-up: first-use caches are not garbage
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        parse_definable_json(text)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ----------------------------------------------------------------------
