@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Time three polynomial kernels on the operands of one benchmark round.
+"""Time four polynomial kernels on the operands of one benchmark round.
 
 Runs every job of one workload and seed once, in this process, through
 perfbench/workloads.py (as scripts/job_outputs.py does), and records the
-operands of three kernels as the jobs call them:
+operands of four kernels as the jobs call them:
 
 - `Poly.__mul__`: both operands of every product;
 - `FactorBase.derive`: the base, the value, the images the call asks for
   and the memo as the call found it (a derive made inside another is part
   of that call, not a call of its own);
-- `Poly.__str__`: every polynomial printed.
+- `Poly.__str__`: every polynomial printed;
+- `Poly.substitute`: the polynomial and a copy of the binding as the call
+  found it (witness sampling fills in its point after the calls it makes).
 
 Then it replays each kernel's calls --repeats times and prints, per kernel,
 the number of calls and the median time of one replay of all of them, in
@@ -38,11 +40,11 @@ from refloop import R0, time_reference
 
 
 def record(jobs: list[dict]) -> dict[str, list]:
-    """Run the jobs once with the three kernels wrapped; their calls, in order."""
+    """Run the jobs once with the four kernels wrapped; their calls, in order."""
     from diffalg.algebra import FactorBase, Poly
 
-    calls: dict[str, list] = {"Poly.__mul__": [], "FactorBase.derive": [], "Poly.__str__": []}
-    mul, derive, text = Poly.__mul__, FactorBase.derive, Poly.__str__
+    calls: dict[str, list] = {"Poly.__mul__": [], "FactorBase.derive": [], "Poly.__str__": [], "Poly.substitute": []}
+    mul, derive, text, substitute = Poly.__mul__, FactorBase.derive, Poly.__str__, Poly.substitute
     inside = []
 
     def recorded_mul(self, other):
@@ -69,12 +71,17 @@ def record(jobs: list[dict]) -> dict[str, list]:
         calls["Poly.__str__"].append(self)
         return text(self)
 
-    Poly.__mul__, FactorBase.derive, Poly.__str__ = recorded_mul, recorded_derive, recorded_str
+    def recorded_substitute(self, binding):
+        calls["Poly.substitute"].append((self, dict(binding)))
+        return substitute(self, binding)
+
+    Poly.__mul__, FactorBase.derive = recorded_mul, recorded_derive
+    Poly.__str__, Poly.substitute = recorded_str, recorded_substitute
     try:
         for job in jobs:
             run_job(job)
     finally:
-        Poly.__mul__, FactorBase.derive, Poly.__str__ = mul, derive, text
+        Poly.__mul__, FactorBase.derive, Poly.__str__, Poly.substitute = mul, derive, text, substitute
     return calls
 
 
@@ -104,7 +111,7 @@ def replays(calls: dict[str, list]) -> dict:
     afresh, and run(operands) makes every call once on them."""
     from diffalg.algebra import FactorBase, Poly
 
-    mul, derive, text = Poly.__mul__, FactorBase.derive, Poly.__str__
+    mul, derive, text, substitute = Poly.__mul__, FactorBase.derive, Poly.__str__, Poly.substitute
 
     def products(operands):
         for a, b in operands:
@@ -118,10 +125,18 @@ def replays(calls: dict[str, list]) -> dict:
         for p in operands:
             text(p)
 
+    def substitutions(operands):
+        for p, binding in operands:
+            substitute(p, binding)
+
     return {
         "Poly.__mul__": (lambda: [(fresh(a), fresh(b)) for a, b in calls["Poly.__mul__"]], products),
         "FactorBase.derive": (lambda: [fresh_derive(*call) for call in calls["FactorBase.derive"]], derivations),
         "Poly.__str__": (lambda: [fresh(p) for p in calls["Poly.__str__"]], printing),
+        "Poly.substitute": (
+            lambda: [(fresh(p), {v: fresh(x) for v, x in b.items()}) for p, b in calls["Poly.substitute"]],
+            substitutions,
+        ),
     }
 
 

@@ -64,9 +64,15 @@ in which variables were interned, not this order, so no monomial carries
 its order: each operation that needs it (printing, `leading_term`,
 `divide_exact`, `substitute`) ranks the variables it meets once, by
 `sort_key`, and reads the exponents of those variables from each monomial.
-`Poly.__str__` and `Poly.substitute` walk a monomial's powers in increasing
-variable order: a product of fractions cancels factors step by step, so its
-printed form depends on the order.
+`Poly.__str__` walks a monomial's powers in increasing variable order.
+
+Substitution: `Poly.substitute` folds a variable bound to a number into the
+coefficient, from a table of that number's powers made once per call, so a
+polynomial at a rational point costs one pass over its terms.  A variable
+bound to a value (a non-constant `Poly` or a `RatFun`) is multiplied in as
+a power, in increasing variable order with the unbound ones: a product of
+fractions cancels factors step by step, so its printed form depends on the
+order.
 """
 
 from __future__ import annotations
@@ -510,22 +516,58 @@ class Poly:
         return _ring(out)
 
     def substitute(self, binding: Mapping[JetVar, "Poly | RatFun | int | Fraction"]):
-        """Replace the bound variables, leaving the others alone; each term
-        takes its powers in increasing variable order."""
-        rising = [(v, v.shift, v in binding) for v in _ranked(_union(self.terms))]
+        """Replace the bound variables, leaving the others alone.
+
+        A variable bound to a number n/d (an `int`, a `Fraction` or a
+        constant `Poly`) folds into each term's coefficient in integers: with
+        D the total degree of the polynomial, a term of degree e in the
+        variable takes the factor n^e * d^(D - e), from a table of them made
+        once, and the coefficients are divided by the product of the d^D at
+        the end.  When every bound variable of the polynomial is such a
+        number, the terms are summed into one dict in that one pass.  Else
+        each term takes its other powers, bound to values or left alone, in
+        increasing variable order, and the terms are added in turn.
+        """
+        terms = self.terms
+        numbers, others, valued, den = [], [], False, 1
+        for v in _variables(_union(terms)):
+            x = binding.get(v)
+            if x.__class__ is Poly and x.is_constant:
+                x = x.constant_value()
+            if isinstance(x, (int, Fraction)):
+                numbers.append((v, x.numerator, x.denominator))
+                den *= x.denominator
+            else:
+                valued = valued or x is not None
+                others.append((v.sort_key, v.shift, v.unit, x))
+        top = _degree(terms) if numbers else 0
+        scales = [(v.shift, v.unit, [n ** e * d ** (top - e) for e in range(top + 1)]) for v, n, d in numbers]
+        den **= top
+        if not valued:
+            out: dict[int, int | Fraction] = {}
+            for m, c in terms.items():
+                scale = 1
+                for s, unit, table in scales:
+                    e = m >> s & _MASK
+                    scale *= table[e]
+                    m -= e * unit
+                prev = out.get(m)
+                out[m] = c * scale if prev is None else prev + c * scale
+            return _ring(out) if den == 1 else _poly({m: _lean(Fraction(c, den)) for m, c in out.items() if c})
+        others.sort(key=itemgetter(0))
         result = None
-        for m, c in self.terms.items():
-            term = Poly.const(c)
-            for v, s, bound in rising:
+        for m, c in terms.items():
+            for s, _, table in scales:
+                c *= table[m >> s & _MASK]
+            if not c:
+                continue
+            term = Poly.const(c if den == 1 else Fraction(c, den))
+            for _, s, unit, x in others:
                 e = m >> s & _MASK
-                if not e:
-                    continue
-                factor = _coerce(binding[v]) ** e if bound else _poly({e * v.unit: 1})
-                term = factor * term
+                if e:
+                    term = (_poly({e * unit: 1}) if x is None else _coerce(x) ** e) * term
             result = term if result is None else result + term
-        if result is None:
-            return Poly.zero()
-        return result
+        return Poly.zero() if result is None else result
 
     def evaluate(self, binding: Mapping[JetVar, "Poly | RatFun | int | Fraction"]) -> "Value":
         missing = self.variables() - set(binding)
@@ -747,10 +789,14 @@ class RatFun:
 
     def substitute(self, binding) -> "Value":
         num, den = self._normal()
-        value = den.substitute(binding)
-        if value.is_zero:
+        at_den = den.substitute(binding)
+        if at_den.is_zero:
             raise PoleError(f"denominator {den} vanishes under substitution")
-        return as_value(num.substitute(binding) / value)
+        at_num = num.substitute(binding)
+        # at a point both are numbers: their quotient, with no division of values
+        if at_num.__class__ is Poly is at_den.__class__ and at_num.is_constant and at_den.is_constant:
+            return Poly.const(Fraction(at_num.constant_value(), at_den.constant_value()))
+        return as_value(at_num / at_den)
 
     # Poly.evaluate reads only variables and substitute, which a RatFun answers too
     evaluate = Poly.evaluate

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import random
 import sys
 
@@ -18,6 +17,7 @@ from .axioms import triangular_dimension_certificate, wide_from_deep
 from .derivation import apply_derivation
 from .errors import EngineError, ParseError
 from .jet import rewrite_atom, rewrite_term
+from .jsontext import json_text
 from .monoid import COMMUTATIVE, FREE
 from .parsing import (
     parse_config,
@@ -37,7 +37,7 @@ _MODES = {"comm": COMMUTATIVE, "free": FREE}
 
 def _emit(payload: dict, text: str, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json_text(payload))
     else:
         print(text)
 
@@ -132,7 +132,7 @@ def _cmd_prolong(args) -> int:
             "particular": [str(x) for x in space.particular] if space.particular else None,
             "kernel": [[str(x) for x in vec] for vec in space.kernel],
         }
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(json_text(payload))
     return 0
 
 
@@ -146,7 +146,7 @@ def _cmd_axiom_wide(args) -> int:
         "projection_note": result.projection_note,
         "jet_recovery": [[str(a), str(b)] for a, b in result.jet_recovery],
     }
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(json_text(payload))
     return 0
 
 

@@ -39,19 +39,19 @@ which a rational point of the locus confirms if it can.
 
 from __future__ import annotations
 
-import json
 import random
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from math import factorial, gcd, isqrt, prod
+from math import factorial, isqrt, lcm, prod
 from operator import add, sub
 
-from .algebra import JetVar, Monomial, Poly, Value, as_value, fraction, over_one_base, pseudo_reduce, to_value
+from .algebra import JetVar, Poly, Value, as_value, fraction, over_one_base, pseudo_reduce, to_value
 from .derivation import DerSpec, Tower, _last_remainder, apply_derivation
 from .errors import ConfigurationError, PoleError
 from .jet import DiffModel, jet_binding
+from .jsontext import json_text
 from .monoid import COMMUTATIVE, FREE, MonoidElem, Record, antichain_minimal, theta_ball
 
 # random points tried before a violation is reported unconfirmed
@@ -132,7 +132,7 @@ class CommutationReport(Record):
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return json_text(self.to_dict())
 
 
 class RealizeReport(Record):
@@ -180,10 +180,14 @@ class Configuration:
         self.leaders = tuple(sorted(self.leaders))  # comparable once validated
         # the relations as a triangular chain, highest leader first
         self._chain = tuple((self.jet_var(pi), self.relations[pi]) for pi in reversed(self.leaders))
+        # what `sample_point` reads on every draw: the variables of the
+        # relations, each leader's variable, relation and separant in leader
+        # order, and whether a variable is drawn, for each one met so far
+        self._relation_vars = set().union(*(p.variables() for p in self.relations.values()))
+        self._solve = tuple((self.jet_var(pi), self.relations[pi], self.separant(pi)) for pi in self.leaders)
+        self._drawn: dict[JetVar, bool] = {}
 
-        params = set()
-        for p in self.relations.values():
-            params |= {v for v in p.variables() if v.index is None}
+        params = {v for v in self._relation_vars if v.index is None}
         for table in self.etas:
             params |= set(table)
             for value in table.values():
@@ -194,7 +198,7 @@ class Configuration:
         # each variable: eta_i on the parameters, x_mu added when first asked for
         self._base, etas = over_one_base(
             [table.get(p, Poly.zero()) for table in self.etas for p in self.params],
-            [self.separant(pi) for pi in self.leaders],
+            [separant for _, _, separant in self._solve],
         )
         values = iter(etas)
         self._images = tuple({p: next(values) for p in self.params} for _ in self.etas)
@@ -363,31 +367,34 @@ class Configuration:
     def factorizations(self, alpha: MonoidElem) -> list[tuple[MonoidElem, MonoidElem]]:
         """All (word, leader) pairs whose composite is alpha, ordered by leader,
         then by word: Algorithm L yields each leader's words in order."""
-        out = []
+        return [(MonoidElem.word(self.k, letters), pi) for letters, pi in self._factorizations(alpha)]
+
+    def _factorizations(self, alpha: MonoidElem):
+        """The pairs of `factorizations`, made one at a time, each word as its letters."""
         for pi in self.leaders:
             if pi.preceq(alpha):
-                for perm in _multiset_permutations(alpha.minus(pi).canonical_word().data):
-                    out.append((MonoidElem.word(self.k, perm), pi))
-        return out
+                for letters in _multiset_permutations(alpha.minus(pi).canonical_word().data):
+                    yield letters, pi
 
     def check_commutation_at(
         self,
         alpha: MonoidElem,
         rng: random.Random | None = None,
     ) -> CommutationCheck:
-        """Decide whether all factorizations of alpha agree on the locus."""
+        """Decide whether all factorizations of alpha agree on the locus,
+        comparing each with the first until one disagrees."""
         if self._count_factorizations(alpha) <= 1:
             return CommutationCheck(alpha, "commutes", trivial=True)
-        reps = self.factorizations(alpha)
-        base_word, base_pi = reps[0]
-        base_value = self._f_word(base_word.data, base_pi)
-        for word, pi in reps[1:]:
-            value = self._f_word(word.data, pi)
+        pairs = self._factorizations(alpha)
+        base_letters, base_pi = next(pairs)
+        base_value = self._f_word(base_letters, base_pi)
+        for letters, pi in pairs:
+            value = self._f_word(letters, pi)
             if self._agree(value, base_value):
                 continue
             # the numerator difference over the common B^e, in normal form
             reduced = self.reduce_mod((value - base_value).num)
-            witness = Witness(word, pi, base_word, base_pi)
+            witness = Witness(MonoidElem.word(self.k, letters), pi, MonoidElem.word(self.k, base_letters), base_pi)
             point = self._confirm_witness(value, base_value, rng or random.Random(0))
             status = "violation" if point is not None else "violation-unconfirmed"
             return CommutationCheck(
@@ -418,28 +425,21 @@ class Configuration:
         """A rational point of the locus: random free values, solved leaders.
 
         Values are drawn for the needed variables and for every variable of
-        the relations.  Returns None when some relation has no rational root
-        with nonzero separant at the drawn free values.
+        the relations, in increasing variable order.  Returns None when some
+        relation has no rational root with nonzero separant at the drawn free
+        values.
         """
-        needed = set(needed)
-        for p in self.relations.values():
-            needed |= p.variables()
         point: dict[JetVar, Fraction] = {}
-        for v in sorted(needed):
-            if v.index is None or (self.is_free(v.index)):
+        for v in sorted(self._relation_vars.union(needed)):
+            if (draw := self._drawn.get(v)) is None:
+                draw = self._drawn[v] = v.index is None or self.is_free(v.index)
+            if draw:
                 point[v] = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-        for pi in self.leaders:
-            p = self.relations[pi]
-            xpi = self.jet_var(pi)
-            lower = {v: point[v] for v in p.variables() if v != xpi}
-            univ = p.substitute(lower)
-            root = _rational_root(univ, xpi)
-            if root is None:
+        for xpi, p, separant in self._solve:
+            # every other variable of p is a parameter or free, so drawn
+            root = point[xpi] = _rational_root(p.substitute(point), xpi)
+            if root is None or separant.substitute(point).is_zero:
                 return None
-            sep_val = self.separant(pi).substitute({**lower, xpi: root})
-            if sep_val.is_zero:
-                return None
-            point[xpi] = root
         return point
 
     # ------------------------------------------------------------------
@@ -598,35 +598,60 @@ def _multiset_permutations(items: Sequence[int]):
 
 
 def _rational_root(p: Poly, main: JetVar) -> Fraction | None:
-    """A rational root of a polynomial in `main` alone, or None."""
-    coeffs_by_deg = {Monomial(m).deg_in(main): c for m, c in p.terms.items()}
+    """A rational root of a polynomial in `main` alone, or None.
+
+    The root of a linear polynomial.  Else, with the coefficients cleared to
+    integers a_n, ..., a_0: 0 when a_0 = 0, and None when |a_0| or |a_n|
+    passes 10^9.  Otherwise the root that the divisor search
+    (`_divisor_root`) meets first: of the roots p/q in lowest terms, the
+    one of least |p|, then of least q, then with p > 0.  A quadratic's
+    roots come from its discriminant, with one integer square root, and the
+    same one is returned, so a witness point does not depend on which way
+    its root was found.
+    """
+    # each monomial of p is e * main.unit, whose bits from main.shift up read e
+    coeffs_by_deg = {m >> main.shift: c for m, c in p.terms.items()}
     degree = max(coeffs_by_deg, default=0)
     if degree == 0:
         return None
     if degree == 1:
         return Fraction(-coeffs_by_deg.get(0, 0), coeffs_by_deg[1])
-    # clear denominators, then try divisor-quotient candidates
-    denom_lcm = 1
-    for c in coeffs_by_deg.values():
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    top_down = [int(coeffs_by_deg.get(e, 0) * denom_lcm) for e in range(degree, -1, -1)]
+    denom_lcm = lcm(*(c.denominator for c in coeffs_by_deg.values()))
+    coeffs_by_deg = {e: c.numerator * (denom_lcm // c.denominator) for e, c in coeffs_by_deg.items()}
+    top_down = [coeffs_by_deg.get(e, 0) for e in range(degree, -1, -1)]
     an, a0 = top_down[0], top_down[-1]
     if a0 == 0:
         return Fraction(0)
     if abs(a0) > 10 ** 9 or abs(an) > 10 ** 9:
         return None
+    if degree > 2:
+        return _divisor_root(top_down)
+    a, b, c = top_down
+    disc = b * b - 4 * a * c
+    if disc < 0 or (s := isqrt(disc)) * s != disc:
+        return None
+    roots = (Fraction(-b + s, 2 * a), Fraction(-b - s, 2 * a))
+    return min(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0))
 
-    def divisors(n):
-        n = abs(n)
-        return sorted({e for d in range(1, isqrt(n) + 1) if n % d == 0 for e in (d, n // d)})
 
-    for num in divisors(a0):
-        for den in divisors(an):
+def _divisor_root(top_down: Sequence[int]) -> Fraction | None:
+    """The first x / den, over num dividing a_0 and den dividing a_n, both
+    increasing, and x = num before x = -num, at which the integer polynomial
+    with coefficients top_down = (a_n, ..., a_0) vanishes; None if there is
+    none.  By the rational root theorem every rational root is met."""
+    for num in _divisors(top_down[-1]):
+        for den in _divisors(top_down[0]):
             for x in (num, -num):
-                # den^degree * p(x/den) = sum of a_e * x^e * den^(degree - e), by Horner
+                # den^n * p(x/den) = sum of a_e * x^e * den^(n - e), by Horner
                 acc, scale = 0, 1
                 for c in top_down:
                     acc, scale = acc * x + c * scale, scale * den
                 if acc == 0:
                     return Fraction(x, den)
     return None
+
+
+def _divisors(n: int) -> list[int]:
+    """The positive divisors of n != 0, increasing."""
+    n = abs(n)
+    return sorted({e for d in range(1, isqrt(n) + 1) if n % d == 0 for e in (d, n // d)})

@@ -14,6 +14,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -30,9 +31,9 @@ from diffalg.algebra import (
     pseudo_remainder,
     solve_affine,
 )
-from diffalg.config import _rational_root
+from diffalg.config import _divisor_root, _rational_root
 from diffalg.derivation import Tower
-from diffalg.errors import NonInvertibleError
+from diffalg.errors import NonInvertibleError, PoleError
 from diffalg.monoid import MonoidElem
 from test_algebra import _reference_leading_coeff_in, _reference_sorted_terms
 
@@ -534,3 +535,95 @@ def test_rational_root_matches_sympy_roots():
         else:
             assert root.__class__ is Fraction and root in expected, (p, root)
     assert all(seen.values()), seen
+
+
+def _field_substitute(p: Poly, binding):
+    """p with the bound variables replaced, computed term by term in SymPy's field."""
+    out = FIELD(0)
+    for m, c in p.terms.items():
+        term = FIELD(sympy.QQ(c.numerator, c.denominator))
+        for v, e in Monomial(m).powers:
+            term *= (to_field(as_value(binding[v])) if v in binding else FIELD(GENS[v])) ** e
+        out += term
+    return out
+
+
+def test_substitute_at_numbers_matches_constant_polys_and_sympy():
+    rng = random.Random(26)
+    seen = {"numbers only": 0, "with a value": 0, "zero value": 0, "fraction value": 0}
+    for _ in range(300):
+        p = rand_poly(rng, VARS, max_terms=6, max_degree=5)
+        bound = rng.sample(VARS, rng.randint(1, len(VARS)))
+        numbers = {v: rng.choice([0, rng.randint(-4, 4), rand_fraction(rng)]) for v in bound}
+        seen["zero value"] += 0 in numbers.values()
+        seen["fraction value"] += any(x.__class__ is Fraction for x in numbers.values())
+        at_numbers = p.substitute(numbers)
+        assert_lean(at_numbers)
+        assert at_numbers.terms == p.substitute({v: Poly.const(x) for v, x in numbers.items()}).terms
+        assert to_field(at_numbers) == _field_substitute(p, numbers)
+        seen["numbers only"] += 1
+        # one variable bound to a value instead: its powers are multiplied in
+        binding = dict(numbers)
+        binding[rng.choice(bound)] = rng.choice([rand_nonzero_poly(rng, VARS, max_terms=2), rand_ratfun(rng, VARS)])
+        assert to_field(p.substitute(binding)) == _field_substitute(p, binding)
+        seen["with a value"] += 1
+    assert all(seen.values()), seen
+
+
+def test_a_fraction_at_a_point_is_its_constant_and_elsewhere_its_value():
+    rng = random.Random(27)
+    poles = 0
+    for _ in range(200):
+        f = rand_ratfun(rng, VARS, max_terms=3, max_degree=3)
+        # at some of its variables, still a fraction or a polynomial
+        partial = {v: rand_fraction(rng, 2) for v in rng.sample(VARS, 2)}
+        if _field_substitute(f.den, partial):
+            assert to_field(f.substitute(partial)) == _field_substitute(f.num, partial) / _field_substitute(f.den, partial)
+        point = {v: rand_fraction(rng, 2) for v in VARS}
+        den = _field_substitute(f.den, point)
+        if not den:
+            with pytest.raises(PoleError):
+                f.substitute(point)
+            poles += 1
+            continue
+        value = f.substitute(point)
+        assert value.__class__ is Poly and value.is_constant
+        assert_lean(value)
+        assert to_field(value) == _field_substitute(f.num, point) / den
+    assert poles
+
+
+def _cleared(p: Poly) -> list[int]:
+    """The coefficients of p in x alone, a_n first, times the lcm of their denominators."""
+    by_degree = {Monomial(m).degree: c for m, c in p.terms.items()}
+    scale = lcm(*(c.denominator for c in by_degree.values()))
+    return [int(by_degree.get(e, 0) * scale) for e in range(max(by_degree), -1, -1)]
+
+
+def test_quadratic_roots_are_the_ones_the_divisor_search_meets_first():
+    x = Poly.variable(VARS[0])
+    rng = random.Random(12)
+    seen = {"two roots": 0, "double root": 0, "fraction coefficients": 0, "none": 0, "tie in |p|": 0}
+    for _ in range(3000):
+        shape = rng.randrange(3)
+        if shape == 0:  # two rational roots p/q
+            r1, r2 = (Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6)) for _ in range(2))
+            seen["two roots"] += r1 != r2
+            seen["tie in |p|"] += r1 != r2 and abs(r1.numerator) == abs(r2.numerator)
+        elif shape == 1:  # a double root
+            r1 = r2 = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6))
+            seen["double root"] += 1
+        if shape < 2:
+            p = (r1.denominator * x - r1.numerator) * (r2.denominator * x - r2.numerator)
+        else:  # random integer coefficients, mostly without a rational root
+            p = rng.randint(1, 9) * x ** 2 + rng.randint(-9, 9) * x + (rng.randint(-9, 9) or 1)
+        if rng.random() < 0.4:
+            p = p * Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(2, 7))
+            seen["fraction coefficients"] += 1
+        root = _rational_root(p, VARS[0])
+        assert root == _divisor_root(_cleared(p)), p
+        seen["none"] += root is None
+    assert all(seen.values()), seen
+    # the search budget: no root is sought past 10^9, not even by the discriminant
+    assert _rational_root(x * x - 4 * 10 ** 18, VARS[0]) is None
+    assert _rational_root(x * x - 4 * 10 ** 8, VARS[0]) == 2 * 10 ** 4

@@ -1,9 +1,12 @@
+import gc
 import json
 import os
+import random
 
 import pytest
 
 from diffalg.cli import build_parser, main
+from diffalg.jsontext import json_text
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -293,3 +296,55 @@ def test_byte_determinism(capsys):
     code1, out1, _ = run(capsys, "prolong", os.path.join(CORPUS, "cusp.variety"))
     code2, out2, _ = run(capsys, "prolong", os.path.join(CORPUS, "cusp.variety"))
     assert out1 == out2 and code1 == code2 == 0
+
+
+def _random_payload(rng, depth):
+    """A nested value of the kinds the reports write: dicts with string keys,
+    lists, strings (quotes, escapes, controls and non-ASCII among them),
+    ints, booleans and None, empty containers included."""
+    kind = rng.randrange(7 if depth else 4)
+    if kind == 0:
+        return "".join(rng.choice('ab "\\\n\t\x01/é∂\U0001d4b3') for _ in range(rng.randrange(6)))
+    if kind == 1:
+        return rng.choice([0, -1, 7, 10 ** 30, -(2 ** 70)])
+    if kind == 2:
+        return rng.choice([True, False])
+    if kind == 3:
+        return None
+    if kind in (4, 5):
+        return [_random_payload(rng, depth - 1) for _ in range(rng.randrange(4))]
+    keys = {rng.choice(["b", "a", "é", "A", "a b", ""]) + str(rng.randrange(3)) for _ in range(rng.randrange(5))}
+    return {key: _random_payload(rng, depth - 1) for key in keys}
+
+
+def test_json_text_writes_what_json_dumps_writes():
+    rng = random.Random(3)
+    for _ in range(300):
+        payload = _random_payload(rng, 4)
+        assert json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
+    # json.dumps also writes floats, tuples and int keys; no report holds them
+    for value in (1.5, (1, 2), {1: "one"}):
+        with pytest.raises(TypeError):
+            json_text(value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prolong", os.path.join(CORPUS, "circle.variety")],
+        ["dim-cert", os.path.join(CORPUS, "chain.tri"), "--json"],
+        ["axiom-wide", os.path.join(CORPUS, "product.zjson"), "--n", "2"],
+        ["config-check", os.path.join(CORPUS, "scaled.cfg"), "--json"],
+    ],
+)
+def test_json_reports_leave_no_reference_cycles(capsys, argv):
+    assert run(capsys, *argv)[0] == 0  # warm-up: first-use caches are not garbage
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert run(capsys, *argv)[0] == 0
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

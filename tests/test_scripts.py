@@ -122,11 +122,11 @@ def test_profile_jobs_times_every_job_and_lists_self_times(tmp_path):
     assert proc.returncode == 2 and "--rounds must be at least 1" in proc.stderr
 
 
-def test_kernel_bench_times_three_kernels_on_the_operands_of_a_round():
+def test_kernel_bench_times_four_kernels_on_the_operands_of_a_round():
     proc = run_script("kernel_bench.py", "--workload", "calculus-mix", "--seed", "1", "--repeats", "1", "--json")
     assert proc.returncode == 0, proc.stderr
     table = json.loads(proc.stdout)
-    assert list(table) == ["Poly.__mul__", "FactorBase.derive", "Poly.__str__"]
+    assert list(table) == ["Poly.__mul__", "FactorBase.derive", "Poly.__str__", "Poly.substitute"]
     assert all(row["calls"] > 0 and row["median_ms"] > 0 for row in table.values())
 
     proc = run_script("kernel_bench.py", "--workload", "cfg-linear", "--repeats", "2")

@@ -14,7 +14,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-MODULES = {"algebra", "axioms", "cli", "config", "derivation", "errors", "jet", "monoid", "parsing", "prolong"}
+MODULES = {"algebra", "axioms", "cli", "config", "derivation", "errors", "jet", "jsontext", "monoid", "parsing", "prolong"}
 UNWANTED = {"typing", "dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 _CHILD = """
