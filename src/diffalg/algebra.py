@@ -482,6 +482,8 @@ class Poly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
+        # Q[vars] has no zero divisors, so p^n has degree n * deg p: refuse it before any product
+        _capped(n * _degree(self.terms))
         result = _ONE
         base = self
         while n:

@@ -20,10 +20,13 @@ product of powers of the factors of the configuration's one
 `algebra.FactorBase`: the separants of the leaders, then the factors of the
 coefficient tables' denominators (constant ones fold into the
 coefficients, so a configuration with constant separants computes plain
-polynomials).  The image tables and the memos of D(b_j) / b_j hold values
-over the same base, so nothing is converted between the steps of the
-recursion.  R_d is that base's one derivation rule, `FactorBase.derive`,
-with R_d on a variable given by the coefficient table on a parameter and by
+polynomials).  One table holds the R-values (`_f_word`): R_w(v) for a word
+w and a variable v, so f at a word on a leader, R_d on a variable and the
+coherence test's R_i(R_j v) are each derived once, by whichever check asks
+first.  It and the memos of D(b_j) / b_j hold values over the same base, so
+nothing is converted between the steps of the recursion.  R_d is that
+base's one derivation rule, `FactorBase.derive`, reading R_d on a variable
+from the table's one-letter words: the coefficient table on a parameter and
 f at d.mu on x_mu; so the exponents grow linearly with the word length.
 Values leave this module under the value rule (`algebra.as_value`): a
 `Poly` over a constant denominator, else a `RatFun`.
@@ -194,16 +197,17 @@ class Configuration:
                 params |= value.variables()
         self.params = tuple(sorted(params))
 
-        # the factor base: the separants, then the eta denominators; R_i on
-        # each variable: eta_i on the parameters, x_mu added when first asked for
+        # the factor base: the separants, then the eta denominators; the table
+        # of R-values (`_f_word`) starts with eta_i over it on each parameter
         self._base, etas = over_one_base(
             [table.get(p, Poly.zero()) for table in self.etas for p in self.params],
             [separant for _, _, separant in self._solve],
         )
         values = iter(etas)
-        self._images = tuple({p: next(values) for p in self.params} for _ in self.etas)
+        self._word_cache: dict[tuple[tuple[int, ...], JetVar], Value] = {
+            ((i,), p): next(values) for i in range(1, k + 1) for p in self.params
+        }
         self._memos: tuple[dict[int, Value], ...] = tuple({} for _ in range(k))
-        self._word_cache: dict[tuple[tuple[int, ...], MonoidElem], Value] = {}
         if not self._commutes_on(self.params):
             raise ConfigurationError("the eta tables do not commute on the parameters")
 
@@ -286,7 +290,7 @@ class Configuration:
             raise ConfigurationError(f"{word} is not a word over k={self.k} generators")
         if pi not in self.relations:
             raise ConfigurationError(f"{pi} is not a leader")
-        return GFun(as_value(self._f_word(word.data, pi)), (word, pi))
+        return GFun(as_value(self._f_word(word.data, self.jet_var(pi))), (word, pi))
 
     def _f_theta(self, alpha: MonoidElem) -> tuple[Value, tuple | str]:
         if self.is_free(alpha):
@@ -294,58 +298,54 @@ class Configuration:
         # a leader's word is the empty one, and its f the leader's variable
         pi = next(p for p in self.leaders if p.preceq(alpha))
         word = alpha.minus(pi).canonical_word()
-        return self._f_word(word.data, pi), (word, pi)
+        return self._f_word(word.data, self.jet_var(pi)), (word, pi)
 
-    def _f_word(self, letters: tuple[int, ...], pi: MonoidElem) -> Value:
-        key = (letters, pi)
+    def _f_word(self, letters: tuple[int, ...], v: JetVar) -> Value | None:
+        """R_w(v) for the word w = letters, from the one table of R-values.
+
+        The empty word gives v, and a longer word R_(l_1) of the rest.  One
+        letter i gives R_i(v): eta_i over the base on a parameter (entered
+        by `__init__`), None on any other plain variable (a constant of R_i,
+        returned but never stored), the single-letter f on a leader x_pi, and
+        f at the tuple d_i.mu on any other x_mu.  Each value enters the table
+        the first time it is asked for, so the words of `f_at`, of the
+        enumeration and of the coherence test share it.
+        """
+        key = (letters, v)
         value = self._word_cache.get(key)
         if value is None:
             if not letters:
-                value = Poly.variable(self.jet_var(pi))
-            elif len(letters) == 1:
-                value = self._single_letter(letters[0], pi)
+                value = Poly.variable(v)
+            elif len(letters) > 1:
+                value = self._derive(letters[0], self._f_word(letters[1:], v))
+            elif v.index is None:
+                return None
+            elif v.index in self.relations:
+                value = self._single_letter(letters[0], v)
             else:
-                value = self._derive(letters[0], self._f_word(letters[1:], pi))
+                value = self._f_theta(MonoidElem.generator(COMMUTATIVE, self.k, letters[0]).compose(v.index))[0]
             self._word_cache[key] = value
         return value
 
     def _derive(self, i: int, f: Value) -> Value:
         """R_i(f), by the base's derivation rule and its memo for R_i."""
-        return self._base.derive(f, partial(self._image, i), self._memos[i - 1])
+        return self._base.derive(f, partial(self._f_word, (i,)), self._memos[i - 1])
 
-    def _single_letter(self, i: int, pi: MonoidElem) -> Value:
+    def _single_letter(self, i: int, xpi: JetVar) -> Value:
         """f_{d_i,pi}: solve R_i(p_pi) = 0 for the image of x_pi."""
-        xpi = self.jet_var(pi)
-        base = self._base
-        rest = base.derive(self.relations[pi], lambda v: None if v == xpi else self._image(i, v), {})
+        pi, base = xpi.index, self._base
+        # x_pi maps to None here: reading the table on it would come back to this call
+        rest = base.derive(self.relations[pi], lambda v: None if v is xpi else self._f_word((i,), v), {})
         scale, exps = base.split(self.separant(pi))
         exps = tuple(map(add, rest.exps or base.zero, exps))
         return fraction(rest.numer * Fraction(-1, scale.constant_value()), base, exps)
-
-    def _image(self, i: int, v: JetVar) -> Value | None:
-        """R_i(v), from the table of R_i: eta_i on a parameter, None on any
-        other plain variable (a constant of R_i), and f at d_i.mu on x_mu.
-        That f is the single-letter one on a leader mu, else f at the
-        tuple d_i.mu; it enters the table the first time it is asked for.
-        """
-        table = self._images[i - 1]
-        out = table.get(v)
-        if out is None and v.index is not None:
-            mu = v.index
-            if mu in self.relations:
-                out = self._f_word((i,), mu)
-            else:
-                out = self._f_theta(MonoidElem.generator(COMMUTATIVE, self.k, i).compose(mu))[0]
-            table[v] = out
-        return out
 
     def r_apply(self, i: int, h: Value) -> Value:
         """The derivation extending d_i that sends each x_mu to f at d_i.mu."""
         if not 1 <= i <= self.k:
             raise ConfigurationError(f"no derivation d{i} with k={self.k}")
-        eta = self.etas[i - 1]
-        images = {v: eta.get(v, 0) if v.index is None else self._image(i, v) for v in h.variables()}
-        return apply_derivation(h, DerSpec({}, images))
+        # `_f_word` gives None on a constant of R_i, whose image is 0
+        return apply_derivation(h, DerSpec({}, {v: self._f_word((i,), v) or 0 for v in h.variables()}))
 
     def r_apply_word(self, word: MonoidElem, h: Value) -> Value:
         out = h
@@ -387,9 +387,9 @@ class Configuration:
             return CommutationCheck(alpha, "commutes", trivial=True)
         pairs = self._factorizations(alpha)
         base_letters, base_pi = next(pairs)
-        base_value = self._f_word(base_letters, base_pi)
+        base_value = self._f_word(base_letters, self.jet_var(base_pi))
         for letters, pi in pairs:
-            value = self._f_word(letters, pi)
+            value = self._f_word(letters, self.jet_var(pi))
             if self._agree(value, base_value):
                 continue
             # the numerator difference over the common B^e, in normal form
@@ -509,7 +509,7 @@ class Configuration:
     def _commutes_on(self, variables: Iterable[JetVar]) -> bool:
         """R_i(R_j v) agrees with R_j(R_i v) for every parameter or jet variable v and i < j."""
         return all(
-            self._agree(self._derive(i, self._image(j, v)), self._derive(j, self._image(i, v)))
+            self._agree(self._f_word((i, j), v), self._f_word((j, i), v))
             for v in variables
             for i, j in combinations(range(1, self.k + 1), 2)
         )

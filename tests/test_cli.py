@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from diffalg import cli
 from diffalg.cli import build_parser, main
 from diffalg.jsontext import json_text
 
@@ -348,3 +349,11 @@ def test_json_reports_leave_no_reference_cycles(capsys, argv):
     finally:
         if enabled:
             gc.enable()
+
+
+def test_an_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def boom(*_args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "apply_derivation", boom)
+    assert run(capsys, "derive", "x", "--spec", "d: x -> 1") == (1, "", "internal error: RuntimeError('boom')\n")

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_poly
-from diffalg.algebra import JetVar, Poly, RatFun, var
+from diffalg.algebra import FactorBase, JetVar, Poly, RatFun, var
+from diffalg.cli import main
 from diffalg.config import Configuration, _multiset_permutations
 from diffalg.derivation import coeff_derivative
 from diffalg.errors import ConfigurationError
@@ -525,7 +526,7 @@ def test_f_reads_the_same_on_a_fresh_and_a_checked_configuration(name):
             assert str(g1.value) == str(g2.value)
 
 
-@pytest.mark.parametrize("name", ["three.cfg", "separant.cfg", "quadratic.cfg"])
+@pytest.mark.parametrize("name", ["three.cfg", "separant.cfg", "quadratic.cfg", "param.cfg"])
 def test_r_apply_on_a_free_variable_is_f_one_step_up(name):
     cfg = corpus_config(name)
     free = [mu for mu in theta_ball(cfg.k, 2) if cfg.is_free(mu)]
@@ -534,3 +535,22 @@ def test_r_apply_on_a_free_variable_is_f_one_step_up(name):
         gen = MonoidElem.generator(COMMUTATIVE, cfg.k, i)
         for mu in free:
             assert cfg.r_apply(i, Poly.variable(cfg.jet_var(mu))) == cfg.f_at(gen.compose(mu)).value
+        # on a parameter, R_i is its coefficient table, read over the factor base
+        for p in cfg.params:
+            assert cfg.r_apply(i, Poly.variable(p)) == cfg.etas[i - 1].get(p, 0)
+
+
+def test_the_coherence_test_reads_the_words_of_the_local_check(monkeypatch, capsys):
+    # R_i(R_j x) is an entry of the one table of R-values, so the generator
+    # test reuses what the local check derived; kept apart, they took 25 calls
+    calls = []
+    derive = FactorBase.derive
+
+    def counted(self, *args):
+        calls.append(1)
+        return derive(self, *args)
+
+    monkeypatch.setattr(FactorBase, "derive", counted)
+    assert main(["config-check", os.path.join(CORPUS, "three.cfg"), "--global-degree", "6"]) == 0
+    assert "global: commutes" in capsys.readouterr().out
+    assert len(calls) <= 21

@@ -41,6 +41,9 @@ for _flags in ([], ["--json"]):
     CASES.append(["config-check", "corpus/separant.cfg", "--global-degree", "4", *_flags])
     for _name in ("three", "param"):
         CASES.append(["config-check", f"corpus/{_name}.cfg", "--global-degree", "5", *_flags])
+# the enumeration path deeper in: k = 3 with one non-commuting letter, and a failing pair
+CASES.append(["config-check", "corpus/mixed.cfg", "--global-degree", "8"])
+CASES.append(["config-check", "corpus/quadratic.cfg", "--global-degree", "12"])
 for _name in _PAIR_CONFIGS:
     for _alpha in ("d1", "d1 d2", "d1^2 d2", "d1 d2^2"):
         CASES.append(["config-g", f"corpus/{_name}.cfg", _alpha])

@@ -306,6 +306,9 @@ def test_the_degree_cap_is_reached_and_never_crossed(capsys):
     assert capsys.readouterr() == ("", "error: total degree 32768 is over the monomial degree cap of 32767\n")
     assert main(["derive", "x^32767", "--spec", "d: x -> 0"]) == 0
     assert capsys.readouterr().out == "0\n"
+    # a power past the cap is refused before it is computed: (x+1)^16384 would come first
+    assert main(["derive", "(x+1)^40000", "--spec", "eta: none; d: x -> 1"]) == 1
+    assert capsys.readouterr() == ("", "error: total degree 40000 is over the monomial degree cap of 32767\n")
 
 
 @pytest.mark.parametrize(
