@@ -11,9 +11,11 @@ Only the standard library is used.  Code that runs only in a subprocess
 (the CLI's `__main__` block, say) is not seen.
 
 A statement is an `ast.stmt` node, named by its first line; docstrings do
-not count.  It has run when a line event fired on any of its lines.  The
-output is one `module: lines` row for each module with unrun statements,
-then the total; the exit code is pytest's.
+not count.  The statements are read before the run starts, so a module
+edited during the run is matched against the code that ran.  A statement
+has run when a line event fired on any of its lines.  The output is one
+`module: lines` row for each module with unrun statements, then the
+total; the exit code is pytest's.
 """
 
 import ast
@@ -39,14 +41,19 @@ def statements(source: str) -> dict[int, range]:
     return spans
 
 
-def unrun(path: str, hit: set[int]) -> list[int]:
-    with open(path, encoding="utf-8") as fh:
-        spans = statements(fh.read())
+def unrun(spans: dict[int, range], hit: set[int]) -> list[int]:
     return sorted(first for first, span in spans.items() if hit.isdisjoint(span))
 
 
 def main(argv: list[str]) -> int:
     args = argv[argv.index("--") + 1 :] if "--" in argv else ["tests", "-q"]
+    # the statements of each module, read before the run imports it, so a
+    # module edited while the run goes on is matched against the code that ran
+    spans = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                spans[name] = statements(fh.read())
     hits: dict[str, set[int]] = {}
     # one local tracer per file: a tracer returns itself, so one made per
     # call would leave a reference cycle for the collector after every call
@@ -79,13 +86,11 @@ def main(argv: list[str]) -> int:
         sys.settrace(None)
         threading.settrace(None)
     total = 0
-    for name in sorted(os.listdir(PACKAGE)):
-        if name.endswith(".py"):
-            path = os.path.join(PACKAGE, name)
-            missed = unrun(path, hits.get(path, set()))
-            if missed:
-                print(f"{name[:-3]}: {', '.join(map(str, missed))}")
-            total += len(missed)
+    for name, module_spans in spans.items():
+        missed = unrun(module_spans, hits.get(os.path.join(PACKAGE, name), set()))
+        if missed:
+            print(f"{name[:-3]}: {', '.join(map(str, missed))}")
+        total += len(missed)
     print(f"total: {total} unrun statements")
     return int(code)
 

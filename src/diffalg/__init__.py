@@ -12,6 +12,8 @@ where not integral); no floating point anywhere.  Modules:
 - prolong: twisted tangent bundles, tangent ranks, derivation extension
 - axioms: definable-set transforms and triangular dimension certificates
 - parsing, cli: text formats and the `diffalg` command
+- errors: the exception types, and the one way messages list variables
+- jsontext: the one JSON writer of the reports
 """
 
 from .algebra import AffineSpace, JetVar, Monomial, Poly, RatFun, pseudo_remainder, solve_affine, var

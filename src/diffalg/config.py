@@ -21,23 +21,26 @@ product of powers of the factors of the configuration's one
 coefficient tables' denominators (constant ones fold into the
 coefficients, so a configuration with constant separants computes plain
 polynomials).  One table holds the R-values (`_f_word`): R_w(v) for a word
-w and a variable v, so f at a word on a leader, R_d on a variable and the
-coherence test's R_i(R_j v) are each derived once, by whichever check asks
-first.  It and the memos of D(b_j) / b_j hold values over the same base, so
-nothing is converted between the steps of the recursion.  R_d is that
-base's one derivation rule, `FactorBase.derive`, reading R_d on a variable
-from the table's one-letter words: the coefficient table on a parameter and
-f at d.mu on x_mu; so the exponents grow linearly with the word length.
+w and a variable v, so f at a word on a leader, R_d on a variable, the
+coherence test's f at a join and the eta check's R_i(R_j c) are each
+derived once, by whichever check asks first.  It and the memos of
+D(b_j) / b_j hold values over the same base, so nothing is converted
+between the steps of the recursion.  R_d is that base's one derivation
+rule, `FactorBase.derive`, reading R_d on a variable from the table's
+one-letter words: the coefficient table on a parameter and f at d.mu on
+x_mu; so the exponents grow linearly with the word length.
 Values leave this module under the value rule (`algebra.as_value`): a
 `Poly` over a constant denominator, else a `RatFun`.
 
 A configuration commutes at a tuple alpha when its word/leader
 factorizations agree on the locus (`_agree`).  Coherence (Rosenfeld 1959;
-Pierce 2014): with relations squarefree in their leaders, every tuple of
-degree <= D commutes once [R_i, R_j] vanishes on the parameters and on the
-free and leader generators of degree <= D - 2; `_commutes_on` tests both.
-`verify_global` compares every factorization only to find a witness,
-which a rational point of the locus confirms if it can.
+Kolchin 1973; Pierce 2014): with relations squarefree in their leaders and
+eta tables that commute on the parameters (`_commutes_on`), every tuple of
+every degree commutes once, for each pair of leaders, f at their join
+through one agrees with f there through the other (`_coherent`): one
+comparison per pair, whatever the degree.  `verify_global` compares every
+factorization only to find a witness, which a rational point of the locus
+confirms if it can.
 """
 
 from __future__ import annotations
@@ -457,57 +460,70 @@ class Configuration:
         """Check every tuple of total degree at most D = `degree_bound`.
 
         Coherence first (Rosenfeld, "Specializations in differential
-        algebra", Trans. AMS 1959; Pierce, "Fields with several commuting
-        derivations", JSL 2014): `_coherent` asks for relations squarefree
-        in their leaders and for [R_i, R_j] x_nu = 0 on the locus for every
-        free or leader nu with |nu| <= D - 2.  Squarefree relations make the
-        base factors units on the locus, where `_agree` is equality.
-        R_i(p_pi) = 0 (`_single_letter`), so R_i and [R_i, R_j], which is 0
-        on the parameters (`__init__`), keep the ideal of the chain.  A value
-        of degree m holds generators and base factors of degree <= m, so
-        [R_i, R_j] kills every value of degree <= D - 2.
+        algebra", Trans. AMS 1959; Kolchin, "Differential Algebra and
+        Algebraic Groups", 1973, ch. III §8; Pierce, "Fields with several
+        commuting derivations", JSL 2014): `_coherent` asks for relations
+        squarefree in their leaders and, for each pair of leaders
+        pi < rho with join lambda = pi v rho, for f at lambda through pi to
+        agree with f at lambda through rho.  Let A = {p_pi} and H the
+        product of its initials and separants.  Then every factorization
+        of every tuple agrees, at every degree:
 
-        Then, by induction on n = |alpha| <= D, all factorizations of alpha
-        agree.  Two words for one leader differ by swaps of adjacent
-        letters, each applied to a value of degree <= n - 2.  For leaders
-        pi != pi' below alpha, with join lambda = pi v pi':
-        - lambda < alpha: agreement at lambda (induction) lifts to alpha
-          by R^(alpha - lambda).
-        - lambda = alpha: take i with pi_i > pi'_i, j with pi'_j > pi_j,
-          and mu = lambda - d_i - d_j.  If mu is free, the generator test
-          at mu compares R_i(f at lambda - d_i) with R_j(f at lambda - d_j),
-          which by induction at n - 1 are the factorizations through pi'
-          and through pi.  Else mu lies above a leader pi'' outside
-          {pi, pi'}, as mu_i < pi_i and mu_j < pi'_j; pi v pi'' and
-          pi' v pi'' lie strictly below lambda, in coordinates j and i, so
-          agreement passes through pi'' by the first case.
+        1. Work in the ring of differential polynomials over Q(params),
+           with the eta derivations; they commute on the parameters
+           (`__init__`).  Every factorization value v of alpha satisfies
+           x_alpha = v modulo [A]:H^inf: implicit differentiation of p_pi
+           along the word, by induction on |alpha|.
+        2. A is autoreduced under the orderly ranking: each p_pi mentions
+           only its leader and free coordinates below it.  The difference
+           of two values of alpha involves only parameters, free
+           coordinates and leader variables, so it is partially reduced.
+        3. At lambda = pi v rho, theta_pi p_pi = s_pi (x_lambda -
+           v_pi(lambda)) modulo derivatives of A of lower rank, for
+           theta_pi = lambda - pi.  So the pair's agreement puts its
+           Delta-polynomial in (A)_{<lambda}:H^inf: A is coherent.
+        4. By Rosenfeld's lemma, a partially reduced element of [A]:H^inf
+           lies in (A):H^inf.  With squarefree relations the separants
+           are units on the locus, and there `_agree` decides membership.
 
-        If the test fails, every factorization is compared.
+        If the test fails, every factorization of degree <= D is compared;
+        that enumeration is exact, so a pair whose join lies above D does
+        not change the report.
         """
         if degree_bound < 0:
             raise ConfigurationError(f"negative degree bound {degree_bound}")
         alphas = theta_ball(self.k, degree_bound)
-        if not self._coherent(degree_bound):
+        if not self._coherent():
             return self._run_checks("global", alphas, rng)
         if rng is not None:
             rng.randrange(2 ** 31)  # the draw `_run_checks` makes
         checks = (CommutationCheck(a, "commutes", trivial=self._count_factorizations(a) <= 1) for a in alphas)
         return CommutationReport("global", tuple(checks))
 
-    def _coherent(self, degree_bound: int) -> bool:
-        """The generator and squarefree tests in turn; False at the first failure."""
-        generators = (
-            self.jet_var(nu)
-            for nu in theta_ball(self.k, degree_bound - 2)
-            if nu in self.relations or self.is_free(nu)
+    def _coherent(self) -> bool:
+        """Rosenfeld's pair test, then the squarefree test; False at the first failure.
+
+        For each pair of leaders pi < rho with join lambda = pi v rho, f at
+        lambda through pi, the canonical word of lambda - pi on x_pi, must
+        agree with f at lambda through rho: C(#leaders, 2) comparisons,
+        whatever the degree bound or k.
+        """
+        joins = (  # f at pi v rho through each leader of the pair
+            (self._f_word(pi.lub(rho).minus(lead).canonical_word().data, self.jet_var(lead)) for lead in (pi, rho))
+            for pi, rho in combinations(self.leaders, 2)
         )
         squarefree = (  # each separant is a unit on the locus
             not _last_remainder(Tower(()), p.partial(v), p, v)[0].depends_on(v) for v, p in self._chain
         )
-        return self._commutes_on(generators) and all(squarefree)
+        return all(self._agree(*values) for values in joins) and all(squarefree)
 
     def _commutes_on(self, variables: Iterable[JetVar]) -> bool:
-        """R_i(R_j v) agrees with R_j(R_i v) for every parameter or jet variable v and i < j."""
+        """R_i(R_j v) agrees with R_j(R_i v) for every variable v and i < j.
+
+        `__init__` asks it of the parameters, on which R_i is the
+        coefficient table eta_i: the eta check, which step 1 of the
+        coherence proof in `verify_global` rests on.
+        """
         return all(
             self._agree(self._f_word((i, j), v), self._f_word((j, i), v))
             for v in variables

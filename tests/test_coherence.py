@@ -1,12 +1,12 @@
 """The coherence test of `Configuration.verify_global` against enumeration.
 
-`verify_global` decides commutation by the commutators [R_i, R_j] on the
-free and leader generators, and compares every factorization of every
-tuple only when that test fails.  The reports must be the ones full
-enumeration (`_run_checks`) gives: the same dicts, the same `trivial`
-flags, and the caller's random stream left in the same state.  The same
-commutator test decides whether the eta tables commute on the
-parameters; `DiffModel` is the reference there.
+`verify_global` decides commutation by Rosenfeld's pair test (f at the
+join of each pair of leaders, through one leader and through the other),
+and compares every factorization of every tuple only when that test fails.
+The reports must be the ones full enumeration (`_run_checks`) gives: the
+same dicts, the same `trivial` flags, and the caller's random stream left
+in the same state.  The commutator test [R_i, R_j] decides whether the eta
+tables commute on the parameters; `DiffModel` is the reference there.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def _assert_same_reports(make, degree) -> bool:
     assert got.to_dict() == want.to_dict()
     assert [c.trivial for c in got.checks] == [c.trivial for c in want.checks]
     assert rng_fast.random() == rng_slow.random()
-    return fast._coherent(degree)
+    return fast._coherent()
 
 
 def _replay(state) -> random.Random:
@@ -124,9 +124,43 @@ def test_coherence_matches_enumeration_on_random_families():
     assert 10 <= paths.count(True) <= 50, paths.count(True)  # both paths are exercised
 
 
+def _random_leader_set(rng: random.Random) -> tuple[Configuration, int]:
+    """An anti-chain of 1-3 leaders of degree <= 3 over k = 2 or 3, each
+    relation over free coordinates below its leader in one of four shapes,
+    and the degree to check it to."""
+    k = rng.choice([2, 3])
+    pool = [mu for mu in theta_ball(k, 3) if mu.degree]
+    leaders = sorted(antichain_minimal(rng.sample(pool, rng.randint(1, 3))))
+    rels = {}
+    for pi in leaders:
+        free = [mu for mu in theta_ball(k, pi.degree) if mu < pi and not any(lead.preceq(mu) for lead in leaders)]
+        a, b = (x(*rng.choice(free).data) for _ in range(2))
+        lead, c, shape = x(*pi.data), rng.choice([-2, -1, 0, Fraction(1, 2), 1, 3]), rng.randrange(4)
+        if shape == 0:  # linear in the leader, with a squared term
+            rels[pi] = lead - c * a ** 2 - rng.randint(-2, 2)
+        elif shape == 1:  # quadratic in the leader, squarefree as the constant is not 0
+            rels[pi] = lead ** 2 + c * a * lead + rng.choice([-4, -1, 1, 2])
+        elif shape == 2:  # a non-constant initial
+            rels[pi] = (a + rng.choice([-2, 1, 3])) * lead - c * b
+        else:  # a product of two free coordinates
+            rels[pi] = lead - c * a * b
+    return Configuration(k, leaders, rels), 5 if k == 2 else 4
+
+
+def test_pair_test_matches_enumeration_on_random_leader_sets():
+    rng, paths = random.Random(28), []
+    for _ in range(60):
+        state = rng.getstate()
+        cfg, degree = _random_leader_set(rng)
+        coherent = _assert_same_reports(lambda: _random_leader_set(_replay(state))[0], degree)
+        paths.append((coherent, len(cfg.leaders) > 1))
+    # both paths are exercised, the coherent one also by a pair of leaders
+    assert 10 <= sum(coherent for coherent, _ in paths) <= 50 and (True, True) in paths, paths
+
+
 def test_a_relation_with_a_multiple_root_is_enumerated():
     # the separant of (x[d1] - x[0])^2 (x[d1] + 1) is a zero divisor modulo the relation
-    rels = {theta(1, 0): (x(1, 0) - x(0, 0)) ** 2 * (x(1, 0) + 1)}  # one leader: the generators pass
+    rels = {theta(1, 0): (x(1, 0) - x(0, 0)) ** 2 * (x(1, 0) + 1)}  # one leader: no pair to fail
     assert not _assert_same_reports(lambda: Configuration(2, list(rels), rels), 3)
 
 
@@ -139,7 +173,7 @@ def test_coherence_matches_enumeration_on_the_corpus(name):
 
 
 def test_coherent_cost_does_not_grow_with_the_degree():
-    # one comparison each at nu = 0, d1 and d2, for [R_1, R_2], and nothing else
+    # one pair of leaders, d1 and d2: one comparison at their join d1 d2, and nothing else
     with open(os.path.join(CORPUS, "scaled.cfg"), encoding="utf-8") as handle:
         text = handle.read()
     for degree in (6, 10):
@@ -152,7 +186,7 @@ def test_coherent_cost_does_not_grow_with_the_degree():
 
         cfg.reduce_mod = counted
         assert cfg.verify_global(degree).commutes
-        assert len(calls) == 3, (degree, len(calls))
+        assert len(calls) == 1, (degree, len(calls))
 
 
 def _q_power(q: Poly, x0: JetVar, n: int) -> Poly:
