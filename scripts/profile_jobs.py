@@ -16,6 +16,15 @@ PYTHONPATH:
     PYTHONPATH=src python3 scripts/profile_jobs.py --workload calculus-mix --seed 1 --rounds 5
 
 Work done in C (hashing a frozenset, say) is not a call cProfile sees.
+
+--against SRC compares two engines instead of profiling one.  Two forked
+servers import one engine each, the one on PYTHONPATH and the one in the
+directory SRC (the `src` of another checkout), and fork the rounds as
+above; R rounds of one alternate with R of the other, the first of each
+pair taking turns.  The script prints each job's median for both engines
+and the change:
+
+    PYTHONPATH=src python3 scripts/profile_jobs.py --workload cfg-linear --rounds 20 --against ../parent/src
 """
 
 import argparse
@@ -65,6 +74,55 @@ def timed_round(jobs: list[dict], path: str) -> None:
         json.dump({name: t * scale for name, t in times.items()}, handle)
 
 
+class Server:
+    """A forked process that imports the engine in src, or the one on
+    PYTHONPATH when src is None, and then forks one timed round per call."""
+
+    def __init__(self, src: str | None, jobs: list[dict]):
+        requests, self.requests = os.pipe()
+        self.replies, replies = os.pipe()
+        sys.stdout.flush()
+        self.pid = os.fork()
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(self.requests)
+                os.close(self.replies)
+                if src is not None:
+                    sys.path.insert(0, src)
+                import diffalg.cli
+                import libjobs  # noqa: F401
+
+                if src is not None and not diffalg.cli.__file__.startswith(os.path.join(src, "")):
+                    raise RuntimeError(f"imported diffalg from {diffalg.cli.__file__}, not from {src}")
+                with os.fdopen(requests) as paths, os.fdopen(replies, "w") as done:
+                    for path in paths:
+                        in_child(lambda: timed_round(jobs, path.rstrip("\n")))
+                        done.write(path)
+                        done.flush()
+                code = 0
+            except Exception:
+                traceback.print_exc()
+            finally:
+                os._exit(code)
+        os.close(requests)
+        os.close(replies)
+        self.requests, self.replies = os.fdopen(self.requests, "w"), os.fdopen(self.replies)
+
+    def round(self, path: str) -> dict:
+        self.requests.write(path + "\n")
+        self.requests.flush()
+        if self.replies.readline() != path + "\n":
+            raise SystemExit("a forked round failed")
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+
+    def close(self) -> None:
+        self.requests.close()
+        self.replies.close()
+        os.waitpid(self.pid, 0)
+
+
 def profiled_round(jobs: list[dict], path: str) -> None:
     profiler = cProfile.Profile()
     profiler.enable()
@@ -89,22 +147,53 @@ def report(jobs: list[dict], rounds: list[dict], stats: pstats.Stats, top: int) 
         print(f"  {calls:>8}  {1000 * self_s:9.3f}  {100 * self_s / total:5.1f}%  {where}")
 
 
+def compare(jobs: list[dict], src: str, against: list[dict], this: list[dict]) -> None:
+    def median(rounds: list[dict], name: str | None) -> float:
+        return 1000 * statistics.median(sum(r.values()) if name is None else r[name] for r in rounds)
+
+    print(f"median reference ms per job over {len(this)} alternating forked rounds of each engine")
+    print(f"against: {src}")
+    width = max(len(job["name"]) for job in jobs)
+    print(f"  {'job':<{width}}  {'against':>9}  {'this':>9}  {'change':>7}")
+    for name in [job["name"] for job in jobs] + [None]:
+        before, after = median(against, name), median(this, name)
+        print(f"  {name or 'round':<{width}}  {before:9.3f}  {after:9.3f}  {100 * (after / before - 1):+6.1f}%")
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--top", type=int, default=20)
+    parser.add_argument("--against", metavar="SRC", help="compare with the engine in this directory")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-
-    import diffalg.cli  # noqa: F401  loaded before the forks, as the round server does
-    import libjobs  # noqa: F401
+    if args.against is not None and not os.path.isdir(os.path.join(args.against, "diffalg")):
+        parser.error(f"--against: no diffalg package in {args.against}")
 
     workdir = tempfile.mkdtemp(prefix="profile-jobs-")
     try:
         jobs = workloads.make_jobs(args.workload, args.seed, workdir)
+        if args.against is not None:
+            src = os.path.abspath(args.against)
+            servers = [Server(src, jobs), Server(None, jobs)]
+            sides = [[], []]
+            try:
+                for i in range(args.rounds):
+                    for side in (0, 1) if i % 2 == 0 else (1, 0):
+                        sides[side].append(servers[side].round(os.path.join(workdir, "round")))
+            finally:  # the later server holds a copy of the earlier one's request pipe
+                for server in reversed(servers):
+                    server.close()
+            print(f"{args.workload}, seed {args.seed}")
+            compare(jobs, src, *sides)
+            return 0
+
+        import diffalg.cli  # noqa: F401  loaded before the forks, as the round server does
+        import libjobs  # noqa: F401
+
         paths = [os.path.join(workdir, f"round-{i}") for i in range(2 * args.rounds)]
         for path in paths[: args.rounds]:
             in_child(lambda: timed_round(jobs, path))

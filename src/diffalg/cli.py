@@ -35,18 +35,16 @@ from .prolong import VarietyPresentation, tangent_space_at, twisted_bundle
 _MODES = {"comm": COMMUTATIVE, "free": FREE}
 
 
-def _emit(payload: dict, text: str, as_json: bool) -> None:
-    if as_json:
-        print(json_text(payload))
-    else:
-        print(text)
+def _emit(as_json: bool, payload, text) -> None:
+    """Print json_text(payload()) or text(): only the format asked for is built."""
+    print(json_text(payload()) if as_json else text())
 
 
 def _cmd_derive(args) -> int:
     value = parse_expression(args.expr, _MODES[args.mode], args.k)
     spec = parse_derspec(args.spec, _MODES[args.mode], args.k)
     result = apply_derivation(value, spec)
-    _emit({"input": str(value), "derivative": str(result)}, str(result), args.json)
+    _emit(args.json, lambda: {"input": str(value), "derivative": str(result)}, lambda: str(result))
     return 0
 
 
@@ -56,11 +54,10 @@ def _cmd_jet(args) -> int:
     if "=" in args.term:
         lhs, rel, rhs = parse_term_atom(args.term)
         atom = rewrite_atom(lhs, rel, rhs, mode, eta, args.k)
-        _emit({"poly": str(atom.poly), "rel": atom.rel}, str(atom), args.json)
+        _emit(args.json, lambda: {"poly": str(atom.poly), "rel": atom.rel}, lambda: str(atom))
         return 0
-    term = parse_term(args.term)
-    value = rewrite_term(term, mode, eta, args.k)
-    _emit({"poly": str(value)}, str(value), args.json)
+    value = rewrite_term(parse_term(args.term), mode, eta, args.k)
+    _emit(args.json, lambda: {"poly": str(value)}, lambda: str(value))
     return 0
 
 
@@ -72,22 +69,24 @@ def _read(path: str) -> str:
 def _cmd_config_check(args) -> int:
     cfg = parse_config(_read(args.file))
     rng = random.Random(args.seed)
-    local = cfg.check_local(rng)
-    reports = [local]
+    reports = [cfg.check_local(rng)]
     if args.global_degree is not None:
         reports.append(cfg.verify_global(args.global_degree, rng))
-    payload = {"reports": [r.to_dict() for r in reports]}
-    lines = []
-    for report in reports:
-        lines.append(f"{report.kind}: {'commutes' if report.commutes else 'violation'}")
-        for check in report.checks:
-            if check.trivial:
-                continue
-            line = f"  alpha={check.alpha}: {check.status}"
-            if check.reduced_difference is not None:
-                line += f"  difference={check.reduced_difference}"
-            lines.append(line)
-    _emit(payload, "\n".join(lines), args.json)
+
+    def text():
+        lines = []
+        for report in reports:
+            lines.append(f"{report.kind}: {'commutes' if report.commutes else 'violation'}")
+            for check in report.checks:
+                if check.trivial:
+                    continue
+                line = f"  alpha={check.alpha}: {check.status}"
+                if check.reduced_difference is not None:
+                    line += f"  difference={check.reduced_difference}"
+                lines.append(line)
+        return "\n".join(lines)
+
+    _emit(args.json, lambda: {"reports": [r.to_dict() for r in reports]}, text)
     return 0
 
 
@@ -107,7 +106,7 @@ def _cmd_config_g(args) -> int:
         alpha = parse_index_text(args.alpha, COMMUTATIVE, cfg.k)
         g = cfg.f_at(alpha)
     witness = g.witness if isinstance(g.witness, str) else f"word {g.witness[0]}, leader {g.witness[1]}"
-    _emit({"value": str(g.value), "witness": witness}, f"{g.value}\n  ({witness})", args.json)
+    _emit(args.json, lambda: {"value": str(g.value), "witness": witness}, lambda: f"{g.value}\n  ({witness})")
     return 0
 
 
@@ -153,8 +152,11 @@ def _cmd_axiom_wide(args) -> int:
 def _cmd_dim_cert(args) -> int:
     system = parse_triangular(_read(args.file))
     cert = triangular_dimension_certificate(system)
-    text = f"dimension {cert.free_count}; solve order: " + ", ".join(str(v) for v in cert.solve_order)
-    _emit(cert.to_dict(), text, args.json)
+
+    def text():
+        return f"dimension {cert.free_count}; solve order: " + ", ".join(str(v) for v in cert.solve_order)
+
+    _emit(args.json, cert.to_dict, text)
     return 0
 
 

@@ -41,6 +41,12 @@ through one agrees with f there through the other (`_coherent`): one
 comparison per pair, whatever the degree.  `verify_global` compares every
 factorization only to find a witness, which a rational point of the locus
 confirms if it can.
+
+Each comparison is decided once per configuration: `_agree` takes two keys
+of the table of R-values and keeps its verdict for the pair, and a
+violation's reduced difference is kept for its ordered pair, so the local
+check, the coherence test and the enumeration share them.  Witness points
+are not shared: each checked tuple draws its own.
 """
 
 from __future__ import annotations
@@ -50,8 +56,8 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from math import factorial, isqrt, lcm, prod
-from operator import add, sub
+from math import isqrt, lcm
+from operator import add, ne
 
 from .algebra import JetVar, Poly, Value, as_value, fraction, over_one_base, pseudo_reduce, to_value
 from .derivation import DerSpec, Tower, _last_remainder, apply_derivation
@@ -211,6 +217,10 @@ class Configuration:
             ((i,), p): next(values) for i in range(1, k + 1) for p in self.params
         }
         self._memos: tuple[dict[int, Value], ...] = tuple({} for _ in range(k))
+        # `_agree`'s verdict on each pair of table keys, either way round, and
+        # the reduced difference of each violation, by its ordered pair
+        self._verdicts: dict[tuple, bool] = {}
+        self._differences: dict[tuple, Poly] = {}
         if not self._commutes_on(self.params):
             raise ConfigurationError("the eta tables do not commute on the parameters")
 
@@ -363,9 +373,16 @@ class Configuration:
         """Pseudo-reduce by every relation, highest leader first."""
         return pseudo_reduce(p, self._chain)[0]
 
-    def _agree(self, f: Value, g: Value) -> bool:
-        """f = g on the locus: over a common B^e, the chain reduces N_f - N_g to 0."""
-        return self.reduce_mod((f - g).numer).is_zero
+    def _agree(self, a: tuple, b: tuple) -> bool:
+        """f = g on the locus, for the R-values f and g at two keys (letters,
+        variable) of the table: over a common B^e, the chain reduces N_f - N_g
+        to 0.  Decided once per pair: N_g - N_f reduces to the negated
+        remainder, so the verdict holds either way round."""
+        verdict = self._verdicts.get((a, b))
+        if verdict is None:
+            verdict = self.reduce_mod((self._f_word(*a) - self._f_word(*b)).numer).is_zero
+            self._verdicts[a, b] = self._verdicts[b, a] = verdict
+        return verdict
 
     def factorizations(self, alpha: MonoidElem) -> list[tuple[MonoidElem, MonoidElem]]:
         """All (word, leader) pairs whose composite is alpha, ordered by leader,
@@ -386,17 +403,19 @@ class Configuration:
     ) -> CommutationCheck:
         """Decide whether all factorizations of alpha agree on the locus,
         comparing each with the first until one disagrees."""
-        if self._count_factorizations(alpha) <= 1:
+        if self._trivial(alpha):
             return CommutationCheck(alpha, "commutes", trivial=True)
         pairs = self._factorizations(alpha)
         base_letters, base_pi = next(pairs)
-        base_value = self._f_word(base_letters, self.jet_var(base_pi))
+        base = (base_letters, self.jet_var(base_pi))
         for letters, pi in pairs:
-            value = self._f_word(letters, self.jet_var(pi))
-            if self._agree(value, base_value):
+            key = (letters, self.jet_var(pi))
+            if self._agree(base, key):
                 continue
-            # the numerator difference over the common B^e, in normal form
-            reduced = self.reduce_mod((value - base_value).num)
+            value, base_value = self._f_word(*key), self._f_word(*base)
+            reduced = self._differences.get((key, base))
+            if reduced is None:  # the numerator difference over the common B^e, in normal form
+                reduced = self._differences[key, base] = self.reduce_mod((value - base_value).num)
             witness = Witness(MonoidElem.word(self.k, letters), pi, MonoidElem.word(self.k, base_letters), base_pi)
             point = self._confirm_witness(value, base_value, rng or random.Random(0))
             status = "violation" if point is not None else "violation-unconfirmed"
@@ -454,7 +473,8 @@ class Configuration:
         the lexicographic tie-break), not only those below theta
         componentwise: for P = d1, d2 that is 0, d1, d2, d1^2 and d1 d2."""
         theta = self.theta
-        return self._run_checks("local", [a for a in theta_ball(self.k, theta.degree) if a <= theta], rng)
+        alphas = [a for a in theta_ball(self.k, theta.degree) if a.sort_key <= theta.sort_key]
+        return self._run_checks("local", alphas, rng)
 
     def verify_global(self, degree_bound: int, rng: random.Random | None = None) -> CommutationReport:
         """Check every tuple of total degree at most D = `degree_bound`.
@@ -497,7 +517,7 @@ class Configuration:
             return self._run_checks("global", alphas, rng)
         if rng is not None:
             rng.randrange(2 ** 31)  # the draw `_run_checks` makes
-        checks = (CommutationCheck(a, "commutes", trivial=self._count_factorizations(a) <= 1) for a in alphas)
+        checks = (CommutationCheck(a, "commutes", trivial=self._trivial(a)) for a in alphas)
         return CommutationReport("global", tuple(checks))
 
     def _coherent(self) -> bool:
@@ -508,8 +528,8 @@ class Configuration:
         agree with f at lambda through rho: C(#leaders, 2) comparisons,
         whatever the degree bound or k.
         """
-        joins = (  # f at pi v rho through each leader of the pair
-            (self._f_word(pi.lub(rho).minus(lead).canonical_word().data, self.jet_var(lead)) for lead in (pi, rho))
+        joins = (  # the keys of f at pi v rho through each leader of the pair
+            ((pi.lub(rho).minus(lead).canonical_word().data, self.jet_var(lead)) for lead in (pi, rho))
             for pi, rho in combinations(self.leaders, 2)
         )
         squarefree = (  # each separant is a unit on the locus
@@ -525,16 +545,16 @@ class Configuration:
         coherence proof in `verify_global` rests on.
         """
         return all(
-            self._agree(self._f_word((i, j), v), self._f_word((j, i), v))
+            self._agree(((i, j), v), ((j, i), v))
             for v in variables
             for i, j in combinations(range(1, self.k + 1), 2)
         )
 
-    def _count_factorizations(self, alpha: MonoidElem) -> int:
-        """len(self.factorizations(alpha)): a multinomial per leader below alpha."""
-        # preceq has checked each quotient, so it is read off the exponents
-        quotients = (tuple(map(sub, alpha.data, pi.data)) for pi in self.leaders if pi.preceq(alpha))
-        return sum(factorial(sum(q)) // prod(map(factorial, q)) for q in quotients)
+    def _trivial(self, alpha: MonoidElem) -> bool:
+        """len(self.factorizations(alpha)) <= 1: no leader below alpha, or one
+        whose quotient is a power of one letter, with one word."""
+        below = [pi for pi in self.leaders if pi.preceq(alpha)]
+        return not below or (len(below) == 1 and sum(map(ne, alpha.data, below[0].data)) <= 1)
 
     def _run_checks(self, kind, alphas, rng) -> CommutationReport:
         seed = rng.randrange(2 ** 31) if rng is not None else 2025

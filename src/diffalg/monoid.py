@@ -19,7 +19,16 @@ the abelianization word -> exponent tuple, and both are compatible with
 the partial order and with translation.
 
 `Record`, the base of the engine's value classes, lives here with the first
-of them, `MonoidElem`, whose `sort_key` is set when the element is made.
+of them, `MonoidElem`.
+
+The interning rule: `MonoidElem(kind, k, data)` returns the one element
+made from an equal (kind, k, data), kept in a module table that lives for
+the process, as `algebra.JetVar` keeps its variables; so equality is
+identity.  The arguments are checked only when an element is first made:
+invalid ones raise the same error every time and leave nothing in the
+table.  The degree, `sort_key`, text and hash are set then too, and never
+recomputed.  The hash is that of `data`, not of the object, so sets and
+dicts of elements iterate in the same order in every process.
 """
 
 from __future__ import annotations
@@ -27,12 +36,15 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator
 from functools import total_ordering
-from operator import neg
+from operator import add, attrgetter, le, neg, sub
 
 from .errors import KindMismatchError, NotInitialError
 
 FREE = "free"
 COMMUTATIVE = "commutative"
+
+# (kind, k, data) -> its one MonoidElem, for the life of the process
+_ELEMS: dict[tuple, "MonoidElem"] = {}
 
 
 class Record:
@@ -75,41 +87,55 @@ class Record:
 
 @total_ordering
 class MonoidElem(Record):
-    """A word over d1..dk (kind 'free') or a tuple in N^k (kind 'commutative')."""
+    """A word over d1..dk (kind 'free') or a tuple in N^k (kind 'commutative').
 
-    __slots__ = ("kind", "k", "data", "sort_key")
+    Interned, under the rule of the module docstring.  `degree` is the word
+    length, or the total degree of the exponent tuple; `text` is what `str`
+    prints: words as `d1 d2 d1`, tuples as `d1^2 d2`, the identity as `0`.
+    """
 
-    def __init__(self, kind: str, k: int, data: tuple[int, ...]):
-        if kind not in (FREE, COMMUTATIVE):
-            raise ValueError(f"unknown kind {kind!r}")
-        if k < 1:
-            raise ValueError("k must be at least 1")
-        if kind == FREE:
-            if any(not 1 <= g <= k for g in data):
-                raise ValueError(f"word letters must lie in 1..{k}: {data}")
-            sort_key = (kind, k, len(data), data)
-        else:
-            if len(data) != k:
-                raise ValueError(f"exponent tuple must have length {k}: {data}")
-            if any(e < 0 for e in data):
-                raise ValueError(f"exponents must be nonnegative: {data}")
-            # a higher exponent on an earlier generator sorts first
-            sort_key = (kind, k, sum(data), tuple(map(neg, data)))
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "sort_key", sort_key)
+    __slots__ = ("kind", "k", "data", "degree", "sort_key", "text", "hash")
 
-    def __eq__(self, other):
-        if other.__class__ is MonoidElem:
-            return self.data == other.data and self.k == other.k and self.kind == other.kind
-        return NotImplemented
+    def __new__(cls, kind: str, k: int, data: tuple[int, ...]):
+        el = _ELEMS.get((kind, k, data))
+        if el is None:
+            if kind not in (FREE, COMMUTATIVE):
+                raise ValueError(f"unknown kind {kind!r}")
+            if k < 1:
+                raise ValueError("k must be at least 1")
+            if kind == FREE:
+                if any(not 1 <= g <= k for g in data):
+                    raise ValueError(f"word letters must lie in 1..{k}: {data}")
+                degree = len(data)
+                sort_key = (kind, k, degree, data)
+                text = " ".join(f"d{g}" for g in data)
+            else:
+                if len(data) != k:
+                    raise ValueError(f"exponent tuple must have length {k}: {data}")
+                if any(e < 0 for e in data):
+                    raise ValueError(f"exponents must be nonnegative: {data}")
+                degree = sum(data)
+                # a higher exponent on an earlier generator sorts first
+                sort_key = (kind, k, degree, tuple(map(neg, data)))
+                text = " ".join(f"d{i}" if e == 1 else f"d{i}^{e}" for i, e in enumerate(data, 1) if e)
+            el = _ELEMS[kind, k, data] = object.__new__(cls)
+            # the fields in slot order; the hash is that of data (module docstring)
+            for name, value in zip(cls.__slots__, (kind, k, data, degree, sort_key, text or "0", hash(data))):
+                object.__setattr__(el, name, value)
+        return el
+
+    # __new__ sets the fields once; object's __init__ takes the arguments and does nothing
+    __init__ = object.__init__
+    __eq__ = object.__eq__
 
     def __hash__(self):
-        return hash(self.data)
+        return self.hash
 
     def __repr__(self) -> str:
         return f"MonoidElem(kind={self.kind!r}, k={self.k!r}, data={self.data!r})"
+
+    def __str__(self) -> str:
+        return self.text
 
     # ------------------------------------------------------------------
     # constructors
@@ -139,13 +165,6 @@ class MonoidElem(Record):
     # basic structure
 
     @property
-    def degree(self) -> int:
-        """Word length, or total degree of the exponent tuple."""
-        if self.kind == FREE:
-            return len(self.data)
-        return sum(self.data)
-
-    @property
     def is_identity(self) -> bool:
         return self.degree == 0
 
@@ -160,7 +179,7 @@ class MonoidElem(Record):
         self._check_compatible(other)
         if self.kind == FREE:
             return MonoidElem(FREE, self.k, self.data + other.data)
-        return MonoidElem(COMMUTATIVE, self.k, tuple(a + b for a, b in zip(self.data, other.data)))
+        return MonoidElem(COMMUTATIVE, self.k, tuple(map(add, self.data, other.data)))
 
     def preceq(self, other: "MonoidElem") -> bool:
         """Canonical partial order: suffix order on words, componentwise on tuples."""
@@ -168,7 +187,7 @@ class MonoidElem(Record):
         if self.kind == FREE:
             n = len(self.data)
             return n <= len(other.data) and other.data[len(other.data) - n:] == self.data
-        return all(a <= b for a, b in zip(self.data, other.data))
+        return all(map(le, self.data, other.data))
 
     def minus(self, other: "MonoidElem") -> "MonoidElem":
         """Componentwise difference self - other; requires other.preceq(self)."""
@@ -177,14 +196,14 @@ class MonoidElem(Record):
             raise KindMismatchError("difference is only defined for exponent tuples")
         if not other.preceq(self):
             raise ValueError(f"{other} does not divide {self}")
-        return MonoidElem(COMMUTATIVE, self.k, tuple(a - b for a, b in zip(self.data, other.data)))
+        return MonoidElem(COMMUTATIVE, self.k, tuple(map(sub, self.data, other.data)))
 
     def lub(self, other: "MonoidElem") -> "MonoidElem":
         """Componentwise maximum; least upper bounds need not exist on words."""
         self._check_compatible(other)
         if self.kind == FREE:
             raise KindMismatchError("least upper bounds are only defined for exponent tuples")
-        return MonoidElem(COMMUTATIVE, self.k, tuple(max(a, b) for a, b in zip(self.data, other.data)))
+        return MonoidElem(COMMUTATIVE, self.k, tuple(map(max, self.data, other.data)))
 
     # ------------------------------------------------------------------
     # total order: degree first, then the fixed lexicographic tie-break
@@ -233,22 +252,6 @@ class MonoidElem(Record):
                         self.k,
                         self.data[:i] + (e - 1,) + self.data[i + 1:],
                     )
-
-    # ------------------------------------------------------------------
-    # text form: words as `d1 d2 d1`, tuples as `d1^2 d2`, identity as `0`
-
-    def __str__(self) -> str:
-        if self.is_identity:
-            return "0"
-        if self.kind == FREE:
-            return " ".join(f"d{g}" for g in self.data)
-        parts = []
-        for i, e in enumerate(self.data, start=1):
-            if e == 1:
-                parts.append(f"d{i}")
-            elif e > 1:
-                parts.append(f"d{i}^{e}")
-        return " ".join(parts)
 
 
 def leq_total(a: MonoidElem, b: MonoidElem) -> int:
@@ -332,10 +335,10 @@ def minimal_leaders(initial: InitialSet) -> MinimalLeaders:
 def theta_ball(k: int, degree: int) -> list[MonoidElem]:
     """All exponent tuples of total degree <= degree, in increasing total order."""
     tuples = (t for t in itertools.product(range(degree + 1), repeat=k) if sum(t) <= degree)
-    return sorted(MonoidElem(COMMUTATIVE, k, t) for t in tuples)
+    return sorted((MonoidElem(COMMUTATIVE, k, t) for t in tuples), key=attrgetter("sort_key"))
 
 
 def gamma_ball(k: int, length: int) -> list[MonoidElem]:
-    """All words of length <= length, in increasing total order."""
-    words = (w for n in range(length + 1) for w in itertools.product(range(1, k + 1), repeat=n))
-    return sorted(MonoidElem(FREE, k, w) for w in words)
+    """All words of length <= length, in increasing total order: by length, then
+    in the lexicographic order in which `itertools.product` makes them."""
+    return [MonoidElem(FREE, k, w) for n in range(length + 1) for w in itertools.product(range(1, k + 1), repeat=n)]

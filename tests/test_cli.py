@@ -6,6 +6,7 @@ import random
 import pytest
 
 from diffalg import cli
+from diffalg.algebra import Poly
 from diffalg.cli import build_parser, main
 from diffalg.jsontext import json_text
 
@@ -357,3 +358,33 @@ def test_an_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "apply_derivation", boom)
     assert run(capsys, "derive", "x", "--spec", "d: x -> 1") == (1, "", "internal error: RuntimeError('boom')\n")
+
+
+@pytest.mark.parametrize(
+    "argv, renders",
+    [
+        # text mode prints only the derivative; JSON adds the input
+        (["derive", "x^2 + t", "--spec", "eta: t -> 1; d: x -> u"], 1),
+        (["derive", "x^2 + t", "--spec", "eta: t -> 1; d: x -> u", "--json"], 2),
+        (["jet", "d1(x * d1(x))"], 1),
+        (["jet", "d1(x) = x", "--json"], 1),
+        (["config-g", os.path.join(CORPUS, "scaled.cfg"), "d1 d2"], 1),
+        (["config-g", os.path.join(CORPUS, "scaled.cfg"), "d1 d2", "--json"], 1),
+        # one violation at d1 d2, local and global: one difference per printed check
+        (["config-check", os.path.join(CORPUS, "noncomm.cfg"), "--global-degree", "2"], 2),
+        (["config-check", os.path.join(CORPUS, "noncomm.cfg"), "--global-degree", "2", "--json"], 2),
+        (["dim-cert", os.path.join(CORPUS, "chain.tri")], 0),
+    ],
+)
+def test_each_printed_value_is_rendered_once(capsys, monkeypatch, argv, renders):
+    expected = run(capsys, *argv)
+    calls = []
+    render = Poly.__str__
+
+    def counted(self):
+        calls.append(self)
+        return render(self)
+
+    monkeypatch.setattr(Poly, "__str__", counted)
+    assert run(capsys, *argv) == expected
+    assert len(calls) == renders

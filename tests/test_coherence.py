@@ -49,11 +49,11 @@ def leader_sets():
     return sets
 
 
-def test_factorization_count_is_the_multinomial_sum():
+def test_trivial_means_at_most_one_factorization():
     for k, leaders in leader_sets():
         cfg = Configuration(k, leaders, {pi: x(*pi.data) - x(*(0,) * k) for pi in leaders})
         for alpha in theta_ball(k, 6):
-            assert cfg._count_factorizations(alpha) == len(cfg.factorizations(alpha)), (leaders, alpha)
+            assert cfg._trivial(alpha) == (len(cfg.factorizations(alpha)) <= 1), (leaders, alpha)
 
 
 def _random_configuration(rng: random.Random) -> tuple[Configuration, int]:
@@ -107,6 +107,17 @@ def _assert_same_reports(make, degree) -> bool:
     assert [c.trivial for c in got.checks] == [c.trivial for c in want.checks]
     assert rng_fast.random() == rng_slow.random()
     return fast._coherent()
+
+
+def test_trivial_matches_factorizations_on_random_families():
+    rng, seen = random.Random(2027), set()
+    for _ in range(40):
+        cfg, degree = _random_configuration(rng)
+        for alpha in theta_ball(cfg.k, degree):
+            trivial = cfg._trivial(alpha)
+            assert trivial == (len(cfg.factorizations(alpha)) <= 1), (cfg.leaders, alpha)
+            seen.add(trivial)
+    assert seen == {True, False}
 
 
 def _replay(state) -> random.Random:

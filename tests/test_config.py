@@ -564,3 +564,37 @@ def test_the_coherence_test_reads_the_words_of_the_local_check(monkeypatch, caps
 def test_one_leader_is_coherent_without_deriving(monkeypatch, capsys):
     # no pair of leaders, so nothing to compare; the generator sweep took 20
     assert _count_derive_calls(monkeypatch, capsys, "separant.cfg", 6) == 0
+
+
+# the pair family of the benchmark: x[d1] under a quadratic, x[d2] = q(x[0]); fails at d1 d2
+PAIR_CFG = """k = 2
+P: d1, d2
+p[d1] = x[d1]^2 - 3*x[0]*x[d1] - 4
+p[d2] = x[d2] - 2*x[0]^2 + 1
+eta: none
+"""
+
+
+@pytest.mark.parametrize(
+    "name, degree, expected",
+    # one verdict per compared pair and one reduced difference per violation,
+    # shared by the local check, the coherence test and the enumeration; the
+    # pair fails at d1 d2, d1^2 d2 and d1 d2^2 (the parent engine made 2, 5 and 9 calls)
+    [("scaled.cfg", 3, 1), ("pair.cfg", 2, 2), ("pair.cfg", 3, 6)],
+)
+def test_each_comparison_is_reduced_once_per_configuration(monkeypatch, capsys, tmp_path, name, degree, expected):
+    path = os.path.join(CORPUS, name)
+    if name == "pair.cfg":
+        path = tmp_path / name
+        path.write_text(PAIR_CFG)
+    calls = []
+    reduce_mod = Configuration.reduce_mod
+
+    def counted(self, p):
+        calls.append(p)
+        return reduce_mod(self, p)
+
+    monkeypatch.setattr(Configuration, "reduce_mod", counted)
+    assert main(["config-check", str(path), "--global-degree", str(degree)]) == 0
+    assert ("violation" in capsys.readouterr().out) == (name == "pair.cfg")
+    assert len(calls) == expected

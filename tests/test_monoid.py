@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffalg import monoid
 from diffalg.errors import KindMismatchError, NotInitialError
 from diffalg.monoid import (
     COMMUTATIVE,
@@ -17,6 +18,7 @@ from diffalg.monoid import (
     minimal_leaders,
     theta_ball,
 )
+from diffalg.parsing import parse_index_text
 
 
 def w(*letters, k=2):
@@ -116,7 +118,7 @@ def test_order_comparisons_agree_with_the_sort_key_and_refuse_other_kinds():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_balls_hold_every_element_once_in_increasing_order(k):
-    for radius in range(-1, 5):
+    for radius in range(-1, 6):
         thetas = theta_ball(k, radius)
         assert len(thetas) == (math.comb(radius + k, k) if radius >= 0 else 0)
         words = gamma_ball(k, radius)
@@ -124,6 +126,39 @@ def test_balls_hold_every_element_once_in_increasing_order(k):
         for ball in (thetas, words):
             assert all(a.degree <= radius for a in ball)
             assert all(a < b for a, b in zip(ball, ball[1:]))
+
+
+def test_equal_constructions_give_one_element():
+    k = 3
+    d1, d2 = MonoidElem.generator(COMMUTATIVE, k, 1), MonoidElem.generator(COMMUTATIVE, k, 2)
+    same = [
+        (MonoidElem.identity(COMMUTATIVE, k), MonoidElem(COMMUTATIVE, k, (0, 0, 0))),
+        (MonoidElem.identity(FREE, k), MonoidElem.word(k, [])),
+        (d1, MonoidElem.exponents([1, 0, 0])),
+        (MonoidElem.generator(FREE, k, 2), MonoidElem.word(k, iter([2]))),
+        (d1.compose(d2), MonoidElem.exponents((1, 1, 0))),
+        (d1.compose(d2).compose(d2).minus(d2), d1.lub(d2)),
+        (e(2, 1).canonical_word(), w(2, 1, 1)),
+        (w(1, 2, 1).commutative_image(), e(2, 1)),
+        (parse_index_text("d1 d2^2", COMMUTATIVE, 2), e(1, 2)),
+        (parse_index_text("d2 d1", FREE, 2), w(2, 1)),
+        (next(w(1, 2, 1).proper_suffixes()), w(2, 1)),
+    ]
+    for a, b in same:
+        assert a is b, (a, b)
+        # the hash is that of the data, so sets and dicts iterate as the tuples do
+        assert hash(a) == hash(a.data)
+    assert theta_ball(2, 3)[4] is theta_ball(2, 4)[4]
+
+
+def test_invalid_elements_raise_every_time_and_are_not_kept():
+    table = dict(monoid._ELEMS)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="word letters must lie in 1..2"):
+            MonoidElem(FREE, 2, (3,))
+        with pytest.raises(ValueError, match="exponents must be nonnegative"):
+            MonoidElem.exponents((1, -1))
+    assert monoid._ELEMS == table
 
 
 def test_lub_examples():

@@ -122,6 +122,34 @@ def test_profile_jobs_times_every_job_and_lists_self_times(tmp_path):
     assert proc.returncode == 2 and "--rounds must be at least 1" in proc.stderr
 
 
+def test_profile_jobs_compares_two_engines_job_by_job(tmp_path):
+    src = os.path.join(ROOT, "src")
+    proc = run_script("profile_jobs.py", "--workload", "cfg-linear", "--rounds", "1", "--against", src)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:3] == [
+        "cfg-linear, seed 1",
+        "median reference ms per job over 1 alternating forked rounds of each engine",
+        f"against: {src}",
+    ]
+    assert lines[3].split() == ["job", "against", "this", "change"]
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    names = [job["name"] for job in workloads.make_jobs("cfg-linear", 1, str(tmp_path))]
+    rows = [line.split() for line in lines[4:]]
+    assert [row[0] for row in rows] == names + ["round"]
+    for _, before, after, change in rows:
+        assert float(before) > 0 and float(after) > 0
+        # the change is taken before the medians are rounded to the printed microseconds
+        assert change.endswith("%") and abs(float(change[:-1]) - 100 * (float(after) / float(before) - 1)) < 0.5
+
+    proc = run_script("profile_jobs.py", "--workload", "cfg-linear", "--against", str(tmp_path))
+    assert proc.returncode == 2 and "no diffalg package in" in proc.stderr
+
+
 def test_kernel_bench_times_four_kernels_on_the_operands_of_a_round():
     proc = run_script("kernel_bench.py", "--workload", "calculus-mix", "--seed", "1", "--repeats", "1", "--json")
     assert proc.returncode == 0, proc.stderr
