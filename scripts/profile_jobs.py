@@ -25,6 +25,14 @@ pair taking turns.  The script prints each job's median for both engines
 and the change:
 
     PYTHONPATH=src python3 scripts/profile_jobs.py --workload cfg-linear --rounds 20 --against ../parent/src
+
+--steady N times the steady job instead of the first one: each round, timed
+or profiled, first runs the job list N times untimed in its own process, so
+the pass that is measured pays no first-touch cost and no copy-on-write
+fault of the fork, only what every job pays each time it runs.  It goes
+with or without --against:
+
+    PYTHONPATH=src python3 scripts/profile_jobs.py --workload cfg-linear --rounds 20 --steady 50
 """
 
 import argparse
@@ -61,7 +69,14 @@ def in_child(work) -> None:
         raise SystemExit("a forked round failed")
 
 
-def timed_round(jobs: list[dict], path: str) -> None:
+def warm_up(jobs: list[dict], passes: int) -> None:
+    for _ in range(passes):
+        for job in jobs:
+            run_job(job)
+
+
+def timed_round(jobs: list[dict], path: str, steady: int) -> None:
+    warm_up(jobs, steady)
     refs = [time_reference(), time_reference()]
     times = {}
     for job in jobs:
@@ -78,7 +93,7 @@ class Server:
     """A forked process that imports the engine in src, or the one on
     PYTHONPATH when src is None, and then forks one timed round per call."""
 
-    def __init__(self, src: str | None, jobs: list[dict]):
+    def __init__(self, src: str | None, jobs: list[dict], steady: int):
         requests, self.requests = os.pipe()
         self.replies, replies = os.pipe()
         sys.stdout.flush()
@@ -97,7 +112,7 @@ class Server:
                     raise RuntimeError(f"imported diffalg from {diffalg.cli.__file__}, not from {src}")
                 with os.fdopen(requests) as paths, os.fdopen(replies, "w") as done:
                     for path in paths:
-                        in_child(lambda: timed_round(jobs, path.rstrip("\n")))
+                        in_child(lambda: timed_round(jobs, path.rstrip("\n"), steady))
                         done.write(path)
                         done.flush()
                 code = 0
@@ -123,7 +138,8 @@ class Server:
         os.waitpid(self.pid, 0)
 
 
-def profiled_round(jobs: list[dict], path: str) -> None:
+def profiled_round(jobs: list[dict], path: str, steady: int) -> None:
+    warm_up(jobs, steady)
     profiler = cProfile.Profile()
     profiler.enable()
     for job in jobs:
@@ -132,8 +148,12 @@ def profiled_round(jobs: list[dict], path: str) -> None:
     profiler.dump_stats(path)
 
 
-def report(jobs: list[dict], rounds: list[dict], stats: pstats.Stats, top: int) -> None:
-    print(f"median reference ms per job over {len(rounds)} forked rounds")
+def warmed(steady: int) -> str:
+    return f", each after {steady} untimed passes" if steady else ""
+
+
+def report(jobs: list[dict], rounds: list[dict], stats: pstats.Stats, top: int, steady: int) -> None:
+    print(f"median reference ms per job over {len(rounds)} forked rounds{warmed(steady)}")
     width = max(len(job["name"]) for job in jobs)
     for job in jobs:
         print(f"  {job['name']:<{width}}  {1000 * statistics.median(r[job['name']] for r in rounds):9.3f}")
@@ -147,11 +167,11 @@ def report(jobs: list[dict], rounds: list[dict], stats: pstats.Stats, top: int) 
         print(f"  {calls:>8}  {1000 * self_s:9.3f}  {100 * self_s / total:5.1f}%  {where}")
 
 
-def compare(jobs: list[dict], src: str, against: list[dict], this: list[dict]) -> None:
+def compare(jobs: list[dict], src: str, against: list[dict], this: list[dict], steady: int) -> None:
     def median(rounds: list[dict], name: str | None) -> float:
         return 1000 * statistics.median(sum(r.values()) if name is None else r[name] for r in rounds)
 
-    print(f"median reference ms per job over {len(this)} alternating forked rounds of each engine")
+    print(f"median reference ms per job over {len(this)} alternating forked rounds of each engine{warmed(steady)}")
     print(f"against: {src}")
     width = max(len(job["name"]) for job in jobs)
     print(f"  {'job':<{width}}  {'against':>9}  {'this':>9}  {'change':>7}")
@@ -167,9 +187,12 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--top", type=int, default=20)
     parser.add_argument("--against", metavar="SRC", help="compare with the engine in this directory")
+    parser.add_argument("--steady", type=int, default=0, metavar="N", help="untimed passes of the jobs per round")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    if args.steady < 0:
+        parser.error("--steady must be at least 0")
     if args.against is not None and not os.path.isdir(os.path.join(args.against, "diffalg")):
         parser.error(f"--against: no diffalg package in {args.against}")
 
@@ -178,7 +201,7 @@ def main(argv: list[str]) -> int:
         jobs = workloads.make_jobs(args.workload, args.seed, workdir)
         if args.against is not None:
             src = os.path.abspath(args.against)
-            servers = [Server(src, jobs), Server(None, jobs)]
+            servers = [Server(src, jobs, args.steady), Server(None, jobs, args.steady)]
             sides = [[], []]
             try:
                 for i in range(args.rounds):
@@ -188,7 +211,7 @@ def main(argv: list[str]) -> int:
                 for server in reversed(servers):
                     server.close()
             print(f"{args.workload}, seed {args.seed}")
-            compare(jobs, src, *sides)
+            compare(jobs, src, *sides, args.steady)
             return 0
 
         import diffalg.cli  # noqa: F401  loaded before the forks, as the round server does
@@ -196,16 +219,16 @@ def main(argv: list[str]) -> int:
 
         paths = [os.path.join(workdir, f"round-{i}") for i in range(2 * args.rounds)]
         for path in paths[: args.rounds]:
-            in_child(lambda: timed_round(jobs, path))
+            in_child(lambda: timed_round(jobs, path, args.steady))
         for path in paths[args.rounds :]:
-            in_child(lambda: profiled_round(jobs, path))
+            in_child(lambda: profiled_round(jobs, path, args.steady))
         rounds = []
         for path in paths[: args.rounds]:
             with open(path, encoding="utf-8") as handle:
                 rounds.append(json.load(handle))
         stats = pstats.Stats(*paths[args.rounds :])
         print(f"{args.workload}, seed {args.seed}")
-        report(jobs, rounds, stats, args.top)
+        report(jobs, rounds, stats, args.top, args.steady)
     finally:
         shutil.rmtree(workdir)
     return 0

@@ -46,7 +46,10 @@ Each comparison is decided once per configuration: `_agree` takes two keys
 of the table of R-values and keeps its verdict for the pair, and a
 violation's reduced difference is kept for its ordered pair, so the local
 check, the coherence test and the enumeration share them.  Witness points
-are not shared: each checked tuple draws its own.
+are not shared: each checked tuple draws its own, from a generator seeded
+by the tuple's place in the list.  A trivial tuple, with at most one
+factorization, is compared with nothing and draws nothing, so no generator
+is made for it; the seeds of the others do not change.
 """
 
 from __future__ import annotations
@@ -55,16 +58,15 @@ import random
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import combinations, permutations
 from math import isqrt, lcm
-from operator import add, ne
+from operator import add, le, ne
 
 from .algebra import JetVar, Poly, Value, as_value, fraction, over_one_base, pseudo_reduce, to_value
 from .derivation import DerSpec, Tower, _last_remainder, apply_derivation
 from .errors import ConfigurationError, PoleError
 from .jet import DiffModel, jet_binding
-from .jsontext import json_text
-from .monoid import COMMUTATIVE, FREE, MonoidElem, Record, antichain_minimal, theta_ball
+from .monoid import COMMUTATIVE, FREE, MonoidElem, Record, theta_ball
 
 # random points tried before a violation is reported unconfirmed
 _WITNESS_DRAWS = 40
@@ -104,7 +106,14 @@ class CommutationCheck(Record):
     point: dict | None
 
     def __init__(self, alpha, status, trivial=False, witness=None, reduced_difference=None, point=None):
-        super().__init__(alpha, status, trivial, witness, reduced_difference, point)
+        # one record per checked tuple: the fields are set directly, not through Record's loop
+        setattr = object.__setattr__
+        setattr(self, "alpha", alpha)
+        setattr(self, "status", status)
+        setattr(self, "trivial", trivial)
+        setattr(self, "witness", witness)
+        setattr(self, "reduced_difference", reduced_difference)
+        setattr(self, "point", point)
 
     @property
     def commutes(self) -> bool:
@@ -142,9 +151,6 @@ class CommutationReport(Record):
             "commutes": self.commutes,
             "checks": [c.to_dict() for c in self.checks],
         }
-
-    def to_json(self) -> str:
-        return json_text(self.to_dict())
 
 
 class RealizeReport(Record):
@@ -188,16 +194,21 @@ class Configuration:
         if len(etas) != k:
             raise ConfigurationError(f"need {k} coefficient tables, got {len(etas)}")
         self.etas = tuple({c: to_value(v) for c, v in t.items()} for t in etas)
-        self._validate()
+        variables = {pi: p.variables() for pi, p in self.relations.items()}
+        self._validate(variables)
         self.leaders = tuple(sorted(self.leaders))  # comparable once validated
-        # the relations as a triangular chain, highest leader first
-        self._chain = tuple((self.jet_var(pi), self.relations[pi]) for pi in reversed(self.leaders))
         # what `sample_point` reads on every draw: the variables of the
         # relations, each leader's variable, relation and separant in leader
         # order, and whether a variable is drawn, for each one met so far
-        self._relation_vars = set().union(*(p.variables() for p in self.relations.values()))
-        self._solve = tuple((self.jet_var(pi), self.relations[pi], self.separant(pi)) for pi in self.leaders)
+        self._relation_vars = set().union(*variables.values())
+        solve = []
+        for pi in self.leaders:
+            xpi, p = self.jet_var(pi), self.relations[pi]
+            solve.append((xpi, p, p.partial(xpi)))
+        self._solve = tuple(solve)
         self._drawn: dict[JetVar, bool] = {}
+        # the relations as a triangular chain, highest leader first
+        self._chain = tuple((xpi, p) for xpi, p, _ in reversed(solve))
 
         params = {v for v in self._relation_vars if v.index is None}
         for table in self.etas:
@@ -226,7 +237,8 @@ class Configuration:
 
     # ------------------------------------------------------------------
 
-    def _validate(self):
+    def _validate(self, variables: Mapping[MonoidElem, set[JetVar]]):
+        """Refuse malformed data, given the variables of each relation."""
         for pi in self.leaders:
             if pi.kind != COMMUTATIVE or pi.k != self.k:
                 raise ConfigurationError(f"leader {pi} is not an exponent tuple over k={self.k}")
@@ -234,15 +246,16 @@ class Configuration:
                 raise ConfigurationError("the identity cannot be a leader")
         if len(set(self.leaders)) != len(self.leaders):
             raise ConfigurationError("duplicate leaders")
-        if frozenset(self.leaders) != antichain_minimal(self.leaders):
+        # distinct exponent tuples over k: an anti-chain when none divides another
+        if any(all(map(le, a.data, b.data)) for a, b in permutations(self.leaders, 2)):
             raise ConfigurationError("leaders do not form an anti-chain")
-        if set(self.relations) != set(self.leaders):
+        if self.relations.keys() != set(self.leaders):
             raise ConfigurationError("relations must be given exactly for the leaders")
         for pi, p in self.relations.items():
             xpi = self.jet_var(pi)
             if not p.depends_on(xpi):
                 raise ConfigurationError(f"relation for {pi} does not involve {xpi}")
-            for v in p.variables():
+            for v in variables[pi]:
                 if v.index is None:
                     continue
                 if v.base != self.base:
@@ -403,6 +416,8 @@ class Configuration:
     ) -> CommutationCheck:
         """Decide whether all factorizations of alpha agree on the locus,
         comparing each with the first until one disagrees."""
+        if self.leaders:  # `_trivial` reads alpha.data as an exponent tuple over k
+            self.leaders[0]._check_compatible(alpha)
         if self._trivial(alpha):
             return CommutationCheck(alpha, "commutes", trivial=True)
         pairs = self._factorizations(alpha)
@@ -517,7 +532,7 @@ class Configuration:
             return self._run_checks("global", alphas, rng)
         if rng is not None:
             rng.randrange(2 ** 31)  # the draw `_run_checks` makes
-        checks = (CommutationCheck(a, "commutes", trivial=self._trivial(a)) for a in alphas)
+        checks = (CommutationCheck(a, "commutes", self._trivial(a)) for a in alphas)
         return CommutationReport("global", tuple(checks))
 
     def _coherent(self) -> bool:
@@ -552,14 +567,26 @@ class Configuration:
 
     def _trivial(self, alpha: MonoidElem) -> bool:
         """len(self.factorizations(alpha)) <= 1: no leader below alpha, or one
-        whose quotient is a power of one letter, with one word."""
-        below = [pi for pi in self.leaders if pi.preceq(alpha)]
-        return not below or (len(below) == 1 and sum(map(ne, alpha.data, below[0].data)) <= 1)
+        whose quotient is a power of one letter, with one word.  alpha is an
+        exponent tuple over k, compared with the leaders' tuples directly."""
+        data = alpha.data
+        below = None  # the one leader below alpha met so far
+        for pi in self.leaders:
+            if all(map(le, pi.data, data)):
+                if below is not None:
+                    return False
+                below = pi.data
+        return below is None or sum(map(ne, data, below)) <= 1
 
     def _run_checks(self, kind, alphas, rng) -> CommutationReport:
+        """A check of each tuple; the i-th draws its witness points from
+        random.Random(seed + 7919 * i), made only for a tuple that is not
+        trivial, since a trivial one draws none."""
         seed = rng.randrange(2 ** 31) if rng is not None else 2025
         checks = [
-            self.check_commutation_at(alpha, random.Random(seed + 7919 * i))
+            CommutationCheck(alpha, "commutes", True)
+            if self._trivial(alpha)
+            else self.check_commutation_at(alpha, random.Random(seed + 7919 * i))
             for i, alpha in enumerate(alphas)
         ]
         return CommutationReport(kind, tuple(checks))

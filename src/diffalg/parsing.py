@@ -26,6 +26,14 @@ Grammars (ASCII):
 
 Identifiers of the form d<digits> are reserved for derivation symbols and
 cannot name variables.  Errors carry 1-based line and column positions.
+
+Text is lexed in one pass of one master pattern (`_lex`).  A file of lines
+(configuration, variety and triangular files) is lexed once, lazily, line
+by line: a line's tokens are made when the parser asks for the line, so
+a line the parser refuses raises before any later line is lexed.  Of two
+errors the one on the earlier line is reported, as a reader going down the
+file would meet it; lexing the whole file first would report a stray
+character further down instead.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ import re
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import partial
 from json.decoder import JSONArray, JSONObject, scanstring
 from json.scanner import py_make_scanner
 from operator import add, mul, sub, truediv
@@ -47,12 +56,18 @@ from .errors import ParseError
 from .jet import DiffTerm, JetAtom, TAdd, TConst, TDer, TMul, TNeg, TVar
 from .monoid import COMMUTATIVE, FREE, MonoidElem, Record
 
+# One master pattern (the tokenizer recipe of the `re` documentation): the
+# kind of each match is its group's name.  "\n" alone ends a line.  Every
+# other whitespace character, `\u00a0` and `\u2028` too, matches no group,
+# so `finditer`'s search steps over it: whitespace separates tokens and makes
+# none.  Any other character that starts no token is `bad`.
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<comment>#[^\n]*)"
-    r"|(?P<int>\d+)"
+    r"(?P<int>\d+)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>->|!=|[-+*/^()\[\],;:=])"
+    r"|(?P<comment>#[^\n]*)"
+    r"|(?P<nl>\n)"
+    r"|(?P<bad>\S)"
 )
 
 _DNAME_RE = re.compile(r"^d(\d+)$")
@@ -60,29 +75,33 @@ _DNAME_RE = re.compile(r"^d(\d+)$")
 
 # kind is 'int', 'ident', 'op' or 'eof'
 Token = namedtuple("Token", "kind text line column")
+_KEPT = frozenset(("int", "ident", "op"))  # the kinds of match that make a token
+
+# Token((kind, text, line, column)) made in C, without namedtuple's Python-level __new__
+_token = partial(tuple.__new__, Token)
 
 
-def tokenize(text: str, first_line: int = 1) -> list[Token]:
-    tokens = []
-    line = first_line
-    col = 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+def _lex(text: str):
+    """The tokens of each line of text, a list per line, each list made when
+    the lexer reaches the end of its line: a character that starts no token
+    raises only once the lines before it have been handed out."""
+    line, newline, tokens = 1, -1, []  # newline: the offset of the "\n" before the line
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        chunk = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        if kind in _KEPT:
+            tokens.append(_token((kind, m.group(), line, m.start() - newline)))
+        elif kind == "nl":
+            yield tokens
+            line, newline, tokens = line + 1, m.start(), []
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line, m.start() - newline)
+    yield tokens
+
+
+def tokenize(text: str) -> list[Token]:
+    """The tokens of text, then an eof token just past its last character."""
+    tokens = [tok for line in _lex(text) for tok in line]
+    tokens.append(_token(("eof", "", text.count("\n") + 1, len(text) - text.rfind("\n"))))
     return tokens
 
 
@@ -105,49 +124,60 @@ class _Cursor:
         return tok
 
     def at_op(self, *ops: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text in ops
+        # only an op token spells an operator
+        return self.tokens[self.i].text in ops
 
+    # each expect_* reads the token at the cursor and steps past it: a token
+    # of the kind asked for is never the eof token
     def expect_op(self, op: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind != "op" or tok.text != op:
             raise ParseError(f"expected {op!r}, found {_shown(tok)}", tok.line, tok.column)
-        return self.advance()
+        self.i += 1
+        return tok
 
     def expect_int(self) -> int:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind != "int":
             raise ParseError(f"expected a number, found {_shown(tok)}", tok.line, tok.column)
-        self.advance()
+        self.i += 1
         return int(tok.text)
 
     def expect_ident(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind != "ident":
             raise ParseError(f"expected a name, found {_shown(tok)}", tok.line, tok.column)
-        return self.advance()
+        self.i += 1
+        return tok
 
     def expect_eof(self):
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind != "eof":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
 
 
 def _lines(text: str):
-    """Each non-blank line of a file without its comment, and a cursor over its
-    tokens, which carry their file line and column."""
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        cur = _Cursor(tokenize(line, lineno))
-        if cur.peek().kind != "eof":
-            yield line.strip(), cur
+    """A cursor over the tokens of each non-blank line of a file, which carry
+    their file line and column, and end in an eof token just past the line's
+    last token.  The file is lexed once, lazily, line by line: a parser that
+    refuses a line raises before any later line is lexed, so of two errors
+    the one on the earlier line is reported."""
+    for tokens in _lex(text):
+        if tokens:
+            last = tokens[-1]
+            tokens.append(_token(("eof", "", last.line, last.column + len(last.text))))
+            yield _Cursor(tokens)
 
 
 def _take(cur: _Cursor, *texts: str) -> bool:
-    """Step past the next tokens if they have exactly these texts."""
-    if [tok.text for tok in cur.tokens[cur.i:cur.i + len(texts)]] != list(texts):
-        return False
-    cur.i += len(texts)
+    """Step past the next tokens if they have exactly these texts, none of them
+    empty: a mismatch at the eof token stops the comparison there."""
+    i = cur.i
+    for text in texts:
+        if cur.tokens[i].text != text:
+            return False
+        i += 1
+    cur.i = i
     return True
 
 
@@ -162,9 +192,9 @@ def _fold(cur: _Cursor, ops: dict, operand):
     """operand (op operand)*, combined from the left by ops[op](left, right);
     each right operand is parsed after its operator is consumed."""
     value = operand()
-    while cur.at_op(*ops):
-        combine = ops[cur.advance().text]
-        value = combine(value, operand())
+    while (op := cur.tokens[cur.i].text) in ops:
+        cur.i += 1
+        value = ops[op](value, operand())
     return value
 
 
@@ -190,35 +220,41 @@ def _scan_k(tokens: Sequence[Token]) -> int:
 # monoid indices
 
 
-def _generator(cur: _Cursor, k: int) -> int:
-    tok = cur.advance()
-    i = int(_DNAME_RE.match(tok.text).group(1))
+def _generator(cur: _Cursor, k: int) -> int | None:
+    """i for a generator d<i> at the cursor, stepped past and checked against
+    k; None, stepping past nothing, when the next token names no generator
+    (only an identifier can spell one)."""
+    tok = cur.tokens[cur.i]
+    m = _DNAME_RE.match(tok.text)
+    if m is None:
+        return None
+    i = int(m.group(1))
     if not 1 <= i <= k:
         raise ParseError(f"generator d{i} exceeds k={k}", tok.line, tok.column)
+    cur.i += 1
     return i
 
 
 def _parse_index(cur: _Cursor, mode: str, k: int) -> MonoidElem:
-    tok = cur.peek()
+    tok = cur.tokens[cur.i]
     if tok.kind == "int":
         if tok.text != "0":
             raise ParseError("an index is 0 or a product of d1, d2, ...", tok.line, tok.column)
-        cur.advance()
+        cur.i += 1
         return MonoidElem.identity(mode, k)
     if mode == FREE:
         letters = []
-        while cur.peek().kind == "ident" and _DNAME_RE.match(cur.peek().text):
-            letters.append(_generator(cur, k))
+        while (i := _generator(cur, k)) is not None:
+            letters.append(i)
         if not letters:
             raise ParseError("expected a derivation word", tok.line, tok.column)
         return MonoidElem.word(k, letters)
     exps = [0] * k
     seen = False
-    while cur.peek().kind == "ident" and _DNAME_RE.match(cur.peek().text):
-        i = _generator(cur, k)
+    while (i := _generator(cur, k)) is not None:
         e = 1
-        if cur.at_op("^"):
-            cur.advance()
+        if cur.tokens[cur.i].text == "^":
+            cur.i += 1
             e = cur.expect_int()
         exps[i - 1] += e
         seen = True
@@ -244,6 +280,10 @@ def parse_index_text(text: str, mode: str = COMMUTATIVE, k: int | None = None) -
 # polynomial / rational expressions
 
 
+_SUM = {"+": add, "-": sub}
+_PRODUCT = {"*": mul, "/": truediv}
+
+
 class _ExprParser:
     def __init__(self, cur: _Cursor, mode: str, k: int):
         self.cur = cur
@@ -251,48 +291,52 @@ class _ExprParser:
         self.k = k
 
     def expr(self):
-        return _fold(self.cur, {"+": add, "-": sub}, self.term)
+        return _fold(self.cur, _SUM, self.term)
 
     def term(self):
-        return _fold(self.cur, {"*": mul, "/": truediv}, self.factor)
+        return _fold(self.cur, _PRODUCT, self.factor)
 
     def factor(self):
+        cur = self.cur
         negate = False
-        while self.cur.at_op("-"):
-            self.cur.advance()
+        while cur.tokens[cur.i].text == "-":
+            cur.i += 1
             negate = not negate
         value = self.atom()
-        if self.cur.at_op("^"):
-            self.cur.advance()
-            value = value ** self.cur.expect_int()
+        if cur.tokens[cur.i].text == "^":
+            cur.i += 1
+            value = value ** cur.expect_int()
         return -value if negate else value
 
     def atom(self):
-        tok = self.cur.peek()
+        cur = self.cur
+        tok = cur.tokens[cur.i]
         if tok.kind == "int":
-            self.cur.advance()
+            cur.i += 1
             return Poly.const(int(tok.text))
         if tok.kind == "ident":
             return Poly.variable(self.variable())
-        if self.cur.at_op("("):
-            self.cur.advance()
+        if tok.text == "(":
+            cur.i += 1
             value = self.expr()
-            self.cur.expect_op(")")
+            cur.expect_op(")")
             return value
         raise ParseError(f"expected a value, found {_shown(tok)}", tok.line, tok.column)
 
     def variable(self) -> JetVar:
-        tok = self.cur.expect_ident()
+        cur = self.cur
+        tok = cur.expect_ident()
         if _DNAME_RE.match(tok.text):
             raise ParseError(f"{tok.text} is reserved for derivation symbols", tok.line, tok.column)
-        if self.cur.at_op("["):
-            bracket = self.cur.advance()
-            if self.cur.peek().kind == "eof":
-                raise ParseError("unterminated index", bracket.line, bracket.column)
-            index = _parse_index(self.cur, self.mode, self.k)
-            self.cur.expect_op("]")
-            return JetVar(tok.text, index)
-        return JetVar(tok.text)
+        bracket = cur.tokens[cur.i]
+        if bracket.text != "[":
+            return JetVar(tok.text)
+        cur.i += 1
+        if cur.tokens[cur.i].kind == "eof":
+            raise ParseError("unterminated index", bracket.line, bracket.column)
+        index = _parse_index(cur, self.mode, self.k)
+        cur.expect_op("]")
+        return JetVar(tok.text, index)
 
 
 def parse_expression(text: str, mode: str = COMMUTATIVE, k: int | None = None):
@@ -323,15 +367,19 @@ def parse_ratfun(text: str, mode: str = COMMUTATIVE, k: int | None = None) -> Va
 # differential terms
 
 
+_TERM_SUM = {"+": TAdd, "-": lambda a, b: TAdd(a, TNeg(b))}
+_TERM_PRODUCT = {"*": TMul}
+
+
 class _TermParser:
     def __init__(self, cur: _Cursor):
         self.cur = cur
 
     def expr(self) -> DiffTerm:
-        return _fold(self.cur, {"+": TAdd, "-": lambda a, b: TAdd(a, TNeg(b))}, self.term)
+        return _fold(self.cur, _TERM_SUM, self.term)
 
     def term(self) -> DiffTerm:
-        return _fold(self.cur, {"*": TMul}, self.factor)
+        return _fold(self.cur, _TERM_PRODUCT, self.factor)
 
     def factor(self) -> DiffTerm:
         tok = self.cur.peek()
@@ -440,7 +488,7 @@ def parse_config(text: str) -> Configuration:
     eta_lines: list[_Cursor] = []
     declared: set = set()
 
-    for line, cur in _lines(text):
+    for cur in _lines(text):
         head = cur.peek()
         if _take(cur, "k"):
             _once(declared, "k", head, "`k`")
@@ -461,6 +509,7 @@ def parse_config(text: str) -> Configuration:
         elif _take(cur, "eta"):
             eta_lines.append(cur)
         else:
+            line = text.split("\n")[head.line - 1].split("#", 1)[0].strip()
             raise ParseError(f"unrecognized configuration line: {line!r}", head.line, head.column)
 
     if k is None:
@@ -526,7 +575,7 @@ def parse_variety(text: str) -> VarietyInput:
     declared_vars: list[str] | None = None
     declared: set = set()
 
-    for _, cur in _lines(text):
+    for cur in _lines(text):
         k = _scan_k(cur.tokens)
         head = cur.peek()
         if _take(cur, "vars", ":"):
@@ -557,7 +606,7 @@ def parse_triangular(text: str) -> TriangularSystem:
     ambient: tuple[JetVar, ...] | None = None
     equations: list[tuple[JetVar, Poly]] = []
     declared: set = set()
-    for _, cur in _lines(text):
+    for cur in _lines(text):
         k = _scan_k(cur.tokens)
         head = cur.peek()
         if _take(cur, "ambient", ":"):

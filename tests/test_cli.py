@@ -8,7 +8,9 @@ import pytest
 from diffalg import cli
 from diffalg.algebra import Poly
 from diffalg.cli import build_parser, main
+from diffalg.config import CommutationCheck
 from diffalg.jsontext import json_text
+from diffalg.parsing import parse_config
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -350,6 +352,35 @@ def test_json_reports_leave_no_reference_cycles(capsys, argv):
     finally:
         if enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(CORPUS) if n.endswith(".cfg")))
+def test_config_check_json_is_json_text_of_the_report_dicts(capsys, name):
+    # mixed.cfg, noncomm.cfg and quadratic.cfg hold entries with a witness,
+    # a reduced difference and a point; quadratic.cfg from degree 4 on also
+    # unconfirmed ones, without a point
+    path = os.path.join(CORPUS, name)
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    for degree in range(7):
+        cfg = parse_config(text)
+        rng = random.Random(2025)
+        reports = [cfg.check_local(rng), cfg.verify_global(degree, rng)]
+        expected = json_text({"reports": [r.to_dict() for r in reports]}) + "\n"
+        assert run(capsys, "config-check", path, "--global-degree", str(degree), "--json") == (0, expected, "")
+
+
+def test_a_commutation_check_refuses_assignment_and_deletion():
+    cfg = parse_config("k = 2\nP: d1, d2\np[d1] = x[d1] - x[0]\np[d2] = x[d2] - x[0]^2\n")
+    check = cfg.check_local(random.Random(1)).first_violation()
+    assert check.point is not None
+    for name in CommutationCheck.__slots__:
+        value = getattr(check, name)
+        with pytest.raises(AttributeError, match="cannot assign"):
+            setattr(check, name, value)
+        with pytest.raises(AttributeError, match="cannot delete"):
+            delattr(check, name)
+        assert getattr(check, name) is value
 
 
 def test_an_unexpected_exception_is_an_internal_error(capsys, monkeypatch):

@@ -11,7 +11,7 @@ from diffalg.algebra import FactorBase, JetVar, Poly, RatFun, var
 from diffalg.cli import main
 from diffalg.config import Configuration, _multiset_permutations
 from diffalg.derivation import coeff_derivative
-from diffalg.errors import ConfigurationError
+from diffalg.errors import ConfigurationError, KindMismatchError
 from diffalg.jet import DiffModel
 from diffalg.monoid import COMMUTATIVE, FREE, MonoidElem, theta_ball
 from diffalg.parsing import parse_config
@@ -283,7 +283,14 @@ def test_reports_serialize():
     data = report.to_dict()
     assert data["kind"] == "local"
     assert any(c["status"].startswith("violation") for c in data["checks"])
-    assert isinstance(report.to_json(), str)
+
+
+def test_a_check_refuses_a_word_for_an_exponent_tuple():
+    cfg = pair_config(xj(0, 0), 2 * xj(0, 0))
+    with pytest.raises(KindMismatchError):
+        cfg.check_commutation_at(MonoidElem.word(2, (1,)))
+    # with no leader there is nothing to compare it with: every element is trivial
+    assert Configuration(2, [], {}).check_commutation_at(MonoidElem.word(2, (1,))).trivial
 
 
 def test_verify_global_rejects_negative_degree():

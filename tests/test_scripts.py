@@ -150,6 +150,27 @@ def test_profile_jobs_compares_two_engines_job_by_job(tmp_path):
     assert proc.returncode == 2 and "no diffalg package in" in proc.stderr
 
 
+def test_profile_jobs_times_steady_jobs_after_untimed_passes():
+    src = os.path.join(ROOT, "src")
+    argv = ["--workload", "cfg-linear", "--rounds", "1", "--steady", "1"]
+    proc = run_script("profile_jobs.py", *argv, "--against", src)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[1] == (
+        "median reference ms per job over 1 alternating forked rounds of each engine, each after 1 untimed passes"
+    )
+    rows = [line.split() for line in lines[4:]]
+    assert rows[-1][0] == "round" and all(float(row[1]) > 0 and float(row[2]) > 0 for row in rows)
+
+    proc = run_script("profile_jobs.py", *argv, "--top", "3")
+    assert proc.returncode == 0, proc.stderr
+    heading = proc.stdout.splitlines()[1]
+    assert heading == "median reference ms per job over 1 forked rounds, each after 1 untimed passes"
+
+    proc = run_script("profile_jobs.py", "--workload", "cfg-linear", "--steady", "-1")
+    assert proc.returncode == 2 and "--steady must be at least 0" in proc.stderr
+
+
 def test_kernel_bench_times_four_kernels_on_the_operands_of_a_round():
     proc = run_script("kernel_bench.py", "--workload", "calculus-mix", "--seed", "1", "--repeats", "1", "--json")
     assert proc.returncode == 0, proc.stderr
