@@ -28,7 +28,7 @@ from .derivation import (
     twisted_lift,
 )
 from .jet import DiffModel, DiffTerm, JetAtom, oracle_eval, rewrite_atom, rewrite_term
-from .monoid import InitialSet, MonoidElem, gamma_ball, leq_total, minimal_leaders, theta_ball
+from .monoid import InitialSet, MonoidElem, gamma_ball, minimal_leaders, theta_ball
 from .prolong import VarietyPresentation, extend_at_point, reg_rank_at, tangent_space_at, twisted_bundle
 from .axioms import (
     DefinableSetDesc,
@@ -63,7 +63,6 @@ __all__ = [
     "extend_to_algebraic",
     "gamma_ball",
     "implicit_delta",
-    "leq_total",
     "minimal_leaders",
     "nc_normalize",
     "oracle_eval",

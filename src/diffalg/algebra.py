@@ -414,10 +414,6 @@ class Poly:
         cs = self.terms.values()
         return Fraction(gcd(*(c.numerator for c in cs)), lcm(*(c.denominator for c in cs))) if cs else Fraction(1)
 
-    def monomial_content(self) -> Monomial:
-        """The largest monomial dividing every term."""
-        return Monomial(_content(list(self.terms)) if self.terms else 0)
-
     def divide_monomial(self, m: int) -> "Poly":
         """self / m, for a monomial m dividing every term."""
         return _poly({mm - m: c for mm, c in self.terms.items()})

@@ -35,12 +35,12 @@ Values leave this module under the value rule (`algebra.as_value`): a
 A configuration commutes at a tuple alpha when its word/leader
 factorizations agree on the locus (`_agree`).  Coherence (Rosenfeld 1959;
 Kolchin 1973; Pierce 2014): with relations squarefree in their leaders and
-eta tables that commute on the parameters (`_commutes_on`), every tuple of
-every degree commutes once, for each pair of leaders, f at their join
-through one agrees with f there through the other (`_coherent`): one
-comparison per pair, whatever the degree.  `verify_global` compares every
-factorization only to find a witness, which a rational point of the locus
-confirms if it can.
+eta tables that commute on the parameters (the eta check in `__init__`),
+every tuple of every degree commutes once, for each pair of leaders, f at
+their join through one agrees with f there through the other
+(`_coherent`): one comparison per pair, whatever the degree.
+`verify_global` compares every factorization only to find a witness, which
+a rational point of the locus confirms if it can.
 
 Each comparison is decided once per configuration: `_agree` takes two keys
 of the table of R-values and keeps its verdict for the pair, and a
@@ -55,7 +55,7 @@ is made for it; the seeds of the others do not change.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, permutations
@@ -232,7 +232,12 @@ class Configuration:
         # the reduced difference of each violation, by its ordered pair
         self._verdicts: dict[tuple, bool] = {}
         self._differences: dict[tuple, Poly] = {}
-        if not self._commutes_on(self.params):
+        # the eta check, which step 1 of the coherence proof in `verify_global`
+        # rests on: R_i(R_j c) agrees with R_j(R_i c) on every parameter c,
+        # where R_i is the coefficient table eta_i
+        if not all(
+            self._agree(((i, j), c), ((j, i), c)) for c in self.params for i, j in combinations(range(1, k + 1), 2)
+        ):
             raise ConfigurationError("the eta tables do not commute on the parameters")
 
     # ------------------------------------------------------------------
@@ -335,22 +340,27 @@ class Configuration:
         returned but never stored), the single-letter f on a leader x_pi, and
         f at the tuple d_i.mu on any other x_mu.  Each value enters the table
         the first time it is asked for, so the words of `f_at`, of the
-        enumeration and of the coherence test share it.
+        enumeration and of the coherence test share it.  A long word starts
+        from its longest suffix in the table, or its last letter, and derives
+        leftwards one letter at a time, so its length costs no stack.
         """
-        key = (letters, v)
-        value = self._word_cache.get(key)
+        cache = self._word_cache
+        start = 0
+        while (value := cache.get((letters[start:], v))) is None and start < len(letters) - 1:
+            start += 1
         if value is None:
             if not letters:
                 value = Poly.variable(v)
-            elif len(letters) > 1:
-                value = self._derive(letters[0], self._f_word(letters[1:], v))
             elif v.index is None:
                 return None
             elif v.index in self.relations:
-                value = self._single_letter(letters[0], v)
+                value = self._single_letter(letters[-1], v)
             else:
-                value = self._f_theta(MonoidElem.generator(COMMUTATIVE, self.k, letters[0]).compose(v.index))[0]
-            self._word_cache[key] = value
+                value = self._f_theta(MonoidElem.generator(COMMUTATIVE, self.k, letters[-1]).compose(v.index))[0]
+            cache[letters[start:], v] = value
+        for j in range(start - 1, -1, -1):
+            value = self._derive(letters[j], value)
+            cache[letters[j:], v] = value
         return value
 
     def _derive(self, i: int, f: Value) -> Value:
@@ -551,19 +561,6 @@ class Configuration:
             not _last_remainder(Tower(()), p.partial(v), p, v)[0].depends_on(v) for v, p in self._chain
         )
         return all(self._agree(*values) for values in joins) and all(squarefree)
-
-    def _commutes_on(self, variables: Iterable[JetVar]) -> bool:
-        """R_i(R_j v) agrees with R_j(R_i v) for every variable v and i < j.
-
-        `__init__` asks it of the parameters, on which R_i is the
-        coefficient table eta_i: the eta check, which step 1 of the
-        coherence proof in `verify_global` rests on.
-        """
-        return all(
-            self._agree(((i, j), v), ((j, i), v))
-            for v in variables
-            for i, j in combinations(range(1, self.k + 1), 2)
-        )
 
     def _trivial(self, alpha: MonoidElem) -> bool:
         """len(self.factorizations(alpha)) <= 1: no leader below alpha, or one

@@ -215,15 +215,6 @@ class MonoidElem(Record):
     # ------------------------------------------------------------------
     # conversions
 
-    def commutative_image(self) -> "MonoidElem":
-        """Abelianization: letter counts of a word, identity on tuples."""
-        if self.kind == COMMUTATIVE:
-            return self
-        exps = [0] * self.k
-        for g in self.data:
-            exps[g - 1] += 1
-        return MonoidElem(COMMUTATIVE, self.k, tuple(exps))
-
     def canonical_word(self) -> "MonoidElem":
         """The word with non-increasing generator indices mapping onto this tuple."""
         if self.kind == FREE:
@@ -232,12 +223,6 @@ class MonoidElem(Record):
         for i in range(self.k, 0, -1):
             letters.extend([i] * self.data[i - 1])
         return MonoidElem(FREE, self.k, tuple(letters))
-
-    def proper_suffixes(self) -> Iterator["MonoidElem"]:
-        if self.kind != FREE:
-            raise KindMismatchError("suffixes are only defined for words")
-        for start in range(1, len(self.data) + 1):
-            yield MonoidElem(FREE, self.k, self.data[start:])
 
     def immediate_predecessors(self) -> Iterator["MonoidElem"]:
         """Covers from below: drop the leftmost letter, or decrement one exponent."""
@@ -252,11 +237,6 @@ class MonoidElem(Record):
                         self.k,
                         self.data[:i] + (e - 1,) + self.data[i + 1:],
                     )
-
-
-def leq_total(a: MonoidElem, b: MonoidElem) -> int:
-    """Three-way comparison in the total order: -1, 0 or 1."""
-    return (b < a) - (a < b)
 
 
 class InitialSet(Record):

@@ -110,22 +110,13 @@ def _shown(tok: "Token") -> str:
 
 
 class _Cursor:
+    """`tokens[i]` is the token at the cursor.  A parser steps with `i += 1`
+    only past a token it has checked is not the eof token, so `i` never runs
+    past the end."""
+
     def __init__(self, tokens: Sequence[Token]):
         self.tokens = tokens
         self.i = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "eof":
-            self.i += 1
-        return tok
-
-    def at_op(self, *ops: str) -> bool:
-        # only an op token spells an operator
-        return self.tokens[self.i].text in ops
 
     # each expect_* reads the token at the cursor and steps past it: a token
     # of the kind asked for is never the eof token
@@ -201,13 +192,13 @@ def _fold(cur: _Cursor, ops: dict, operand):
 def _comma_list(cur: _Cursor, item) -> list:
     """Comma-separated items up to the end of the line; empty items are skipped."""
     out = []
-    while cur.peek().kind != "eof":
-        if not cur.at_op(","):
+    while cur.tokens[cur.i].kind != "eof":
+        if cur.tokens[cur.i].text != ",":
             out.append(item())
-            if not cur.at_op(","):
+            if cur.tokens[cur.i].text != ",":
                 cur.expect_eof()
                 break
-        cur.advance()
+        cur.i += 1
     return out
 
 
@@ -346,7 +337,7 @@ def parse_expression(text: str, mode: str = COMMUTATIVE, k: int | None = None):
 
 def _poly(cur: _Cursor, mode: str, k: int) -> Poly:
     """A polynomial running to the end of the input."""
-    start = cur.peek()
+    start = cur.tokens[cur.i]
     value = as_value(_ExprParser(cur, mode, k).expr())
     cur.expect_eof()
     if isinstance(value, RatFun):
@@ -382,34 +373,35 @@ class _TermParser:
         return _fold(self.cur, _TERM_PRODUCT, self.factor)
 
     def factor(self) -> DiffTerm:
-        tok = self.cur.peek()
-        if self.cur.at_op("-"):
-            self.cur.advance()
+        cur = self.cur
+        tok = cur.tokens[cur.i]
+        if tok.text == "-":
+            cur.i += 1
             return TNeg(self.factor())
         if tok.kind == "int":
-            self.cur.advance()
+            cur.i += 1
             num = int(tok.text)
-            if self.cur.at_op("/"):
-                self.cur.advance()
-                den_tok = self.cur.peek()
-                den = self.cur.expect_int()
+            if cur.tokens[cur.i].text == "/":
+                cur.i += 1
+                den_tok = cur.tokens[cur.i]
+                den = cur.expect_int()
                 if den == 0:
                     raise ParseError("zero denominator", den_tok.line, den_tok.column)
                 return TConst(Fraction(num, den))
             return TConst(Fraction(num))
         if tok.kind == "ident":
-            self.cur.advance()
+            cur.i += 1
             m = _DNAME_RE.match(tok.text)
             if m:
-                self.cur.expect_op("(")
+                cur.expect_op("(")
                 inner = self.expr()
-                self.cur.expect_op(")")
+                cur.expect_op(")")
                 return TDer(int(m.group(1)), inner)
             return TVar(tok.text)
-        if self.cur.at_op("("):
-            self.cur.advance()
+        if tok.text == "(":
+            cur.i += 1
             value = self.expr()
-            self.cur.expect_op(")")
+            cur.expect_op(")")
             return value
         raise ParseError(f"expected a term, found {_shown(tok)}", tok.line, tok.column)
 
@@ -426,13 +418,13 @@ def parse_term_atom(text: str) -> tuple[DiffTerm, str, DiffTerm]:
     cur = _Cursor(tokenize(text))
     parser = _TermParser(cur)
     lhs = parser.expr()
-    tok = cur.peek()
-    if not cur.at_op("=", "!="):
+    tok = cur.tokens[cur.i]
+    if tok.text not in ("=", "!="):
         raise ParseError("expected '=' or '!='", tok.line, tok.column)
-    rel = cur.advance().text
+    cur.i += 1
     rhs = parser.expr()
     cur.expect_eof()
-    return lhs, rel, rhs
+    return lhs, tok.text, rhs
 
 
 # ----------------------------------------------------------------------
@@ -444,29 +436,29 @@ def _table(cur: _Cursor, mode: str, k: int, table: dict[JetVar, Value]) -> None:
     if _take(cur, "none"):
         return
     while True:
-        target_tok = cur.peek()
+        target_tok = cur.tokens[cur.i]
         target = _ExprParser(cur, mode, k).variable()
         cur.expect_op("->")
         value = _ExprParser(cur, mode, k).expr()
         if target in table:
             raise ParseError(f"duplicate entry for {target}", target_tok.line, target_tok.column)
         table[target] = value
-        if not cur.at_op(","):
+        if cur.tokens[cur.i].text != ",":
             return
-        cur.advance()
+        cur.i += 1
 
 
 def _derspec(cur: _Cursor, mode: str, k: int) -> DerSpec:
     """Sections `eta: ...; d: ...` running to the end of the input."""
     eta: dict[JetVar, Value] = {}
     images: dict[JetVar, Value] = {}
-    while cur.peek().kind != "eof":
+    while cur.tokens[cur.i].kind != "eof":
         section = cur.expect_ident()
         cur.expect_op(":")
         _table(cur, mode, k, eta if section.text == "eta" else images)
-        if not cur.at_op(";"):
+        if cur.tokens[cur.i].text != ";":
             break
-        cur.advance()
+        cur.i += 1
     cur.expect_eof()
     return DerSpec(eta=eta, images=images)
 
@@ -489,7 +481,7 @@ def parse_config(text: str) -> Configuration:
     declared: set = set()
 
     for cur in _lines(text):
-        head = cur.peek()
+        head = cur.tokens[0]
         if _take(cur, "k"):
             _once(declared, "k", head, "`k`")
             cur.expect_op("=")
@@ -546,10 +538,11 @@ def parse_config(text: str) -> Configuration:
 
 
 def _eta_slot(cur: _Cursor, k: int) -> int:
-    tok = cur.advance()
+    tok = cur.tokens[cur.i]
     m = _DNAME_RE.match(tok.text) if tok.kind == "ident" else None
     if not m or not 1 <= int(m.group(1)) <= k:
         raise ParseError(f"eta index must be one of d1..d{k}", tok.line, tok.column)
+    cur.i += 1
     return int(m.group(1)) - 1
 
 
@@ -577,7 +570,7 @@ def parse_variety(text: str) -> VarietyInput:
 
     for cur in _lines(text):
         k = _scan_k(cur.tokens)
-        head = cur.peek()
+        head = cur.tokens[0]
         if _take(cur, "vars", ":"):
             _once(declared, "vars", head, "`vars:`")
             declared_vars = _comma_list(cur, lambda: cur.expect_ident().text)
@@ -608,15 +601,16 @@ def parse_triangular(text: str) -> TriangularSystem:
     declared: set = set()
     for cur in _lines(text):
         k = _scan_k(cur.tokens)
-        head = cur.peek()
+        head = cur.tokens[0]
         if _take(cur, "ambient", ":"):
             _once(declared, "ambient", head, "`ambient:`")
             ambient = tuple(_comma_list(cur, _ExprParser(cur, COMMUTATIVE, k).variable))
             continue
         main = _ExprParser(cur, COMMUTATIVE, k).variable()
-        tok = cur.advance()
+        tok = cur.tokens[cur.i]
         if tok.text != ":":
             raise ParseError("expected `main : polynomial`", tok.line, tok.column)
+        cur.i += 1
         equations.append((main, _poly(cur, COMMUTATIVE, k)))
 
     if ambient is None:

@@ -98,9 +98,13 @@ def test_config_parse_errors_exit_2_with_their_line(tmp_path, capsys, text, mess
 
 
 def test_config_g(capsys):
-    code, out, _ = run(capsys, "config-g", os.path.join(CORPUS, "commuting.cfg"), "d1 d2")
+    path = os.path.join(CORPUS, "commuting.cfg")
+    code, out, _ = run(capsys, "config-g", path, "d1 d2")
     assert code == 0
     assert "x[d2]" in out
+    # a deep word costs no stack: its value is derived one letter at a time
+    code, out, _ = run(capsys, "config-g", path, "d1^2000")
+    assert (code, out) == (0, f"x[d1]\n  (word {' '.join(['d1'] * 1999)}, leader d1)\n")
 
 
 def test_prolong_circle(capsys):

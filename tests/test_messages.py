@@ -240,7 +240,6 @@ _ROOT = Tower([T], {T: 1}).extend(var("c") ** 2 - var("t"), "c")
             "difference is only defined for exponent tuples",
         ),
         (lambda: _exponents(1, 0).minus(_exponents(0, 1)), ValueError, "d2 does not divide d1"),
-        (lambda: list(_exponents(1, 0).proper_suffixes()), KindMismatchError, "suffixes are only defined for words"),
         (
             lambda: InitialSet(FREE, 2, frozenset([_exponents(0, 0)])),
             KindMismatchError,

@@ -14,7 +14,6 @@ from diffalg.monoid import (
     MonoidElem,
     antichain_minimal,
     gamma_ball,
-    leq_total,
     minimal_leaders,
     theta_ball,
 )
@@ -87,10 +86,10 @@ def test_preceq_gamma_is_suffix_order():
 
 
 def test_total_order_examples():
-    assert leq_total(e(0, 1), e(2, 0)) == -1  # degree decides
-    assert leq_total(e(2, 0), e(1, 1)) == -1  # tie-break: d1^2 before d1 d2
-    assert leq_total(w(1, 2), w(2, 1)) == -1  # first letter decides
-    assert leq_total(e(1, 1), e(1, 1)) == 0
+    assert e(0, 1) < e(2, 0)  # degree decides
+    assert e(2, 0) < e(1, 1)  # tie-break: d1^2 before d1 d2
+    assert w(1, 2) < w(2, 1)  # first letter decides
+    assert not e(1, 1) < e(1, 1)
 
 
 def test_total_order_is_total_and_compatible_up_to_degree_2():
@@ -139,10 +138,8 @@ def test_equal_constructions_give_one_element():
         (d1.compose(d2), MonoidElem.exponents((1, 1, 0))),
         (d1.compose(d2).compose(d2).minus(d2), d1.lub(d2)),
         (e(2, 1).canonical_word(), w(2, 1, 1)),
-        (w(1, 2, 1).commutative_image(), e(2, 1)),
         (parse_index_text("d1 d2^2", COMMUTATIVE, 2), e(1, 2)),
         (parse_index_text("d2 d1", FREE, 2), w(2, 1)),
-        (next(w(1, 2, 1).proper_suffixes()), w(2, 1)),
     ]
     for a, b in same:
         assert a is b, (a, b)
@@ -279,8 +276,7 @@ def test_gamma_minimal_leaders_match_oracle_on_random_initial_sets():
         for _ in range(rng.randint(0, 6)):
             n = rng.randint(1, 3)
             word = MonoidElem.word(2, tuple(rng.randint(1, 2) for _ in range(n)))
-            closure.add(word)
-            closure.update(word.proper_suffixes())
+            closure.update(MonoidElem.word(2, word.data[start:]) for start in range(n + 1))
         initial = InitialSet.of(closure)
         result = minimal_leaders(initial)
         assert result.elements == minimal_leaders_oracle(initial, result.length_bound + 1)
@@ -293,9 +289,7 @@ def test_text_forms():
     assert str(MonoidElem.identity(COMMUTATIVE, 2)) == "0"
 
 
-def test_canonical_word_and_commutative_image():
+def test_canonical_word():
     assert e(2, 1).canonical_word() == w(2, 1, 1)
-    assert w(1, 2, 1).commutative_image() == e(2, 1)
-    # each is the identity on its own kind
-    assert e(2, 1).commutative_image() == e(2, 1)
+    # the identity on words
     assert w(2, 1, 1).canonical_word() == w(2, 1, 1)

@@ -1,4 +1,4 @@
-"""Smoke runs of the experiment scripts, so they keep working as the core moves.
+"""Runs of the tooling scripts, so they keep working as the core moves.
 
 Each script runs in a fresh interpreter on tiny counts with the engine on
 PYTHONPATH, as their docstrings tell a user to run them.
@@ -24,18 +24,6 @@ def run_script(name: str, *args: str, **env_vars: str) -> subprocess.CompletedPr
         text=True,
         timeout=120,
     )
-
-
-def test_commutation_experiment_runs():
-    proc = run_script("commutation_experiment.py", "--count", "2", "--degree", "3")
-    assert proc.returncode == 0, proc.stderr
-    assert "proportional" in proc.stdout and "independent" in proc.stdout
-
-
-def test_jet_oracle_experiment_finds_no_mismatch():
-    proc = run_script("jet_oracle_experiment.py", "--count", "3", "--depth", "3")
-    assert proc.returncode == 0, proc.stderr
-    assert "mismatches    : 0\n" in proc.stdout
 
 
 def test_job_recordings_compare_equal_across_hash_seeds_and_name_a_changed_job(tmp_path):
